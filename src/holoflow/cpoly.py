@@ -62,11 +62,21 @@ class CPoly:
         return self.degree == 0 and self.coeffs[0] == 0
 
     def __call__(self, z):
-        """Horner evaluation; accepts scalars or numpy arrays."""
-        z = np.asarray(z, dtype=complex)
-        acc = np.full(z.shape, self.coeffs[-1])
-        for c in self.coeffs[-2::-1]:
-            acc = acc * z + c
+        """Horner evaluation; accepts scalars or numpy arrays.
+
+        Returns a complex for scalar or 0-d input, an array otherwise.
+        The products go through the ``np.multiply`` ufunc, whose complex
+        loop may fuse multiply-add (FMA) where plain Python complex
+        arithmetic does not; the integrator oracle's results are pinned
+        to this arithmetic bit for bit.
+        """
+        coeffs = self.coeffs
+        if len(coeffs) == 1:
+            acc = np.full(np.shape(z), coeffs[0])
+        else:
+            acc = coeffs[-1]
+            for c in coeffs[-2::-1]:
+                acc = np.multiply(acc, z) + c
         return acc if acc.shape else complex(acc)
 
     def derivative(self):
@@ -147,11 +157,6 @@ class RootSet:
 
     def __len__(self):
         return len(self.roots)
-
-
-def eval_poly(p: CPoly, z):
-    """Horner evaluation of p at z."""
-    return p(z)
 
 
 def derivative(p: CPoly) -> CPoly:

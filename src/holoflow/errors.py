@@ -83,6 +83,11 @@ class NotEntering(HoloflowError):
     """Field does not point into the requested half-plane at the start."""
 
 
+class StepUnderflow(HoloflowError):
+    """The adaptive integrator could not find an acceptable step: the
+    field is non-finite or too stiff near the current point."""
+
+
 class FieldSingularOnCurve(HoloflowError):
     """Field evaluation overflowed on a quadrature node."""
 

@@ -1,42 +1,58 @@
 """Independent numerical oracle: adaptive Runge-Kutta integration.
 
 Dormand-Prince 5(4) embedded pair with the standard quartic dense
-output, specialized to planar fields represented as complex-valued
-velocities z -> dz/dt. Provides switching-line (Im z = 0) crossing
-detection by bisection on the dense output, Poincare half-return and
-full-return maps, and separatrix tracing from the equilibria at
-infinity.
+output (Hairer, Norsett & Wanner, Solving ODEs I, sections II.4-II.6),
+specialized to planar fields represented as complex-valued velocities
+z -> dz/dt. Provides switching-line (Im z = 0) crossing detection by
+bisection on the dense output, Poincare half-return and full-return
+maps, and separatrix tracing from the equilibria at infinity.
+
+A step has 7 stages, each one right-hand-side (RHS) evaluation. The
+seventh is the field at the new point, and an accepted step hands it
+on as the next step's first (first same as last, FSAL). So a stepper
+calls the field once at its start point and then 6 times per attempted
+step.
+
+The oracle's arithmetic is pinned bit for bit. The analytic solvers are
+checked against its outputs, and ``return_map_derivative`` is a 1e-5
+central difference that magnifies a last-bit change in a return value
+about 1e5-fold. So the order of every stage sum is fixed, each sum
+starts from 0 as the builtin ``sum`` does (which decides the sign of a
+zero result), zero tableau weights are kept, and the field's complex
+products go through the numpy ufunc (see ``CPoly.__call__``).
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classify import InfinityEquilibrium
 from .cpoly import CPoly
-from .errors import NotEntering
+from .errors import NotEntering, StepUnderflow
 from .potential import SystemKind, SystemSpec
 
 BLOWUP_RADIUS = 1e12
 
-# Dormand-Prince RK5(4)7M tableau
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+# Dormand-Prince RK5(4)7M tableau; the fields are autonomous, so the
+# nodes c_i are not needed
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                -5103 / 18656)
+# fifth-order weights, also the last stage row
+_B1, _B2, _B3, _B4, _B5, _B6 = 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 # b5 - b4: weights of the embedded error estimate
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
+                                     -17253 / 339200, 22 / 525, -1 / 40)
 # dense-output weights for the quartic interpolant
-_D = (
+_D1, _D2, _D3, _D4, _D5, _D6, _D7 = (
     -12715105075 / 11282082432,
     0.0,
     87487479700 / 32700410799,
@@ -45,6 +61,9 @@ _D = (
     -1453857185 / 822651844,
     69997945 / 29380423,
 )
+# fractions of a step, after its start, at which half_return samples
+# the dense output
+_THETAS = tuple(k / 8 for k in range(1, 9))
 
 
 class Terminal(enum.Enum):
@@ -124,8 +143,10 @@ class _Dopri5:
 
     def step(self, t_limit=None):
         """Advance one accepted step (respecting t_limit); returns False
-        when the step would start beyond t_limit."""
+        when the step would start beyond t_limit. Callers hold
+        ``np.errstate(over="ignore", invalid="ignore")``."""
         cfg = self.cfg
+        f = self.f
         t, z, k1 = self.t, self.z, self.k1
         h = self.h
         if t_limit is not None:
@@ -135,49 +156,50 @@ class _Dopri5:
             h = min(h, remaining)
         for _ in range(120):
             hs = h * self.dir
-            with np.errstate(over="ignore", invalid="ignore"):
-                k = [k1]
-                for i in range(1, 7):
-                    zi = z + hs * sum(a * kk for a, kk in zip(_A[i], k))
-                    k.append(self.f(zi))
-                z_new = z + hs * sum(a * kk for a, kk in zip(_A[6], k[:6]))
-                # stage 7 is f at the new point (FSAL)
-                k[6] = self.f(z_new)
-                err = hs * sum(e * kk for e, kk in zip(_E, k))
-            sc = cfg.abs_tol + cfg.rel_tol * max(abs(z), abs(z_new))
-            err_norm = abs(err) / sc
-            if not np.isfinite(err_norm) or not np.isfinite(z_new):
+            k2 = f(z + hs * (0 + _A21 * k1))
+            k3 = f(z + hs * (0 + _A31 * k1 + _A32 * k2))
+            k4 = f(z + hs * (0 + _A41 * k1 + _A42 * k2 + _A43 * k3))
+            k5 = f(z + hs * (0 + _A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+            k6 = f(z + hs * (0 + _A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                             + _A65 * k5))
+            z_new = z + hs * (0 + _B1 * k1 + _B2 * k2 + _B3 * k3 + _B4 * k4
+                              + _B5 * k5 + _B6 * k6)
+            k7 = f(z_new)
+            err = hs * (0 + _E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5
+                        + _E6 * k6 + _E7 * k7)
+            try:
+                sc = cfg.abs_tol + cfg.rel_tol * max(abs(z), abs(z_new))
+                err_norm = abs(err) / sc
+            except OverflowError:  # |.| of a finite complex past 1.8e308
+                err_norm = math.inf
+            if not math.isfinite(err_norm) or not cmath.isfinite(z_new):
                 h *= 0.1
                 continue
             if err_norm <= 1.0 or h <= 1e-14 * max(1.0, abs(t)):
                 factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
                 self.h = min(h * min(max(factor, 0.2), 5.0), cfg.max_step)
                 delta = z_new - z
+                r3 = hs * k1 - delta
                 self._dense = (
-                    t,
-                    hs,
                     z,
                     delta,
-                    hs * k[0] - delta,
-                    delta - hs * k[6] - (hs * k[0] - delta),
-                    hs * sum(d * kk for d, kk in zip(_D, k)),
+                    r3,
+                    delta - hs * k7 - r3,
+                    hs * (0 + _D1 * k1 + _D2 * k2 + _D3 * k3 + _D4 * k4 + _D5 * k5
+                          + _D6 * k6 + _D7 * k7),
                 )
                 self.t = t + hs
                 self.z = z_new
-                self.k1 = k[6]
+                self.k1 = k7
                 return True
             factor = 0.9 * err_norm ** -0.2
             h = h * min(max(factor, 0.1), 1.0)
-        raise RuntimeError("step size underflow")
+        raise StepUnderflow(f"step size underflow at t={t}, z={z}")
 
     def dense(self, theta):
         """Interpolated z at fraction theta in [0, 1] of the last step."""
-        _, _, y0, r2, r3, r4, r5 = self._dense
+        y0, r2, r3, r4, r5 = self._dense
         return y0 + theta * (r2 + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5)))
-
-    def dense_time(self, theta):
-        t0, hs = self._dense[0], self._dense[1]
-        return t0 + theta * hs
 
 
 def integrate(field, z0, t_end, cfg: IntegratorConfig = DEFAULT_CONFIG) -> Trajectory:
@@ -187,20 +209,21 @@ def integrate(field, z0, t_end, cfg: IntegratorConfig = DEFAULT_CONFIG) -> Traje
         raise ValueError("t_end must be nonzero; its sign gives the direction")
     f = _rhs(field)
     direction = 1.0 if t_end > 0 else -1.0
-    st = _Dopri5(f, 0.0, complex(z0), direction, cfg)
-    rows = [(0.0, st.z.real, st.z.imag)]
-    terminal = Terminal.TIME_REACHED
-    for _ in range(cfg.max_steps):
-        if not st.step(t_limit=t_end):
-            break
-        rows.append((st.t, st.z.real, st.z.imag))
-        if abs(st.z) > BLOWUP_RADIUS:
-            terminal = Terminal.BLOWUP
-            break
-        if (t_end - st.t) * direction <= 0:
-            break
-    else:
-        terminal = Terminal.STEP_LIMIT
+    with np.errstate(over="ignore", invalid="ignore"):
+        st = _Dopri5(f, 0.0, complex(z0), direction, cfg)
+        rows = [(0.0, st.z.real, st.z.imag)]
+        terminal = Terminal.TIME_REACHED
+        for _ in range(cfg.max_steps):
+            if not st.step(t_limit=t_end):
+                break
+            rows.append((st.t, st.z.real, st.z.imag))
+            if abs(st.z) > BLOWUP_RADIUS:
+                terminal = Terminal.BLOWUP
+                break
+            if (t_end - st.t) * direction <= 0:
+                break
+        else:
+            terminal = Terminal.STEP_LIMIT
     return Trajectory(np.array(rows), terminal)
 
 
@@ -220,44 +243,44 @@ def half_return(spec, x_start, side: Side, cfg: IntegratorConfig = DEFAULT_CONFI
     """
     f = _rhs(spec)
     z0 = complex(x_start, 0.0)
-    v0 = f(z0)
     s = float(side.value)
-    if v0.imag * s <= 0:
-        raise NotEntering(f"field does not enter the {side.name.lower()} half-plane at x={x_start}")
-    st = _Dopri5(f, 0.0, z0, 1.0, cfg)
     armed_level = 10.0 * cfg.event_tol * max(1.0, abs(x_start))
-    armed = False
-    for _ in range(cfg.max_steps):
-        if st.t > t_max:
-            return None
-        try:
-            if not st.step():
+    with np.errstate(over="ignore", invalid="ignore"):
+        if f(z0).imag * s <= 0:
+            raise NotEntering(
+                f"field does not enter the {side.name.lower()} half-plane at x={x_start}")
+        st = _Dopri5(f, 0.0, z0, 1.0, cfg)
+        armed = False
+        for _ in range(cfg.max_steps):
+            if st.t > t_max:
                 return None
-        except RuntimeError:
-            return None
-        if abs(st.z) > BLOWUP_RADIUS:
-            return None
-        # scan the dense output for a sign change back across the axis
-        thetas = np.linspace(0.0, 1.0, 9)
-        ys = [st.dense(th).imag for th in thetas]
-        prev_th, prev_y = thetas[0], ys[0]
-        for th, yv in zip(thetas[1:], ys[1:]):
-            if not armed and abs(yv) > armed_level and yv * s > 0:
-                armed = True
-            if armed and (yv * s < 0 or yv == 0.0):
-                lo, hi = prev_th, th
-                ylo = prev_y
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    ym = st.dense(mid).imag
-                    if abs(ym) <= cfg.event_tol:
-                        return st.dense(mid).real
-                    if ym * ylo > 0:
-                        lo, ylo = mid, ym
-                    else:
-                        hi = mid
-                return st.dense(0.5 * (lo + hi)).real
-            prev_th, prev_y = th, yv
+            try:
+                if not st.step():
+                    return None
+            except StepUnderflow:
+                return None
+            if abs(st.z) > BLOWUP_RADIUS:
+                return None
+            # scan the dense output for a sign change back across the axis
+            prev_th, prev_y = 0.0, st.dense(0.0).imag
+            for th in _THETAS:
+                yv = st.dense(th).imag
+                if not armed and abs(yv) > armed_level and yv * s > 0:
+                    armed = True
+                if armed and (yv * s < 0 or yv == 0.0):
+                    lo, hi = prev_th, th
+                    ylo = prev_y
+                    for _ in range(200):
+                        mid = 0.5 * (lo + hi)
+                        ym = st.dense(mid).imag
+                        if abs(ym) <= cfg.event_tol:
+                            return st.dense(mid).real
+                        if ym * ylo > 0:
+                            lo, ylo = mid, ym
+                        else:
+                            hi = mid
+                    return st.dense(0.5 * (lo + hi)).real
+                prev_th, prev_y = th, yv
     return None
 
 

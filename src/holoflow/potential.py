@@ -36,7 +36,7 @@ class SystemSpec:
     def velocity(self, z):
         """dz/dt at z as a complex number (elementwise on arrays)."""
         v = self.p(z)
-        return np.conj(v) if self.kind is SystemKind.ANTI_HOLOMORPHIC else v
+        return v.conjugate() if self.kind is SystemKind.ANTI_HOLOMORPHIC else v
 
     def planar(self, x, y):
         """(dx/dt, dy/dt); the anti-holomorphic field is (u, -v)."""

@@ -37,6 +37,52 @@ class TestEval:
         np.testing.assert_allclose(p(zs), [1, 6, 1 + 2j - 3])
 
 
+def _array_horner(p, z):
+    """Horner on arrays, as CPoly.__call__ evaluated before it stopped
+    converting its input; the reference for bit equality."""
+    z = np.asarray(z, dtype=complex)
+    acc = np.full(z.shape, p.coeffs[-1])
+    for c in p.coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc if acc.shape else complex(acc)
+
+
+class TestEvalBitExact:
+    @staticmethod
+    def _inputs(rng):
+        zc = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
+        return [
+            complex(rng.normal(), rng.normal()),  # complex scalar
+            float(rng.normal()),  # real scalar
+            int(rng.integers(-3, 4)),
+            np.complex128(complex(rng.normal(), rng.normal())),
+            np.float64(rng.normal()),
+            np.asarray(complex(rng.normal(), rng.normal())),  # 0-d
+            np.asarray(rng.normal()),
+            zc[0],  # 1-d complex
+            rng.normal(size=17),  # 1-d real
+            zc,  # 2-d complex
+            rng.normal(size=(4, 5)),  # 2-d real
+            zc[::2, 1::3],  # strided view
+        ]
+
+    @pytest.mark.parametrize("degree", range(7))
+    def test_matches_array_horner(self, degree):
+        rng = np.random.default_rng(degree)
+        for _ in range(20):
+            p = CPoly(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+            for z in self._inputs(rng):
+                got, want = p(z), _array_horner(p, z)
+                assert type(got) is type(want)
+                if np.ndim(z):
+                    assert isinstance(got, np.ndarray)
+                    assert got.shape == np.shape(z)
+                    assert got.dtype == np.complex128
+                else:
+                    assert type(got) is complex
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestCalculus:
     def test_antiderivative_z_squared(self):
         q = CPoly([0, 0, 1]).antiderivative()

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from holoflow.cpoly import CPoly
-from holoflow.errors import NotEntering
+from holoflow.errors import NotEntering, StepUnderflow
 from holoflow.odeint import (
     IntegratorConfig,
     Side,
@@ -214,3 +215,112 @@ class TestSeparatrices:
         visits = int(np.sum(inside[1:] & ~inside[:-1]))
         assert visits >= 3
         assert np.min(radii) < 1.0
+
+
+def _c(re_hex, im_hex):
+    return complex(float.fromhex(re_hex), float.fromhex(im_hex))
+
+
+# numpy's complex-multiply loop on x86-64 with AVX2 or AVX-512 fuses
+# re = fma(ar, br, -(ai*bi)); the golden values were recorded with it,
+# and this pair rounds differently without it
+_FUSED_PROBE = (_c("0x1.659ba6efbac71p-2", "-0x1.474b54ed0257ep-1"),
+                _c("-0x1.99b937d602a96p-1", "-0x1.99b3cfcb3b149p-1"),
+                _c("-0x1.94fcb94e668a1p-1", "0x1.db5773342b4fdp-3"))
+fused_multiply = pytest.mark.skipif(
+    complex(np.multiply(*_FUSED_PROBE[:2])) != _FUSED_PROBE[2],
+    reason="golden values were recorded with numpy's fused complex multiply")
+
+# the crossing-cycle fixed point of CYCLE_PARAMS
+X_CYCLE = float.fromhex("0x1.f3e45b75976d8p-6")
+
+
+@fused_multiply
+class TestOracleGolden:
+    """The oracle's outputs, pinned bit for bit (float.hex)."""
+
+    def test_return_map(self):
+        pw = _mixed_piecewise(**CYCLE_PARAMS)
+        tight = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-11)
+        assert return_map(pw, X_CYCLE).hex() == "0x1.f3e45b97f701ap-6"
+        assert return_map(pw, X_CYCLE, tight).hex() == "0x1.f3e45b7635766p-6"
+        assert return_map_derivative(pw, X_CYCLE).hex() == "0x1.2aa4fe665a070p-6"
+
+    @pytest.mark.parametrize("make, t_end, end, count", [
+        (holomorphic, 1.0, ("0x1.5fb047753e385p+0", "0x1.4adbbfd012830p+0"), 28),
+        (holomorphic, -1.0, ("0x1.a3eaec3713c31p-4", "0x1.a84e1fdc9f2b8p-4"), 14),
+        (anti_holomorphic, 1.0, ("0x1.e409a6cbbcff0p+0", "0x1.5e5836c77ea78p-4"), 29),
+        (anti_holomorphic, -1.0, ("0x1.5edccbf6132bep-3", "0x1.03e16d4001976p-1"), 19),
+    ])
+    def test_integrate(self, make, t_end, end, count):
+        traj = integrate(make([0.3 + 0.1j, -0.2j, 1.0]), 0.5 + 0.25j, t_end)
+        assert traj.terminal is Terminal.TIME_REACHED
+        assert traj.samples.shape[0] == count
+        assert traj.end_point() == _c(*end)
+
+    def test_separatrix(self):
+        traj = trace_separatrix(CPoly([0, -1, 0, 1]), infinity_equilibria(3)[1], t_span=20.0)
+        assert traj.terminal is Terminal.TIME_REACHED
+        assert traj.samples.shape[0] == 444
+        assert traj.end_point() == _c("0x1.b1851e1b18d94p-110", "0x1.24d18bfd2067cp-29")
+
+    @pytest.mark.parametrize("make", [holomorphic, anti_holomorphic])
+    def test_overflowing_stages(self, make):
+        # stage values of z^12 near |z| = 1e12 overflow to inf; those
+        # steps shrink, no numpy warning escapes, and the orbit still
+        # reaches the blow-up radius
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = integrate(make([0] * 12 + [1]), 1e11, 1.0)
+        assert traj.terminal is Terminal.BLOWUP
+        assert traj.samples.shape[0] == 70
+        assert traj.end_point() == _c("0x1.d48017f0580a7p+39", "0x0.0p+0")
+
+
+class TestStepper:
+    def test_six_new_rhs_calls_per_step(self):
+        # seven stages per step; the seventh, f at the new point, is the
+        # next step's first (FSAL), so after the initial evaluation each
+        # accepted step costs six calls when no step is rejected
+        calls = 0
+
+        def field(z):
+            nonlocal calls
+            calls += 1
+            return 1j * z
+
+        traj = integrate(field, 1.0, 1.0)
+        steps = traj.samples.shape[0] - 1
+        assert steps == 19
+        assert calls == 1 + 6 * steps
+
+    def test_nan_field_raises_step_underflow(self):
+        with pytest.raises(StepUnderflow) as info:
+            integrate(lambda z: complex("nan"), 1.0, 1.0)
+        assert not isinstance(info.value, RuntimeError)
+
+    @pytest.mark.parametrize("make", [holomorphic, anti_holomorphic])
+    def test_overflow_at_start_is_typed_and_silent(self, make):
+        # z^30 overflows already at the start point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(StepUnderflow):
+                integrate(make([0] * 30 + [1]), 1e11, 1.0)
+
+    def test_overflowing_norm_shrinks_the_step(self):
+        # every stage after the first is finite but so large that
+        # |z_new| overflows on the first trial step (h = 1); the step
+        # shrinks instead of raising OverflowError
+        first = iter([1e-9])
+
+        def field(z):
+            return next(first, complex(1.5e308, 1.5e308))
+
+        traj = integrate(field, 1e10, 1.0, IntegratorConfig(rel_tol=1.0, abs_tol=1.0))
+        assert traj.terminal is Terminal.BLOWUP
+        assert traj.times[-1] == pytest.approx(0.1)
+
+    def test_half_return_underflow_is_none(self):
+        # enters the upper half-plane, then the field is NaN off the axis
+        field = lambda z: 1j if z.imag == 0 else complex("nan")  # noqa: E731
+        assert half_return(field, 0.0, Side.UPPER) is None
