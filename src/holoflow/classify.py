@@ -40,10 +40,6 @@ class EquilibriumInfo:
     lam: complex  # p'(z0) for simple equilibria, 0 otherwise
     etype: EquilibriumType
 
-    @property
-    def order(self):
-        return self.multiplicity
-
 
 @dataclass(frozen=True)
 class InfinityEquilibrium:
@@ -104,9 +100,13 @@ def classify_equilibria(p: CPoly, eps: float = DEFAULT_EPS):
     lambda = p'(z0), multiple roots tagged MULTIPLE."""
     if p.degree < 1:
         raise ValueError("classification requires degree >= 1")
+    return _typed_equilibria(p, cpoly.roots(p), eps)
+
+
+def _typed_equilibria(p: CPoly, root_set, eps):
     dp = p.derivative()
     out = []
-    for z0, m in cpoly.roots(p):
+    for z0, m in root_set:
         if m > 1:
             out.append(EquilibriumInfo(z0, m, 0j, EquilibriumType.MULTIPLE))
         else:
@@ -148,7 +148,7 @@ def infinity_equilibria(n: int):
     return tuple(out)
 
 
-def _cubic_root_structure(a1: complex, a0: complex, eps: float):
+def _cubic_root_structure(a1: complex, a0: complex):
     """Roots of z^3 + a1 z + a0 with a discriminant cross-check on
     multiplicity detection."""
     p = CPoly([a0, a1, 0.0, 1.0])
@@ -172,18 +172,19 @@ def _cubic_root_structure(a1: complex, a0: complex, eps: float):
 def classify_cubic(a1: complex, a0: complex, eps: float = DEFAULT_EPS) -> PortraitClass:
     """Configuration label (a)-(j) and canonical region counts for the
     monic centered cubic zdot = z^3 + a1 z + a0."""
-    p, root_set = _cubic_root_structure(complex(a1), complex(a0), eps)
-    dp = p.derivative()
-    infos = []
-    for z0, m in root_set:
-        if m > 1:
-            infos.append(EquilibriumInfo(z0, m, 0j, EquilibriumType.MULTIPLE))
-        else:
-            lam = dp(z0)
-            infos.append(EquilibriumInfo(z0, 1, lam, _type_from_lambda(lam, eps)))
+    p, root_set = _cubic_root_structure(complex(a1), complex(a0))
+    infos = _typed_equilibria(p, root_set, eps)
     label = _cubic_label(infos)
     center, sepal, alpha_omega = REGION_TABLE[label]
-    return PortraitClass(label, center, sepal, alpha_omega, tuple(infos))
+    return PortraitClass(label, center, sepal, alpha_omega, infos)
+
+
+def _kind(etype: EquilibriumType) -> str:
+    if etype is EquilibriumType.CENTER:
+        return "center"
+    if etype in (EquilibriumType.ATTRACTING_NODE, EquilibriumType.REPELLING_NODE):
+        return "node"
+    return "focus"
 
 
 def _cubic_label(infos) -> str:
@@ -193,21 +194,10 @@ def _cubic_label(infos) -> str:
         return "c"
     if mult == [1, 2]:
         simple = next(i for i in infos if i.multiplicity == 1)
-        if simple.etype is T.CENTER:
-            return "e"
-        if simple.etype in (T.ATTRACTING_NODE, T.REPELLING_NODE):
-            return "f"
-        return "g"
+        return {"center": "e", "node": "f", "focus": "g"}[_kind(simple.etype)]
     if mult != [1, 1, 1]:
         raise UnclassifiedConfiguration(f"unexpected multiplicity pattern {mult}")
-    kinds = []
-    for i in infos:
-        if i.etype is T.CENTER:
-            kinds.append("center")
-        elif i.etype in (T.ATTRACTING_NODE, T.REPELLING_NODE):
-            kinds.append("node")
-        else:
-            kinds.append("focus")
+    kinds = [_kind(i.etype) for i in infos]
     counts = {k: kinds.count(k) for k in ("center", "node", "focus")}
     if counts["center"] == 3:
         return "a"

@@ -10,6 +10,7 @@ error, 2 usage error. HOLOFLOW_TOL overrides the default tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,13 +18,7 @@ import sys
 from . import classify, flowstats, odeint, pwcycles, render
 from .cpoly import CPoly
 from .errors import CenterContinuum, ContinuumDetected, HoloflowError
-from .potential import (
-    SystemKind,
-    SystemSpec,
-    anti_holomorphic,
-    build_potential,
-    holomorphic,
-)
+from .potential import anti_holomorphic, build_potential, holomorphic
 
 
 def parse_complex(text):
@@ -83,11 +78,13 @@ def _spec_from_args(args):
     raise ValueError("provide --holo or --antiholo coefficients")
 
 
-def _window_from_args(args):
+def _grid_from_args(args):
+    """(Window, nx, ny) from --window and --grid."""
     vals = [float(v) for v in args.window.split(",")]
     if len(vals) != 4:
         raise ValueError("window must be x_min,x_max,y_min,y_max")
-    return render.Window(*vals)
+    nx, ny = (int(v) for v in args.grid.split(","))
+    return render.Window(*vals), nx, ny
 
 
 def _rep_to_json(rep):
@@ -111,10 +108,9 @@ def cmd_potential(args):
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
     if args.grid_csv:
-        window = _window_from_args(args)
-        nx, ny = (int(v) for v in args.grid.split(","))
+        window, nx, ny = _grid_from_args(args)
         xs, ys, phi, psi = render.potential_grid(rep, window, nx, ny)
-        render.write_grid_csv(args.grid_csv, xs, ys, phi, psi)
+        render.write_grid_csv(args.grid_csv, xs, ys, psi, phi)
     print(f"potential written to {args.out}")
     return 0
 
@@ -186,45 +182,80 @@ def _candidates_json(candidates):
     ]
 
 
+def _field(record, key, owner):
+    if not isinstance(record, dict) or key not in record:
+        raise ValueError(f"{owner} lacks {key!r}")
+    return record[key]
+
+
+def _antiholo_system(system):
+    upper, lower = (anti_holomorphic([complex(r, i) for r, i in system[side]])
+                    for side in ("upper", "lower"))
+    spec = pwcycles.PiecewiseSpec(upper, lower)
+    return (spec, lambda tol: pwcycles.solve_antiholo_pair(spec, tol=tol),
+            pwcycles.candidate_bound(spec))
+
+
+def _mixed_spec(system, cls):
+    names = [f.name for f in dataclasses.fields(cls)]
+    if not isinstance(system["params"], list) or len(system["params"]) != len(names):
+        raise ValueError(f"{system['family']} params: {','.join(names)}")
+    return cls(*system["params"])
+
+
+def _mixed_linear_system(system):
+    spec = _mixed_spec(system, pwcycles.MixedLinearSpec)
+    return spec.as_piecewise(), lambda tol: pwcycles.solve_mixed_linear_on_sigma(spec), 1
+
+
+def _mixed_general_system(system):
+    k = _mixed_spec(system, pwcycles.MixedGeneralConstants)
+    return k.as_piecewise(), lambda tol: pwcycles.solve_mixed_general(k, tol=tol), 3
+
+
+# family -> (the system-record keys its cycles flags fill, decoder); the
+# decoders look each solver up at call time
+FAMILIES = {
+    "antiholo": (("upper", "lower"), _antiholo_system),
+    "mixed-linear": (("params",), _mixed_linear_system),
+    "mixed-general": (("params",), _mixed_general_system),
+}
+
+
+def decode_system(system):
+    """(PiecewiseSpec, solve, bound) of a cycles report's system record;
+    solve(tol) returns the candidates. Raises ValueError on an unknown
+    family, a missing key or a wrong parameter count."""
+    family = _field(system, "family", "system")
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    keys, decode = FAMILIES[family]
+    for key in keys:
+        _field(system, key, f"{family} system")
+    try:
+        return decode(system)
+    except TypeError as exc:  # entries of the wrong type
+        raise ValueError(f"malformed {family} system: {exc}") from None
+
+
 def cmd_cycles(args):
     tol = args.tol if args.tol is not None else _default_tol()
-    continuum = False
     system = {"family": args.family}
-    if args.family == "antiholo":
-        upper = anti_holomorphic(parse_coeffs(args.upper))
-        lower = anti_holomorphic(parse_coeffs(args.lower))
-        spec = pwcycles.PiecewiseSpec(upper, lower)
-        system["upper"] = [[c.real, c.imag] for c in upper.p.coeffs]
-        system["lower"] = [[c.real, c.imag] for c in lower.p.coeffs]
-        bound = pwcycles.candidate_bound(spec)
-        try:
-            candidates = pwcycles.solve_antiholo_pair(spec, tol=tol)
-        except ContinuumDetected:
-            candidates, continuum = [], True
-    elif args.family == "mixed-linear":
-        params = [float(v) for v in args.params.split(",")]
-        if len(params) != 7:
-            raise ValueError("mixed-linear params: a1,a2,b1,b2,a,b,x0")
-        spec = pwcycles.MixedLinearSpec(*params)
-        system["params"] = params
-        bound = 1
-        try:
-            candidates = pwcycles.solve_mixed_linear_on_sigma(spec)
-        except CenterContinuum:
-            candidates, continuum = [], True
-    elif args.family == "mixed-general":
-        params = [float(v) for v in args.params.split(",")]
-        if len(params) != 8:
-            raise ValueError("mixed-general params: a1,a2,b1,b2,a,b,x0,y0")
-        constants = pwcycles.MixedGeneralConstants(*params)
-        system["params"] = params
-        bound = 3
-        try:
-            candidates = pwcycles.solve_mixed_general(constants, tol=tol)
-        except CenterContinuum:
-            candidates, continuum = [], True
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
+    for key in FAMILIES[args.family][0]:
+        text = getattr(args, key)
+        if text is None:
+            continue
+        if key == "params":
+            system[key] = [float(v) for v in text.split(",")]
+        else:
+            system[key] = [[c.real, c.imag] for c in CPoly(parse_coeffs(text)).coeffs]
+    _, solve, bound = decode_system(system)
+    # the mixed solvers raise only CenterContinuum, solve_antiholo_pair
+    # only ContinuumDetected
+    try:
+        candidates, continuum = solve(tol), False
+    except (CenterContinuum, ContinuumDetected):
+        candidates, continuum = [], True
     report = {
         "family": args.family.replace("-", "_"),
         "system": system,
@@ -237,10 +268,7 @@ def cmd_cycles(args):
 
 
 def cmd_flowstats(args):
-    if args.antiholo is not None:
-        field = anti_holomorphic(parse_coeffs(args.antiholo))
-    else:
-        field = holomorphic(parse_coeffs(args.holo))
+    field = _spec_from_args(args)
     if args.circle:
         cx, cy, r = (float(v) for v in args.circle.split(","))
         curve = flowstats.Circle(complex(cx, cy), r)
@@ -256,8 +284,7 @@ def cmd_flowstats(args):
 
 
 def cmd_portrait(args):
-    window = _window_from_args(args)
-    nx, ny = (int(v) for v in args.grid.split(","))
+    window, nx, ny = _grid_from_args(args)
     if args.upper is not None and args.lower is not None:
         upper = anti_holomorphic(parse_coeffs(args.upper))
         lower = anti_holomorphic(parse_coeffs(args.lower))
@@ -271,22 +298,17 @@ def cmd_portrait(args):
         levels = [float(v) for v in args.levels_at.split(",")]
     else:
         levels = render.default_levels(psi, args.levels)
-    groups = []
-    for li, level in enumerate(levels):
-        segments = render.marching_squares(xs, ys, psi, level)
-        groups.append((f"psi-level-{li}", segments))
+    contours = [("psi", psi, levels)]
     if phi is not None and not args.levels_at:
-        for li, level in enumerate(render.default_levels(phi, args.levels)):
-            segments = render.marching_squares(xs, ys, phi, level)
-            groups.append((f"phi-level-{li}", segments))
+        contours.append(("phi", phi, render.default_levels(phi, args.levels)))
+    groups = [(f"{name}-level-{li}", render.marching_squares(xs, ys, values, level))
+              for name, values, values_levels in contours
+              for li, level in enumerate(values_levels)]
     svg = render.svg_document(groups, window)
     with open(args.out_svg, "w", encoding="utf-8") as fh:
         fh.write(svg)
     if args.out_csv:
-        if phi is None:
-            render.write_grid_csv(args.out_csv, xs, ys, psi)
-        else:
-            render.write_grid_csv(args.out_csv, xs, ys, phi, psi)
+        render.write_grid_csv(args.out_csv, xs, ys, psi, phi)
     print(f"portrait written to {args.out_svg}")
     return 0
 
@@ -295,20 +317,9 @@ def cmd_verify(args):
     tol = args.tol if args.tol is not None else 1e-6
     with open(args.report, encoding="utf-8") as fh:
         report = json.load(fh)
-    system = report["system"]
-    family = system["family"]
-    if family == "antiholo":
-        upper = anti_holomorphic([complex(r, i) for r, i in system["upper"]])
-        lower = anti_holomorphic([complex(r, i) for r, i in system["lower"]])
-        pw = pwcycles.PiecewiseSpec(upper, lower)
-    elif family == "mixed-linear":
-        pw = pwcycles.MixedLinearSpec(*system["params"]).as_piecewise()
-    elif family == "mixed-general":
-        pw = pwcycles.MixedGeneralConstants(*system["params"]).as_piecewise()
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    pw, _, _ = decode_system(_field(report, "system", "report"))
     failures = 0
-    for cand in report["candidates"]:
+    for cand in _field(report, "candidates", "report"):
         if cand["verified"] != pwcycles.Verified.NUMERICALLY_CONFIRMED.value:
             print(f"SKIP x1={cand['x1']:.9g} ({cand['verified']})")
             continue
@@ -351,8 +362,7 @@ def build_parser():
     p.set_defaults(func=cmd_bernoulli)
 
     p = sub.add_parser("cycles", help="limit-cycle candidates of a piecewise system")
-    p.add_argument("--family", required=True,
-                   choices=["antiholo", "mixed-linear", "mixed-general"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--upper", help="antiholo: upper polynomial coefficients")
     p.add_argument("--lower", help="antiholo: lower polynomial coefficients")
     p.add_argument("--params", help="mixed families: comma-separated constants")

@@ -9,7 +9,6 @@ of the two variables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,14 +158,6 @@ class RootSet:
         return len(self.roots)
 
 
-def derivative(p: CPoly) -> CPoly:
-    return p.derivative()
-
-
-def antiderivative(p: CPoly) -> CPoly:
-    return p.antiderivative()
-
-
 def _aberth(coeffs, tol, max_iter):
     """Aberth-Ehrlich simultaneous iteration on a normalized polynomial."""
     n = len(coeffs) - 1
@@ -176,14 +167,9 @@ def _aberth(coeffs, tol, max_iter):
     # symmetric configurations do not trap the iteration
     ang = 2.0 * np.pi * np.arange(n) / n + 0.4
     x = radius * np.exp(1j * ang)
-    dcoeffs = coeffs[1:] * np.arange(1, n + 1)
+    p = CPoly(coeffs)
+    dp = p.derivative()
     pnorm = float(np.max(np.abs(coeffs)))
-
-    def horner(c, z):
-        acc = np.full(z.shape, c[-1])
-        for ck in c[-2::-1]:
-            acc = acc * z + ck
-        return acc
 
     # Iterate until the corrections stagnate at machine level. Multiple
     # roots converge only linearly with clouds of radius ~eps**(1/m), so
@@ -191,8 +177,8 @@ def _aberth(coeffs, tol, max_iter):
     # primary stop; the residual is the final acceptance gate.
     prev_w = np.inf
     for it in range(max_iter):
-        pv = horner(coeffs, x)
-        dv = horner(dcoeffs, x)
+        pv = p(x)
+        dv = dp(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
             diff = x[:, None] - x[None, :]
@@ -210,7 +196,7 @@ def _aberth(coeffs, tol, max_iter):
         if it > 20 and wmax > 0.5 * prev_w and wmax < 1e-5:
             break
         prev_w = wmax
-    pv = horner(coeffs, x)
+    pv = p(x)
     scale = pnorm * np.maximum(1.0, np.abs(x)) ** n
     if np.all(np.abs(pv) <= tol * scale):
         return x
@@ -344,9 +330,7 @@ def _sign_changes(chain, x):
     prev = 0
     count = 0
     for c in chain:
-        v = 0.0
-        for ck in c[::-1]:
-            v = v * x + ck
+        v = _eval_real(c, x)
         s = 0 if v == 0.0 else (1 if v > 0 else -1)
         if s != 0:
             if prev != 0 and s != prev:
@@ -405,8 +389,10 @@ def real_roots(r: CPoly, interval=None, tol=DEFAULT_TOL):
 
 
 def _eval_real(c, x):
+    # Python floats: the same IEEE double arithmetic as numpy scalars,
+    # at a fraction of their cost
     v = 0.0
-    for ck in c[::-1]:
+    for ck in c[::-1].tolist():
         v = v * x + ck
     return v
 

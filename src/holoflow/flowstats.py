@@ -82,6 +82,8 @@ class ParametricCurve:
 
 def contour_integral(field_fn, curve, n_nodes=DEFAULT_NODES) -> ContourResult:
     """Quadrature of the closed contour integral of conj(f(z)) dz."""
+    if n_nodes < 1:
+        raise ValueError("n_nodes must be >= 1")
     if isinstance(field_fn, SystemSpec):
         f = field_fn.velocity
     else:

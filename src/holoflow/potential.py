@@ -103,16 +103,20 @@ def _taylor_shift(coeffs, z0):
         for i in range(len(c) - 2, -1, -1):
             rem = rem * z0 + c[i]
         out[k] = rem
-        # synthetic deflation
-        nc = np.zeros(len(c) - 1, dtype=complex) if len(c) > 1 else np.zeros(1, dtype=complex)
-        acc = 0j
-        for i in range(len(c) - 1, 0, -1):
-            acc = c[i] + acc * z0
-            nc[i - 1] = acc
-        c = nc
+        c = _deflate(c, z0)
         if len(c) == 1 and k + 1 < n and c[0] == 0:
             break
     return out
+
+
+def _deflate(c, z0):
+    """Synthetic division of the ascending coefficients c by (z - z0)."""
+    nc = np.zeros(max(len(c) - 1, 1), dtype=complex)
+    acc = 0j
+    for i in range(len(c) - 1, 0, -1):
+        acc = c[i] + acc * z0
+        nc[i - 1] = acc
+    return nc
 
 
 def _series_reciprocal(a, order):
@@ -154,14 +158,9 @@ def partial_fraction_primitive(num: CPoly, den: CPoly, tol=1e-10) -> PotentialRe
     rats = []
     for z_j, m in root_set:
         # deflate den by (z - z_j)^m
-        q = den.coeffs.copy()
+        q = den.coeffs
         for _ in range(m):
-            nq = np.zeros(len(q) - 1, dtype=complex)
-            acc = 0j
-            for i in range(len(q) - 1, 0, -1):
-                acc = q[i] + acc * z_j
-                nq[i - 1] = acc
-            q = nq
+            q = _deflate(q, z_j)
         q_shift = _taylor_shift(q, z_j)
         num_shift = _taylor_shift(num.coeffs, z_j)
         series = _series_product(num_shift, _series_reciprocal(q_shift, m), m)

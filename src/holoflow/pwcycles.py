@@ -102,25 +102,62 @@ def _tangency_sign(spec: SystemSpec, x, v):
     return 1 if v > 0 else -1
 
 
-def _validate(pw: PiecewiseSpec, x1, x2, cfg, multiplier=None):
+def _confirms(pw: PiecewiseSpec, x1, x2, cfg):
     """odeint confirmation: transversal crossings of opposite direction
-    at the pair and a closed full return; computes the return-map
-    derivative when no analytic multiplier is supplied."""
+    at the pair and a closed full return."""
     c1 = crossing_transversality(pw, x1)
     c2 = crossing_transversality(pw, x2)
     crossings = {Crossing.CROSSING_UP, Crossing.CROSSING_DOWN}
-    if c1 not in crossings or c2 not in crossings or c1 == c2:
-        return Verified.REJECTED, multiplier, Stability.UNKNOWN
+    return c1 in crossings and c2 in crossings and c1 != c2 and _closes(pw, x1, cfg)
+
+
+def _closes(pw, x1, cfg):
+    """True when the numerical return map brings x1 back within CONFIRM_TOL."""
     ret = odeint.return_map(pw, x1, cfg)
-    if ret is None or abs(ret - x1) > CONFIRM_TOL * max(1.0, abs(x1)):
-        return Verified.REJECTED, multiplier, Stability.UNKNOWN
-    if multiplier is None:
-        try:
-            multiplier = odeint.return_map_derivative(pw, x1, cfg)
-        except (ValueError, HoloflowError):
-            multiplier = None
-    stability = _stability_from_multiplier(multiplier)
-    return Verified.NUMERICALLY_CONFIRMED, multiplier, stability
+    return ret is not None and abs(ret - x1) <= CONFIRM_TOL * max(1.0, abs(x1))
+
+
+def _add_pair(pairs, a, b):
+    """Collect the crossing pair {a, b} as (x1, x2) with x1 > x2, unless
+    it degenerates (a == b at 1e-9) or repeats a collected pair (at 1e-8)."""
+    if abs(a - b) <= 1e-9 * max(1.0, abs(a)):
+        return
+    x1, x2 = (a, b) if a > b else (b, a)
+    if any(abs(x1 - p1) <= 1e-8 * max(1.0, abs(x1))
+           and abs(x2 - p2) <= 1e-8 * max(1.0, abs(x2))
+           for p1, p2 in pairs):
+        return
+    pairs.append((x1, x2))
+
+
+def _candidates(pw, pairs, cfg, validate):
+    """One candidate per pair: ANALYTIC when validation is off, else
+    REJECTED, or NUMERICALLY_CONFIRMED with the return-map derivative as
+    its multiplier."""
+    candidates = []
+    for x1, x2 in pairs:
+        multiplier, stability = None, Stability.UNKNOWN
+        if not validate:
+            verified = Verified.ANALYTIC
+        elif not _confirms(pw, x1, x2, cfg):
+            verified = Verified.REJECTED
+        else:
+            verified = Verified.NUMERICALLY_CONFIRMED
+            try:
+                multiplier = odeint.return_map_derivative(pw, x1, cfg)
+            except (ValueError, HoloflowError):
+                pass
+            stability = _stability_from_multiplier(multiplier)
+        candidates.append(CycleCandidate(x1, x2, multiplier, stability, verified))
+    return candidates
+
+
+def _mixed_piecewise(k, z0) -> PiecewiseSpec:
+    """Upper conj((a1 + i a2) z + (b1 + i b2)), lower (a + i b)(z - z0)."""
+    upper = anti_holomorphic([complex(k.b1, k.b2), complex(k.a1, k.a2)])
+    lam = complex(k.a, k.b)
+    lower = SystemSpec(SystemKind.HOLOMORPHIC, CPoly([-lam * z0, lam]))
+    return PiecewiseSpec(upper, lower)
 
 
 def _stability_from_multiplier(multiplier):
@@ -151,10 +188,9 @@ class MixedLinearSpec:
     x0: float = 0.0
 
     def as_piecewise(self) -> PiecewiseSpec:
-        upper = anti_holomorphic([complex(self.b1, self.b2), complex(self.a1, self.a2)])
-        lam = complex(self.a, self.b)
-        lower = SystemSpec(SystemKind.HOLOMORPHIC, CPoly([-lam * self.x0, lam]))
-        return PiecewiseSpec(upper, lower)
+        # a real x0: under mixed-mode complex * float (Python >= 3.14),
+        # -lam * complex(x0, 0.0) can flip the sign of a zero coefficient
+        return _mixed_piecewise(self, self.x0)
 
 
 def mixed_linear_pair(spec: MixedLinearSpec):
@@ -204,21 +240,17 @@ def solve_mixed_linear_on_sigma(spec: MixedLinearSpec,
     x1, x2 = pair
     multiplier = math.exp(spec.a * math.pi / abs(spec.b))
     stability = Stability.STABLE if spec.a < 0 else Stability.UNSTABLE
-    if not validate:
-        return [CycleCandidate(x1, x2, multiplier, stability, Verified.ANALYTIC)]
-    verified, _, _ = _validate(pw, x1, x2, cfg, multiplier=multiplier)
-    if verified is not Verified.NUMERICALLY_CONFIRMED:
+    if validate and not _confirms(pw, x1, x2, cfg):
         return []
-    return [CycleCandidate(x1, x2, multiplier, stability, Verified.NUMERICALLY_CONFIRMED)]
+    verified = Verified.NUMERICALLY_CONFIRMED if validate else Verified.ANALYTIC
+    return [CycleCandidate(x1, x2, multiplier, stability, verified)]
 
 
 def _annulus_representative(pw, x0, cfg):
     """A crossing pair on a confirmed closed orbit of a period annulus."""
     for r in (max(1.0, abs(x0)), 1.0, 0.5 * max(1.0, abs(x0)), 0.1):
-        x1, x2 = x0 + r, x0 - r
-        ret = odeint.return_map(pw, x1, cfg)
-        if ret is not None and abs(ret - x1) <= CONFIRM_TOL * max(1.0, abs(x1)):
-            return (x1, x2)
+        if _closes(pw, x0 + r, cfg):
+            return (x0 + r, x0 - r)
     return None
 
 
@@ -249,11 +281,7 @@ class MixedGeneralConstants:
         return -x - 2.0 * self.b2 / self.a2
 
     def as_piecewise(self) -> PiecewiseSpec:
-        upper = anti_holomorphic([complex(self.b1, self.b2), complex(self.a1, self.a2)])
-        lam = complex(self.a, self.b)
-        z0 = complex(self.x0, self.y0)
-        lower = SystemSpec(SystemKind.HOLOMORPHIC, CPoly([-lam * z0, lam]))
-        return PiecewiseSpec(upper, lower)
+        return _mixed_piecewise(self, complex(self.x0, self.y0))
 
     def matching_function(self):
         """F(x) = b*ln(R(L(x))/R(x)) - a*(Theta(L(x)) - Theta(x)) whose
@@ -320,30 +348,14 @@ def solve_mixed_general(k: MixedGeneralConstants, tol=1e-10,
     targets = [0.0]
     if include_winding and k.y0 < 0.0:
         targets += [2.0 * math.pi * k.a, -2.0 * math.pi * k.a]
-    seen_pairs = []
-    candidates = []
+    pairs = []
     for target in targets:
         for left, right in zip(breakpoints[:-1], breakpoints[1:]):
             root = _bracket_bisect(lambda x: F(x) - target, left, right, tol)
-            if root is None:
-                continue
-            partner = k.L(root)
-            if abs(root - partner) <= 1e-9 * max(1.0, abs(root)):
-                continue  # the involution fixed point, not a crossing pair
-            x1, x2 = (root, partner) if root > partner else (partner, root)
-            if any(abs(x1 - p1) <= 1e-8 * max(1.0, abs(x1))
-                   and abs(x2 - p2) <= 1e-8 * max(1.0, abs(x2))
-                   for p1, p2 in seen_pairs):
-                continue
-            seen_pairs.append((x1, x2))
-            if validate:
-                verified, mult, stab = _validate(pw, x1, x2, cfg)
-                candidates.append(CycleCandidate(x1, x2, mult, stab, verified))
-            else:
-                candidates.append(
-                    CycleCandidate(x1, x2, None, Stability.UNKNOWN, Verified.ANALYTIC)
-                )
-    return candidates
+            if root is not None:
+                # _add_pair drops the involution's fixed point, root == L(root)
+                _add_pair(pairs, root, k.L(root))
+    return _candidates(pw, pairs, cfg, validate)
 
 
 def _real_quadratic_roots(c0, c1, c2):
@@ -360,7 +372,6 @@ def _real_quadratic_roots(c0, c1, c2):
         return []
     sq = math.sqrt(disc)
     q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0 else 0.5 * sq
-    roots = []
     if q != 0.0:
         roots = [q / c2, c0 / q]
     else:
@@ -442,27 +453,10 @@ def solve_antiholo_pair(spec: PiecewiseSpec, tol=1e-10,
         up_roots = _univariate_real_roots(c_up.x2_poly(r), tol)
         lo_roots = _univariate_real_roots(c_lo.x2_poly(r), tol)
         for x2 in up_roots:
-            if not any(abs(x2 - y) <= 10.0 * max(tol, 1e-9) * max(1.0, abs(x2))
-                       for y in lo_roots):
-                continue
-            if abs(r - x2) <= 1e-9 * max(1.0, abs(r)):
-                continue
-            x1, xx2 = (r, x2) if r > x2 else (x2, r)
-            if any(abs(x1 - p1) <= 1e-8 * max(1.0, abs(x1))
-                   and abs(xx2 - p2) <= 1e-8 * max(1.0, abs(xx2))
-                   for p1, p2 in pairs):
-                continue
-            pairs.append((x1, xx2))
-    candidates = []
-    for x1, x2 in pairs:
-        if validate:
-            verified, mult, stab = _validate(spec, x1, x2, cfg)
-            candidates.append(CycleCandidate(x1, x2, mult, stab, verified))
-        else:
-            candidates.append(
-                CycleCandidate(x1, x2, None, Stability.UNKNOWN, Verified.ANALYTIC)
-            )
-    return candidates
+            if any(abs(x2 - y) <= 10.0 * max(tol, 1e-9) * max(1.0, abs(x2))
+                   for y in lo_roots):
+                _add_pair(pairs, r, x2)
+    return _candidates(spec, pairs, cfg, validate)
 
 
 def candidate_bound(spec: PiecewiseSpec):

@@ -35,11 +35,17 @@ def potential_grid(rep: PotentialRep, window: Window, nx: int, ny: int):
     """Sampled (phi, psi) on a regular grid; NaN at poles."""
     if nx < 2 or ny < 2:
         raise ValueError("grid dimensions must be >= 2")
+    return _sample(lambda y: rep, window, nx, ny)
+
+
+def _sample(rep_for_row, window: Window, nx: int, ny: int):
+    """(xs, ys, phi, psi) with row y sampled from rep_for_row(y)."""
     xs = np.linspace(window.x_min, window.x_max, nx)
     ys = np.linspace(window.y_min, window.y_max, ny)
     phi = np.empty((ny, nx))
     psi = np.empty((ny, nx))
     for j, y in enumerate(ys):
+        rep = rep_for_row(y)
         for i, x in enumerate(xs):
             try:
                 w = eval_potential(rep, complex(x, y))
@@ -57,16 +63,7 @@ def piecewise_psi_grid(upper: SystemSpec, lower: SystemSpec, window: Window,
     y >= 0, the lower potential on y < 0."""
     rep_up = build_potential(upper)
     rep_lo = build_potential(lower)
-    xs = np.linspace(window.x_min, window.x_max, nx)
-    ys = np.linspace(window.y_min, window.y_max, ny)
-    psi = np.empty((ny, nx))
-    for j, y in enumerate(ys):
-        rep = rep_up if y >= 0 else rep_lo
-        for i, x in enumerate(xs):
-            try:
-                psi[j, i] = eval_potential(rep, complex(x, y)).imag
-            except AtPole:
-                psi[j, i] = np.nan
+    xs, ys, _, psi = _sample(lambda y: rep_up if y >= 0 else rep_lo, window, nx, ny)
     return xs, ys, psi
 
 
@@ -176,15 +173,14 @@ def svg_document(segment_groups, window: Window, width=640, height=480):
     return out.getvalue()
 
 
-def write_grid_csv(path, xs, ys, phi, psi=None):
-    """RFC 4180 CSV of the sampled grid, row-major."""
+def write_grid_csv(path, xs, ys, psi, phi=None):
+    """RFC 4180 CSV of the sampled grid, row-major: x, y, phi (when
+    given) and psi."""
+    columns = [psi] if phi is None else [phi, psi]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = ["x", "y", "phi"] + (["psi"] if psi is not None else [])
-        writer.writerow(header)
+        writer.writerow(["x", "y"] + (["psi"] if phi is None else ["phi", "psi"]))
         for j, y in enumerate(ys):
             for i, x in enumerate(xs):
-                row = [repr(float(x)), repr(float(y)), repr(float(phi[j, i]))]
-                if psi is not None:
-                    row.append(repr(float(psi[j, i])))
-                writer.writerow(row)
+                writer.writerow([repr(float(x)), repr(float(y))]
+                                + [repr(float(col[j, i])) for col in columns])

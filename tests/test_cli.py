@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from holoflow.cli import main, parse_coeffs, parse_complex
+from holoflow.potential import anti_holomorphic, build_potential, eval_potential
 
 S33 = math.sqrt(33.0)
 
 REFERENCE_UPPER = "(1,0.5),(2,1.5),(3,0.5)"          # (2+i)/2, (4+3i)/2, (6+i)/2
+# mixed-family constants with one confirmed limit cycle each
+MIXED_LINEAR_CYCLE = "1.413612,-1.064242,-1.766789,-0.874464,-0.619219,0.485750,0"
+MIXED_GENERAL_CYCLE = "1.413612,-1.064242,-1.766789,-0.874464,-0.619219,0.485750,0,0.05"
 
 
 def reference_lower():
@@ -93,16 +97,17 @@ class TestCyclesCommand:
 
     def test_verify_round_trip(self, tmp_path, capsys):
         out = tmp_path / "cycles.json"
-        main([
-            "cycles", "--family", "antiholo",
-            "--upper", REFERENCE_UPPER, "--lower", reference_lower(),
-            "--out", str(out),
-        ])
-        capsys.readouterr()
-        code = main(["verify", "--report", str(out)])
-        printed = capsys.readouterr().out
-        assert code == 0
-        assert "PASS" in printed
+        for family_args in (
+            ["--family", "antiholo", "--upper", REFERENCE_UPPER, "--lower", reference_lower()],
+            ["--family", "mixed-linear", "--params", MIXED_LINEAR_CYCLE],
+            ["--family", "mixed-general", "--params", MIXED_GENERAL_CYCLE],
+        ):
+            assert main(["cycles", *family_args, "--out", str(out)]) == 0
+            capsys.readouterr()
+            code = main(["verify", "--report", str(out)])
+            printed = capsys.readouterr().out
+            assert code == 0, family_args
+            assert "PASS" in printed, family_args
 
     def test_mixed_linear_continuum(self, capsys):
         code = main([
@@ -117,7 +122,7 @@ class TestCyclesCommand:
     def test_mixed_general_params(self, capsys):
         code = main([
             "cycles", "--family", "mixed-general",
-            "--params", "1.413612,-1.064242,-1.766789,-0.874464,-0.619219,0.485750,0,0.05",
+            "--params", MIXED_GENERAL_CYCLE,
         ])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
@@ -200,6 +205,15 @@ class TestPortraitCommand:
         assert "polyline" in svg.read_text()
         data = np.genfromtxt(grid, delimiter=",", names=True)
         assert data.shape[0] == 48 * 48
+        assert data.dtype.names == ("x", "y", "psi")
+        reps = {side: build_potential(anti_holomorphic(parse_coeffs(coeffs)))
+                for side, coeffs in (("upper", REFERENCE_UPPER), ("lower", reference_lower()))}
+        rows = data[::97]
+        assert min(rows["y"]) < 0 < max(rows["y"])
+        for row in rows:
+            rep = reps["upper" if row["y"] >= 0 else "lower"]
+            psi = eval_potential(rep, complex(row["x"], row["y"])).imag
+            assert row["psi"] == pytest.approx(psi, abs=1e-12)
 
 
 class TestEnvOverride:
@@ -224,3 +238,24 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["classify-cubic", "--a1", "0,1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, report", [
+        (["cycles", "--family", "antiholo", "--lower", REFERENCE_UPPER], None),
+        (["cycles", "--family", "mixed-linear"], None),
+        (["verify"], {"system": {"family": "mixed-linear", "params": [1.0, 2.0]},
+                      "candidates": []}),
+        (["verify"], {}),
+        (["verify"], {"system": {"family": "antiholo", "upper": [[1.0, 0.0], [0.0, "1"]],
+                                 "lower": [[1.0, 0.0], [0.0, 1.0]]}, "candidates": []}),
+        (["flowstats", "--holo", "1,1", "--circle", "0,0,1", "--nodes", "0"], None),
+    ], ids=["antiholo-no-upper", "mixed-linear-no-params", "verify-short-params",
+            "verify-empty-report", "verify-string-coefficient", "flowstats-zero-nodes"])
+    def test_malformed_input(self, tmp_path, capsys, argv, report):
+        if report is not None:
+            path = tmp_path / "report.json"
+            path.write_text(json.dumps(report))
+            argv = argv + ["--report", str(path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")

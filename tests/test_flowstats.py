@@ -86,6 +86,11 @@ class TestContourIntegrals:
         with pytest.raises(FieldSingularOnCurve):
             contour_integral(lambda z: 1.0 / (z - 1.0), Circle(0j, 1.0))
 
+    @pytest.mark.parametrize("n_nodes", [0, -4])
+    def test_node_count_below_one_rejected(self, n_nodes):
+        with pytest.raises(ValueError):
+            contour_integral(lambda z: (1 + 1j) * z, Circle(0j, 1.0), n_nodes=n_nodes)
+
     def test_parametric_curve(self):
         curve = ParametricCurve(
             lambda t: np.exp(2j * np.pi * t),
