@@ -285,7 +285,10 @@ def cmd_flowstats(args):
 
 def cmd_portrait(args):
     window, nx, ny = _grid_from_args(args)
-    if args.upper is not None and args.lower is not None:
+    if args.upper is not None or args.lower is not None:
+        for flag, text in (("--upper", args.upper), ("--lower", args.lower)):
+            if text is None:
+                raise ValueError(f"a piecewise portrait needs {flag} as well")
         upper = anti_holomorphic(parse_coeffs(args.upper))
         lower = anti_holomorphic(parse_coeffs(args.lower))
         xs, ys, psi = render.piecewise_psi_grid(upper, lower, window, nx, ny)
@@ -319,13 +322,20 @@ def cmd_verify(args):
         report = json.load(fh)
     pw, _, _ = decode_system(_field(report, "system", "report"))
     failures = 0
-    for cand in _field(report, "candidates", "report"):
-        if cand["verified"] != pwcycles.Verified.NUMERICALLY_CONFIRMED.value:
-            print(f"SKIP x1={cand['x1']:.9g} ({cand['verified']})")
+    candidates = _field(report, "candidates", "report")
+    if not isinstance(candidates, list):
+        raise ValueError("report candidates must be a list")
+    for cand in candidates:
+        verified = _field(cand, "verified", "candidate")
+        x1 = _field(cand, "x1", "candidate")
+        if not isinstance(x1, (int, float)):
+            raise ValueError(f"candidate x1 must be a number, got {x1!r}")
+        if verified != pwcycles.Verified.NUMERICALLY_CONFIRMED.value:
+            print(f"SKIP x1={x1:.9g} ({verified})")
             continue
-        ret = odeint.return_map(pw, cand["x1"])
-        ok = ret is not None and abs(ret - cand["x1"]) <= tol * max(1.0, abs(cand["x1"]))
-        print(f"{'PASS' if ok else 'FAIL'} x1={cand['x1']:.9g} return={ret}")
+        ret = odeint.return_map(pw, x1)
+        ok = ret is not None and abs(ret - x1) <= tol * max(1.0, abs(x1))
+        print(f"{'PASS' if ok else 'FAIL'} x1={x1:.9g} return={ret}")
         if not ok:
             failures += 1
     return 1 if failures else 0

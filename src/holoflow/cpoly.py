@@ -1,7 +1,7 @@
 """Complex and real polynomial arithmetic.
 
-Dense univariate polynomials (ascending coefficients), an
-Aberth-Ehrlich simultaneous root finder with multiplicity clustering,
+Dense univariate polynomials (ascending coefficients), roots as
+companion-matrix eigenvalues with multiplicity clustering,
 Sturm-sequence real-root isolation, symmetric divided-difference
 polynomials in two variables, and Sylvester resultants eliminating one
 of the two variables.
@@ -158,51 +158,20 @@ class RootSet:
         return len(self.roots)
 
 
-def _aberth(coeffs, tol, max_iter):
-    """Aberth-Ehrlich simultaneous iteration on a normalized polynomial."""
+def _approx_roots(coeffs, tol):
+    """All roots of the ascending coefficients as companion-matrix
+    eigenvalues (LAPACK's real path for real coefficients), accepted
+    only if every scaled residual meets tol."""
     n = len(coeffs) - 1
-    lead = coeffs[-1]
-    radius = 1.0 + float(np.max(np.abs(coeffs[:-1] / lead))) if n > 0 else 1.0
-    # spread starting points on a circle with an irrational-ish phase so
-    # symmetric configurations do not trap the iteration
-    ang = 2.0 * np.pi * np.arange(n) / n + 0.4
-    x = radius * np.exp(1j * ang)
-    p = CPoly(coeffs)
-    dp = p.derivative()
-    pnorm = float(np.max(np.abs(coeffs)))
-
-    # Iterate until the corrections stagnate at machine level. Multiple
-    # roots converge only linearly with clouds of radius ~eps**(1/m), so
-    # the correction threshold (not the polynomial residual) is the
-    # primary stop; the residual is the final acceptance gate.
-    prev_w = np.inf
-    for it in range(max_iter):
-        pv = p(x)
-        dv = dp(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
-            diff = x[:, None] - x[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
-            denom = 1.0 - newton * s
-            w = np.where(np.abs(denom) > 1e-300, newton / np.where(denom == 0, 1, denom), newton)
-        if not np.all(np.isfinite(w)):
-            w = np.where(np.isfinite(w), w, 0.1 * radius * np.exp(1j * ang))
-        x = x - w
-        wmax = float(np.max(np.abs(w) / (1.0 + np.abs(x))))
-        if wmax <= 1e-13:
-            break
-        # corrections stalled at the multiple-root noise floor
-        if it > 20 and wmax > 0.5 * prev_w and wmax < 1e-5:
-            break
-        prev_w = wmax
-    pv = p(x)
-    scale = pnorm * np.maximum(1.0, np.abs(x)) ** n
-    if np.all(np.abs(pv) <= tol * scale):
+    c = coeffs.real if not coeffs.imag.any() else coeffs
+    try:
+        x = np.roots(c[::-1]).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"companion eigenvalues failed: {exc}") from None
+    scale = float(np.max(np.abs(coeffs))) * np.maximum(1.0, np.abs(x)) ** n
+    if len(x) == n and np.all(np.abs(CPoly(coeffs)(x)) <= tol * scale):
         return x
-    raise NonConvergence(
-        f"Aberth iteration did not meet tol={tol:g} within {max_iter} iterations"
-    )
+    raise NonConvergence(f"companion eigenvalues do not meet tol={tol:g}")
 
 
 def _cluster(points, cluster_tol):
@@ -211,7 +180,7 @@ def _cluster(points, cluster_tol):
     Two clusters merge when their centers lie within
     cluster_tol**(1/m) * max(1, |center|) of each other, m being the
     combined size: multiple roots of multiplicity m are resolved by the
-    iteration only to a radius on that order.
+    eigenvalue solve only to a radius on that order.
     """
     clusters = [[z] for z in points]
     merged = True
@@ -234,14 +203,15 @@ def _cluster(points, cluster_tol):
     return [(complex(np.mean(c)), len(c)) for c in clusters]
 
 
-def roots(p: CPoly, tol=DEFAULT_TOL, cluster_tol=DEFAULT_CLUSTER_TOL, max_iter=200) -> RootSet:
+def roots(p: CPoly, tol=DEFAULT_TOL, cluster_tol=DEFAULT_CLUSTER_TOL) -> RootSet:
     """All complex roots of p with multiplicities.
 
-    Raises NonConvergence if the simultaneous iteration stalls.
+    Raises NonConvergence if the eigenvalue solve fails or its roots
+    miss the residual gate.
     """
     if p.degree < 1:
         raise ValueError("roots() requires degree >= 1")
-    approx = _aberth(p.coeffs, tol, max_iter)
+    approx = _approx_roots(p.coeffs, tol)
     clustered = _cluster(list(approx), cluster_tol)
     dp = p.derivative()
     refined = []

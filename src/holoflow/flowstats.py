@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, FieldSingularOnCurve
+from .errors import AtPole, DomainViolation, FieldSingularOnCurve
 from .odeint import IntegratorConfig, DEFAULT_CONFIG, integrate
 from .potential import PotentialRep, SystemKind, SystemSpec, eval_potential
 
@@ -205,10 +205,10 @@ def complex_time_invariants(spec: SystemSpec, rep: PotentialRep, z0: complex,
     real_traj = integrate(spec, z0, duration, cfg)
     imag_spec = SystemSpec(SystemKind.HOLOMORPHIC, 1j * spec.p)
     imag_traj = integrate(imag_spec, z0, duration, cfg)
-    psi_drift = max(
-        abs(eval_potential(rep, z).imag - w0.imag) for z in real_traj.points
-    )
-    phi_drift = max(
-        abs(eval_potential(rep, z).real - w0.real) for z in imag_traj.points
-    )
+    w_real = eval_potential(rep, real_traj.points)
+    w_imag = eval_potential(rep, imag_traj.points)
+    if np.isnan(w_real).any() or np.isnan(w_imag).any():
+        raise AtPole("a trajectory point sits on a pole of the potential")
+    psi_drift = float(np.max(np.abs(w_real.imag - w0.imag)))
+    phi_drift = float(np.max(np.abs(w_imag.real - w0.real)))
     return psi_drift, phi_drift

@@ -66,13 +66,8 @@ class PotentialRep:
     rational_terms: tuple = ()
 
     def poles(self):
-        seen = []
-        for _, pole in self.log_terms:
-            seen.append(pole)
-        for _, pole, _ in self.rational_terms:
-            if pole not in seen:
-                seen.append(pole)
-        return seen
+        return list(dict.fromkeys([pole for _, pole in self.log_terms]
+                                  + [pole for _, pole, _ in self.rational_terms]))
 
     def cut_distance(self, z):
         """Distance from z to the nearest pole or branch-cut ray.
@@ -190,21 +185,26 @@ def build_potential(spec: SystemSpec, tol=1e-10) -> PotentialRep:
     return partial_fraction_primitive(CPoly([1.0]), spec.p, tol=tol)
 
 
-def eval_potential(rep: PotentialRep, z) -> complex:
-    """Evaluate the potential with principal logarithms.
+def eval_potential(rep: PotentialRep, z):
+    """Evaluate the potential with principal logarithms at a scalar or
+    elementwise on an array.
 
-    Raises AtPole when z is within 1e-12 * max(1, |pole|) of a pole.
+    Within 1e-12 * max(1, |pole|) of a pole a scalar raises AtPole and
+    an array holds NaN.
     """
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
+    at_pole = np.zeros(z.shape, dtype=bool)
     for pole in rep.poles():
-        if abs(z - pole) < 1e-12 * max(1.0, abs(pole)):
+        at_pole |= np.abs(z - pole) < 1e-12 * max(1.0, abs(pole))
+        if at_pole.any() and not z.shape:
             raise AtPole(f"evaluation at pole {pole}")
-    val = rep.poly_part(z)
-    for res, pole in rep.log_terms:
-        val += res * np.log(z - pole)
-    for coeff, pole, order in rep.rational_terms:
-        val += coeff / (z - pole) ** order
-    return complex(val)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = rep.poly_part(z)
+        for res, pole in rep.log_terms:
+            val = val + res * np.log(z - pole)
+        for coeff, pole, order in rep.rational_terms:
+            val = val + coeff / (z - pole) ** order
+    return np.where(at_pole, complex(np.nan, np.nan), val) if z.shape else complex(val)
 
 
 def potential_derivative(rep: PotentialRep, z) -> complex:

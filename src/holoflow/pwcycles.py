@@ -426,7 +426,8 @@ def solve_antiholo_pair(spec: PiecewiseSpec, tol=1e-10,
 
     Degree bounds: linear sides admit no candidates, quadratic at most
     one, cubic at most three. Sides of degree > 3 run the same pipeline
-    but carry no proven bound (see candidate_bound). Raises
+    but carry no proven bound (see candidate_bound). A side whose c is
+    a nonzero constant has no crossing pairs, so the result is []. Raises
     ContinuumDetected when R vanishes identically and
     DegreeUnsupported for constant sides.
     """
@@ -437,6 +438,8 @@ def solve_antiholo_pair(spec: PiecewiseSpec, tol=1e-10,
             raise DegreeUnsupported("sides must have degree >= 1")
     c_up = crossing_pair_polynomial(spec.upper)
     c_lo = crossing_pair_polynomial(spec.lower)
+    if any(c.x2_degree == 0 and c.coeffs[0, 0] != 0.0 for c in (c_up, c_lo)):
+        return []  # a nonzero constant c never vanishes: no crossing pair
     resultant = cpoly.resultant_x2(c_up, c_lo)
     scale = max(1.0, float(np.max(np.abs(c_up.coeffs))),
                 float(np.max(np.abs(c_lo.coeffs)))) ** (c_up.x2_degree + c_lo.x2_degree)

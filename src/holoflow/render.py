@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtPole
 from .potential import PotentialRep, SystemSpec, build_potential, eval_potential
 
 
@@ -31,40 +30,33 @@ class Window:
             raise ValueError("window must be nondegenerate")
 
 
-def potential_grid(rep: PotentialRep, window: Window, nx: int, ny: int):
-    """Sampled (phi, psi) on a regular grid; NaN at poles."""
+def _grid(window: Window, nx: int, ny: int):
+    """(xs, ys, z) of a regular grid with z[j, i] = complex(xs[i], ys[j]),
+    signed zeros included (1j * ys would turn -0.0 into 0.0)."""
     if nx < 2 or ny < 2:
         raise ValueError("grid dimensions must be >= 2")
-    return _sample(lambda y: rep, window, nx, ny)
-
-
-def _sample(rep_for_row, window: Window, nx: int, ny: int):
-    """(xs, ys, phi, psi) with row y sampled from rep_for_row(y)."""
     xs = np.linspace(window.x_min, window.x_max, nx)
     ys = np.linspace(window.y_min, window.y_max, ny)
-    phi = np.empty((ny, nx))
-    psi = np.empty((ny, nx))
-    for j, y in enumerate(ys):
-        rep = rep_for_row(y)
-        for i, x in enumerate(xs):
-            try:
-                w = eval_potential(rep, complex(x, y))
-                phi[j, i] = w.real
-                psi[j, i] = w.imag
-            except AtPole:
-                phi[j, i] = np.nan
-                psi[j, i] = np.nan
-    return xs, ys, phi, psi
+    z = np.empty((ny, nx), dtype=complex)
+    z.real, z.imag = xs, ys[:, None]
+    return xs, ys, z
+
+
+def potential_grid(rep: PotentialRep, window: Window, nx: int, ny: int):
+    """Sampled (xs, ys, phi, psi) on a regular grid; NaN at poles."""
+    xs, ys, z = _grid(window, nx, ny)
+    w = eval_potential(rep, z)
+    return xs, ys, w.real, w.imag
 
 
 def piecewise_psi_grid(upper: SystemSpec, lower: SystemSpec, window: Window,
                        nx: int, ny: int):
     """Stream-function grid of a piecewise spec: the upper potential on
     y >= 0, the lower potential on y < 0."""
-    rep_up = build_potential(upper)
-    rep_lo = build_potential(lower)
-    xs, ys, _, psi = _sample(lambda y: rep_up if y >= 0 else rep_lo, window, nx, ny)
-    return xs, ys, psi
+    xs, ys, z = _grid(window, nx, ny)
+    psi_up = eval_potential(build_potential(upper), z).imag
+    psi_lo = eval_potential(build_potential(lower), z).imag
+    return xs, ys, np.where(ys[:, None] >= 0, psi_up, psi_lo)
 
 
 # marching-squares edge pairs per 4-bit cell index; corners are numbered
@@ -87,49 +79,42 @@ def marching_squares(xs, ys, values, level):
     """
     segments = []
     v = values - level
-    ny, nx = v.shape
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            corners = (v[j, i], v[j, i + 1], v[j + 1, i + 1], v[j + 1, i])
-            if any(np.isnan(c) for c in corners):
-                continue
-            idx = 0
-            for bit, c in enumerate(corners):
-                if c > 0:
-                    idx |= 1 << bit
-            if idx in (0, 15):
-                continue
-            x0, x1 = xs[i], xs[i + 1]
-            y0, y1 = ys[j], ys[j + 1]
+    corner_grids = (v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1])
+    cases = sum((c > 0) << bit for bit, c in enumerate(corner_grids))
+    crossed = ~np.isnan(corner_grids).any(axis=0) & (cases != 0) & (cases != 15)
+    for j, i, idx in zip(*np.nonzero(crossed), cases[crossed].tolist()):
+        corners = (v[j, i], v[j, i + 1], v[j + 1, i + 1], v[j + 1, i])
+        x0, x1 = xs[i], xs[i + 1]
+        y0, y1 = ys[j], ys[j + 1]
 
-            def interp(a, b):
-                # linear zero crossing between corner values a and b
-                d = corners[a] - corners[b]
-                return 0.5 if d == 0 else corners[a] / d
+        def interp(a, b):
+            # linear zero crossing between corner values a and b
+            d = corners[a] - corners[b]
+            return 0.5 if d == 0 else corners[a] / d
 
-            def edge_point(e):
-                if e == 0:
-                    t = interp(0, 1)
-                    return (x0 + t * (x1 - x0), y0)
-                if e == 1:
-                    t = interp(1, 2)
-                    return (x1, y0 + t * (y1 - y0))
-                if e == 2:
-                    t = interp(3, 2)
-                    return (x0 + t * (x1 - x0), y1)
-                t = interp(0, 3)
-                return (x0, y0 + t * (y1 - y0))
+        def edge_point(e):
+            if e == 0:
+                t = interp(0, 1)
+                return (x0 + t * (x1 - x0), y0)
+            if e == 1:
+                t = interp(1, 2)
+                return (x1, y0 + t * (y1 - y0))
+            if e == 2:
+                t = interp(3, 2)
+                return (x0 + t * (x1 - x0), y1)
+            t = interp(0, 3)
+            return (x0, y0 + t * (y1 - y0))
 
-            if idx in (5, 10):
-                center = 0.25 * sum(corners)
-                if idx == 5:
-                    pairs = [(3, 0), (1, 2)] if center <= 0 else [(3, 2), (1, 0)]
-                else:
-                    pairs = [(0, 1), (2, 3)] if center <= 0 else [(0, 3), (2, 1)]
+        if idx in (5, 10):
+            center = 0.25 * sum(corners)
+            if idx == 5:
+                pairs = [(3, 0), (1, 2)] if center <= 0 else [(3, 2), (1, 0)]
             else:
-                pairs = _CASES[idx]
-            for e1, e2 in pairs:
-                segments.append((edge_point(e1), edge_point(e2)))
+                pairs = [(0, 1), (2, 3)] if center <= 0 else [(0, 3), (2, 1)]
+        else:
+            pairs = _CASES[idx]
+        for e1, e2 in pairs:
+            segments.append((edge_point(e1), edge_point(e2)))
     return segments
 
 

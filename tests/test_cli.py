@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -13,6 +14,8 @@ REFERENCE_UPPER = "(1,0.5),(2,1.5),(3,0.5)"          # (2+i)/2, (4+3i)/2, (6+i)/
 # mixed-family constants with one confirmed limit cycle each
 MIXED_LINEAR_CYCLE = "1.413612,-1.064242,-1.766789,-0.874464,-0.619219,0.485750,0"
 MIXED_GENERAL_CYCLE = "1.413612,-1.064242,-1.766789,-0.874464,-0.619219,0.485750,0,0.05"
+MIXED_LINEAR_RECORD = {"family": "mixed-linear",
+                       "params": [float(v) for v in MIXED_LINEAR_CYCLE.split(",")]}
 
 
 def reference_lower():
@@ -108,6 +111,15 @@ class TestCyclesCommand:
             printed = capsys.readouterr().out
             assert code == 0, family_args
             assert "PASS" in printed, family_args
+
+    def test_antiholo_constant_divided_difference(self, capsys):
+        # p = i + z on both sides: psi(x, 0) = x admits no crossing pair
+        code = main(["cycles", "--family", "antiholo",
+                     "--upper", "(0,1),1", "--lower", "(0,1),1"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["candidates"] == []
+        assert report["continuum"] is False
 
     def test_mixed_linear_continuum(self, capsys):
         code = main([
@@ -215,6 +227,47 @@ class TestPortraitCommand:
             psi = eval_potential(rep, complex(row["x"], row["y"])).imag
             assert row["psi"] == pytest.approx(psi, abs=1e-12)
 
+    @pytest.mark.parametrize("argv, missing", [
+        (["--upper", REFERENCE_UPPER], "--lower"),
+        (["--lower", REFERENCE_UPPER], "--upper"),
+    ])
+    def test_piecewise_needs_both_sides(self, tmp_path, capsys, argv, missing):
+        with pytest.raises(SystemExit) as exc:
+            main(["portrait", *argv, "--out-svg", str(tmp_path / "p.svg")])
+        assert exc.value.code == 2
+        assert missing in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sides", [
+        ["--upper", REFERENCE_UPPER, "--lower", REFERENCE_UPPER],
+        ["--antiholo", REFERENCE_UPPER],
+    ], ids=["piecewise", "antiholo"])
+    def test_one_node_grid_rejected(self, tmp_path, sides):
+        with pytest.raises(SystemExit) as exc:
+            main(["portrait", *sides, "--grid", "1,1", "--out-svg", str(tmp_path / "p.svg")])
+        assert exc.value.code == 2
+
+
+class TestReadmePortraits:
+    """The README portrait command and a holomorphic and a piecewise
+    variant, pinned to the SVG bytes the per-node and per-cell loops
+    produced before numpy took them over."""
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["--antiholo", "0,0,0,1", "--window=-2,2,-2,2", "--grid", "48,48"],
+         "39dd932dfdc24f08b32ddced4dd3fec1a2e9d6a1bfa01cb959468086466b3ce5"),
+        # z^2 (z - 1): nodes sit on both poles, and the double root gives
+        # a rational term
+        (["--holo", "0,0,-1,1", "--window=-2,2,-2,2", "--grid", "33,33"],
+         "23b9b09489739899ab6571c4f30bbb60409a5a3463760eaf98feadb4575f81b7"),
+        (["--upper", REFERENCE_UPPER, "--lower", reference_lower(),
+          "--window=-4,3,-3,3", "--grid", "48,48"],
+         "2d961c41fb6a07fff79224139d8c157e41fe0162fe661e8c8f44dc04baf76336"),
+    ], ids=["antiholo", "holo", "piecewise"])
+    def test_svg_bytes(self, tmp_path, argv, sha256):
+        svg = tmp_path / "p.svg"
+        assert main(["portrait", *argv, "--levels", "12", "--out-svg", str(svg)]) == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == sha256
+
 
 class TestEnvOverride:
     def test_holoflow_tol(self, tmp_path, capsys, monkeypatch):
@@ -248,8 +301,18 @@ class TestExitCodes:
         (["verify"], {"system": {"family": "antiholo", "upper": [[1.0, 0.0], [0.0, "1"]],
                                  "lower": [[1.0, 0.0], [0.0, 1.0]]}, "candidates": []}),
         (["flowstats", "--holo", "1,1", "--circle", "0,0,1", "--nodes", "0"], None),
+        (["verify"], {"system": MIXED_LINEAR_RECORD, "candidates": [{"x1": 0.03}]}),
+        (["verify"], {"system": MIXED_LINEAR_RECORD,
+                      "candidates": [{"verified": "numerically_confirmed"}]}),
+        (["verify"], {"system": MIXED_LINEAR_RECORD, "candidates": [0.03]}),
+        (["verify"], {"system": MIXED_LINEAR_RECORD,
+                      "candidates": [{"x1": None, "verified": "rejected"}]}),
+        (["verify"], {"system": MIXED_LINEAR_RECORD, "candidates": 3}),
     ], ids=["antiholo-no-upper", "mixed-linear-no-params", "verify-short-params",
-            "verify-empty-report", "verify-string-coefficient", "flowstats-zero-nodes"])
+            "verify-empty-report", "verify-string-coefficient", "flowstats-zero-nodes",
+            "verify-candidate-no-verified", "verify-candidate-no-x1",
+            "verify-candidate-not-dict", "verify-candidate-null-x1",
+            "verify-candidates-not-list"])
     def test_malformed_input(self, tmp_path, capsys, argv, report):
         if report is not None:
             path = tmp_path / "report.json"

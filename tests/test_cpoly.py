@@ -12,9 +12,15 @@ from holoflow.cpoly import (
     resultant_x2,
     roots,
 )
-from holoflow.errors import DegenerateLeadingCoefficient, IdenticallyZero
+from holoflow.errors import DegenerateLeadingCoefficient, IdenticallyZero, NonConvergence
 
 S33 = math.sqrt(33.0)
+
+# (distinct roots, multiplicities): the three named multiple-root
+# polynomials of the benchmark's algebra-sweep slice
+NAMED_MULTIPLE_ROOTS = [([1.0, 2.0, -0.5], [3, 1, 2]),
+                        ([2.0, -1.0, 5.0], [2, 3, 1]),
+                        ([1.0, 2.0, 3.0], [2, 3, 3])]
 
 
 class TestEval:
@@ -171,6 +177,27 @@ class TestRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             roots(CPoly([1.0]))
+
+    @pytest.mark.parametrize("rs, ms", NAMED_MULTIPLE_ROOTS)
+    def test_named_multiple_roots(self, rs, ms):
+        got = sorted(roots(CPoly.from_roots(np.repeat(rs, ms))),
+                     key=lambda t: t[0].real)
+        want = sorted(zip(rs, ms))
+        assert [m for _, m in got] == [m for _, m in want]
+        for (z, _), (r, _) in zip(got, want):
+            assert abs(z - r) <= 1e-8 * abs(r)
+
+    def test_failed_residual_gate_raises(self, monkeypatch):
+        monkeypatch.setattr(np, "roots", lambda c: np.full(len(c) - 1, 7.0 + 3j))
+        with pytest.raises(NonConvergence):
+            roots(CPoly([2, -3, 0, 1]))
+
+    def test_eigenvalue_failure_raises(self, monkeypatch):
+        def fail(c):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np, "roots", fail)
+        with pytest.raises(NonConvergence):
+            roots(CPoly([2, -3, 0, 1]))
 
 
 class TestDividedDifference:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holoflow.errors import DomainViolation, FieldSingularOnCurve
+from holoflow.errors import AtPole, DomainViolation, FieldSingularOnCurve
 from holoflow.flowstats import (
     Circle,
     ClosedFormFlow,
@@ -222,3 +222,11 @@ class TestComplexTimeInvariants:
         psi_drift, phi_drift = complex_time_invariants(spec, rep, 0.5 + 0.5j, 2.0)
         assert psi_drift < 1e-9
         assert phi_drift < 1e-9
+
+    def test_trajectory_through_pole_raises(self):
+        # zdot = 1 carries 0 to 1 in unit time, onto the pole of the
+        # potential of zdot = z - 1
+        spec = holomorphic([1])
+        rep = build_potential(holomorphic([-1, 1]))
+        with pytest.raises(AtPole):
+            complex_time_invariants(spec, rep, 0j, 1.0)

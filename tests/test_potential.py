@@ -95,6 +95,20 @@ class TestBuildPotential:
                 assert potential_derivative(rep, z) == pytest.approx(p(z), rel=1e-8)
 
 
+def _scalar_reference(rep, z):
+    """Per-point evaluation in plain Python complex arithmetic."""
+    z = complex(z)
+    for pole in rep.poles():
+        if abs(z - pole) < 1e-12 * max(1.0, abs(pole)):
+            raise AtPole(f"evaluation at pole {pole}")
+    val = rep.poly_part(z)
+    for res, pole in rep.log_terms:
+        val += res * complex(np.log(z - pole))
+    for coeff, pole, order in rep.rational_terms:
+        val += coeff / (z - pole) ** order
+    return complex(val)
+
+
 class TestEvalPotential:
     def test_log_on_unit_circle(self):
         rep = build_potential(holomorphic([0, 1]))
@@ -110,6 +124,30 @@ class TestEvalPotential:
         rep = build_potential(holomorphic([0, 1]))
         with pytest.raises(AtPole):
             eval_potential(rep, 1e-14)
+
+    def test_array_matches_scalar_reference(self):
+        # (z - 0.5)^2 (z + 1): a rational term at the double root; the
+        # 9 x 9 grid puts nodes exactly on both poles
+        rep = build_potential(holomorphic(CPoly.from_roots([0.5, 0.5, -1.0]).coeffs))
+        assert rep.rational_terms
+        xs = np.linspace(-2, 2, 9)
+        z = xs[None, :] + 1j * xs[:, None]
+        got = eval_potential(rep, z)
+        assert got.shape == z.shape
+        on_pole = np.zeros(z.shape, dtype=bool)
+        for j, i in np.ndindex(z.shape):
+            try:
+                want = _scalar_reference(rep, z[j, i])
+            except AtPole:
+                on_pole[j, i] = True
+                with pytest.raises(AtPole):
+                    eval_potential(rep, z[j, i])
+                continue
+            assert abs(got[j, i] - want) <= 1e-14 * max(1.0, abs(want))
+            assert eval_potential(rep, z[j, i]) == pytest.approx(want, rel=1e-14)
+        assert on_pole.sum() == 2
+        assert np.array_equal(np.isnan(got.real), on_pole)
+        assert np.array_equal(np.isnan(got.imag), on_pole)
 
     def test_finite_difference_matches_reciprocal_field(self):
         p = CPoly([0, -1j, 0, 1])  # z^3 - iz

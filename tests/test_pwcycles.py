@@ -7,6 +7,7 @@ from holoflow.cpoly import CPoly
 from holoflow.errors import (
     CenterContinuum,
     ContinuumDetected,
+    DegenerateLeadingCoefficient,
     DegreeUnsupported,
     HypothesisViolation,
 )
@@ -403,6 +404,20 @@ class TestAntiholoPair:
         for x1, x2 in list(seen):
             assert (x2, x1) not in seen
         assert all(c.x1 > c.x2 for c in out)
+
+    def test_constant_divided_difference_has_no_pairs(self):
+        # p = i + z: psi(x, 0) = x, whose divided difference is 1
+        side = anti_holomorphic([1j, 1])
+        other = anti_holomorphic([0.5 * (2 + 1j), 0.5 * (4 + 3j), 0.5 * (6 + 1j)])
+        for spec in (PiecewiseSpec(side, side), PiecewiseSpec(side, other),
+                     PiecewiseSpec(other, side)):
+            assert solve_antiholo_pair(spec) == []
+
+    def test_zero_divided_difference_still_raises(self):
+        # real coefficients: psi vanishes on the axis, c is identically zero
+        spec = PiecewiseSpec(anti_holomorphic([1.0, 2.0]), anti_holomorphic([0, 1j, 1j]))
+        with pytest.raises(DegenerateLeadingCoefficient):
+            solve_antiholo_pair(spec)
 
     def test_degree_zero_rejected(self):
         spec = PiecewiseSpec(anti_holomorphic([1.0]), anti_holomorphic([0, 1j, 1j]))
