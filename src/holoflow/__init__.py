@@ -37,6 +37,7 @@ from .classify import (
 )
 from .odeint import (
     IntegratorConfig,
+    Outcome,
     Side,
     Terminal,
     Trajectory,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -222,16 +223,28 @@ FAMILIES = {
 }
 
 
+def _numbers(value):
+    """Every int or float inside nested lists."""
+    if isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)):
+        yield value
+
+
 def decode_system(system):
     """(PiecewiseSpec, solve, bound) of a cycles report's system record;
     solve(tol) returns the candidates. Raises ValueError on an unknown
-    family, a missing key or a wrong parameter count."""
+    family, a missing key, a non-finite number or a wrong parameter
+    count."""
     family = _field(system, "family", "system")
     if not isinstance(family, str) or family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     keys, decode = FAMILIES[family]
     for key in keys:
-        _field(system, key, f"{family} system")
+        value = _field(system, key, f"{family} system")
+        if not all(map(math.isfinite, _numbers(value))):
+            raise ValueError(f"{family} system {key!r} holds a non-finite number")
     try:
         return decode(system)
     except TypeError as exc:  # entries of the wrong type

@@ -11,6 +11,7 @@ spectral accuracy.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,16 @@ class Circle:
         return z, w
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n):
+    """The n-node Gauss-Legendre rule on [-1, 1] as read-only arrays;
+    leggauss is an O(n^3) eigenvalue solve, so each n is computed once."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 @dataclass(frozen=True)
 class Polygon:
     vertices: tuple
@@ -56,7 +67,7 @@ class Polygon:
         verts = [complex(v) for v in self.vertices]
         m = len(verts)
         per_edge = max(n // m, 16)
-        xg, wg = np.polynomial.legendre.leggauss(per_edge)
+        xg, wg = _gauss_legendre(per_edge)
         zs, ws = [], []
         for i in range(m):
             z1, z2 = verts[i], verts[(i + 1) % m]

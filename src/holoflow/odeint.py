@@ -7,6 +7,13 @@ z -> dz/dt. Provides switching-line (Im z = 0) crossing detection by
 bisection on the dense output, Poincare half-return and full-return
 maps, and separatrix tracing from the equilibria at infinity.
 
+A half-return ends in one ``Outcome``. For a holomorphic field it also
+stops as soon as the orbit enters a certified trap disc around an
+attracting equilibrium off the axis (see ``_trap_discs``): such an
+orbit never lands, and the uncertified loop would run on to its step
+or time limit. A certificate only ends an orbit that cannot land, so every
+landing is the same float with or without it.
+
 A step has 7 stages, each one right-hand-side (RHS) evaluation. The
 seventh is the field at the new point, and an accepted step hands it
 on as the next step's first (first same as last, FSAL). So a stepper
@@ -31,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cpoly
 from .classify import InfinityEquilibrium
 from .cpoly import CPoly
-from .errors import NotEntering, StepUnderflow
+from .errors import NonConvergence, NotEntering, StepUnderflow
 from .potential import SystemKind, SystemSpec
 
 BLOWUP_RADIUS = 1e12
@@ -232,35 +240,97 @@ class Side(enum.Enum):
     LOWER = -1
 
 
-def half_return(spec, x_start, side: Side, cfg: IntegratorConfig = DEFAULT_CONFIG,
-                t_max=1e6):
-    """Landing abscissa of the orbit through (x_start, 0) after one
-    excursion into the requested half-plane, or None if it escapes.
+class Outcome(enum.Enum):
+    """How a half-return or a full return ended; only LANDED carries a
+    landing abscissa."""
 
-    Raises NotEntering when the field at the start does not point into
-    the half-plane. The crossing is located by bisection on the dense
-    output until |Im z| <= event_tol.
+    LANDED = "landed"
+    NOT_ENTERING = "not_entering"  # the field does not enter the half-plane
+    ESCAPED = "escaped"            # |z| passed BLOWUP_RADIUS
+    TRAPPED = "trapped"            # entered a certified trap disc
+    STEP_LIMIT = "step_limit"      # cfg.max_steps accepted steps
+    T_MAX = "t_max"
+    UNDERFLOW = "underflow"        # StepUnderflow
+
+
+def _trap_discs(spec, s, cfg):
+    """Forward-invariant discs (z_e, r), clear of the axis, around the
+    simple attracting equilibria of a holomorphic field on side s; ()
+    for any other field, or when the equilibria cannot be computed.
+
+    With lambda = p'(z_e), Re lambda < 0, and c_k the Taylor
+    coefficients of p at z_e, V = |z - z_e|^2 satisfies
+    dV/dt <= 2 V (Re lambda + sum_{k>=2} |c_k| r^(k-1)) on |z - z_e| <= r,
+    which is negative once the sum is below |Re lambda| (Lyapunov; Khalil,
+    Nonlinear Systems, ch. 8). r keeps each of the deg - 1 terms within
+    an equal share of |Re lambda| / 2, and r <= |Im z_e| / 2, so the
+    disc's gap to the axis is at least r. A disc with r within 1e4
+    times the integrator's error scale is dropped: there the computed
+    orbit could cross the axis where the true one does not. Never
+    raises; callers hold ``np.errstate(over="ignore", invalid="ignore")``.
     """
+    if not (isinstance(spec, SystemSpec) and spec.kind is SystemKind.HOLOMORPHIC):
+        return ()
+    p = spec.p
+    if p.degree < 1 or not np.all(np.isfinite(p.coeffs)):
+        return ()
+    if p.degree == 1:
+        # closed form: no eigenvalue solve for the linear sides
+        equilibria = [complex(-p.coeffs[0] / p.coeffs[1])]
+    else:
+        try:
+            equilibria = [z for z, m in cpoly.roots(p) if m == 1]
+        except NonConvergence:
+            return ()
+    discs = []
+    for ze in equilibria:
+        # |Re|, |Im| < 1e12 keep every modulus below finite overflow
+        if not (ze.imag * s > 0 and abs(ze.real) < BLOWUP_RADIUS
+                and abs(ze.imag) < BLOWUP_RADIUS):
+            continue
+        taylor, q, factorial = [], p, 1.0
+        for k in range(1, p.degree + 1):
+            q = q.derivative()
+            factorial *= k
+            taylor.append(q(ze) / factorial)
+        if not taylor[0].real < 0:
+            continue
+        share = -0.5 * taylor[0].real / max(p.degree - 1, 1)
+        mags = np.abs(taylor[1:])  # |c_2|, ..., |c_deg|
+        powers = np.arange(1, len(mags) + 1)
+        nonzero = mags > 0
+        radii = (share / mags[nonzero]) ** (1.0 / powers[nonzero])
+        # a NaN propagates through np.min and fails the test below
+        r = float(np.min(np.append(radii, 0.5 * abs(ze.imag))))
+        if 1e4 * (cfg.abs_tol + cfg.rel_tol * abs(ze)) < r < math.inf:
+            discs.append((ze, r))
+    return tuple(discs)
+
+
+def half_return_outcome(spec, x_start, side: Side,
+                        cfg: IntegratorConfig = DEFAULT_CONFIG, t_max=1e6):
+    """(Outcome, landing abscissa or None) of the orbit through
+    (x_start, 0) over one excursion into the requested half-plane; the
+    core of ``half_return``, which documents the search."""
     f = _rhs(spec)
     z0 = complex(x_start, 0.0)
     s = float(side.value)
     armed_level = 10.0 * cfg.event_tol * max(1.0, abs(x_start))
     with np.errstate(over="ignore", invalid="ignore"):
         if f(z0).imag * s <= 0:
-            raise NotEntering(
-                f"field does not enter the {side.name.lower()} half-plane at x={x_start}")
+            return Outcome.NOT_ENTERING, None
+        discs = _trap_discs(spec, s, cfg)
         st = _Dopri5(f, 0.0, z0, 1.0, cfg)
         armed = False
         for _ in range(cfg.max_steps):
             if st.t > t_max:
-                return None
+                return Outcome.T_MAX, None
             try:
-                if not st.step():
-                    return None
+                st.step()
             except StepUnderflow:
-                return None
+                return Outcome.UNDERFLOW, None
             if abs(st.z) > BLOWUP_RADIUS:
-                return None
+                return Outcome.ESCAPED, None
             # scan the dense output for a sign change back across the axis
             prev_th, prev_y = 0.0, st.dense(0.0).imag
             for th in _THETAS:
@@ -274,14 +344,55 @@ def half_return(spec, x_start, side: Side, cfg: IntegratorConfig = DEFAULT_CONFI
                         mid = 0.5 * (lo + hi)
                         ym = st.dense(mid).imag
                         if abs(ym) <= cfg.event_tol:
-                            return st.dense(mid).real
+                            return Outcome.LANDED, st.dense(mid).real
                         if ym * ylo > 0:
                             lo, ylo = mid, ym
                         else:
                             hi = mid
-                    return st.dense(0.5 * (lo + hi)).real
+                    return Outcome.LANDED, st.dense(0.5 * (lo + hi)).real
                 prev_th, prev_y = th, yv
-    return None
+            # only a step that did not land may end in a trap
+            for ze, r in discs:
+                if abs(st.z - ze) < r:
+                    return Outcome.TRAPPED, None
+    return Outcome.STEP_LIMIT, None
+
+
+def half_return(spec, x_start, side: Side, cfg: IntegratorConfig = DEFAULT_CONFIG,
+                t_max=1e6):
+    """Landing abscissa of the orbit through (x_start, 0) after one
+    excursion into the requested half-plane, or None if it escapes, is
+    trapped, or runs out of steps, time or step size.
+
+    Raises NotEntering when the field at the start does not point into
+    the half-plane. The crossing is located by bisection on the dense
+    output until |Im z| <= event_tol. ``half_return_outcome`` also
+    returns the reason.
+    """
+    outcome, x = half_return_outcome(spec, x_start, side, cfg, t_max)
+    if outcome is Outcome.NOT_ENTERING:
+        raise NotEntering(
+            f"field does not enter the {side.name.lower()} half-plane at x={x_start}")
+    return x
+
+
+def return_map_outcome(spec, x_start, cfg: IntegratorConfig = DEFAULT_CONFIG, t_max=1e6):
+    """(Outcome, full return or None): the core of ``return_map``. The
+    outcome is NOT_ENTERING when the two fields do not cross Sigma in
+    the same direction at x_start, else the outcome of the first
+    half-return that did not land, or of the second."""
+    v_up = spec.upper.planar(x_start, 0.0)[1]
+    v_lo = spec.lower.planar(x_start, 0.0)[1]
+    if v_up * v_lo <= 0:
+        return Outcome.NOT_ENTERING, None
+    if v_up > 0:
+        first, second = (spec.upper, Side.UPPER), (spec.lower, Side.LOWER)
+    else:
+        first, second = (spec.lower, Side.LOWER), (spec.upper, Side.UPPER)
+    outcome, mid = half_return_outcome(first[0], x_start, first[1], cfg, t_max)
+    if mid is None:
+        return outcome, None
+    return half_return_outcome(second[0], mid, second[1], cfg, t_max)
 
 
 def return_map(spec, x_start, cfg: IntegratorConfig = DEFAULT_CONFIG, t_max=1e6):
@@ -289,22 +400,9 @@ def return_map(spec, x_start, cfg: IntegratorConfig = DEFAULT_CONFIG, t_max=1e6)
     (any object with .upper/.lower SystemSpec attributes).
 
     Returns None unless both fields cross Sigma in the same direction at
-    x_start (Filippov crossing) and both half-returns land."""
-    v_up = spec.upper.planar(x_start, 0.0)[1]
-    v_lo = spec.lower.planar(x_start, 0.0)[1]
-    if v_up * v_lo <= 0:
-        return None
-    if v_up > 0:
-        first, second = (spec.upper, Side.UPPER), (spec.lower, Side.LOWER)
-    else:
-        first, second = (spec.lower, Side.LOWER), (spec.upper, Side.UPPER)
-    try:
-        mid = half_return(first[0], x_start, first[1], cfg, t_max)
-        if mid is None:
-            return None
-        return half_return(second[0], mid, second[1], cfg, t_max)
-    except NotEntering:
-        return None
+    x_start (Filippov crossing) and both half-returns land;
+    ``return_map_outcome`` also returns the reason."""
+    return return_map_outcome(spec, x_start, cfg, t_max)[1]
 
 
 def return_map_derivative(spec, x, cfg: IntegratorConfig = DEFAULT_CONFIG, h=None):

@@ -61,13 +61,22 @@ class Verified(enum.Enum):
 
 @dataclass(frozen=True)
 class CycleCandidate:
-    """Crossing pair stored with x1 > x2."""
+    """Crossing pair stored with x1 > x2.
+
+    A validated candidate carries ``miss`` = |P(x1) - x1| whenever the
+    return map P landed, and a REJECTED one carries the ``reason``: the
+    ``odeint.Outcome`` value of the half-return that did not land, or
+    "sliding", "tangent" or "same_direction" (the crossings at x1 and
+    x2) or "miss" (P(x1) landed beyond CONFIRM_TOL).
+    """
 
     x1: float
     x2: float
     multiplier: float | None
     stability: Stability
     verified: Verified
+    reason: str | None = None
+    miss: float | None = None
 
     def __post_init__(self):
         if not self.x1 > self.x2:
@@ -104,17 +113,31 @@ def _tangency_sign(spec: SystemSpec, x, v):
 
 def _confirms(pw: PiecewiseSpec, x1, x2, cfg):
     """odeint confirmation: transversal crossings of opposite direction
-    at the pair and a closed full return."""
-    c1 = crossing_transversality(pw, x1)
-    c2 = crossing_transversality(pw, x2)
-    crossings = {Crossing.CROSSING_UP, Crossing.CROSSING_DOWN}
-    return c1 in crossings and c2 in crossings and c1 != c2 and _closes(pw, x1, cfg)
+    at the pair and a closed full return. Returns (reason, miss): reason
+    is None when confirmed (see CycleCandidate), and miss is
+    |P(x1) - x1| whenever the return map landed."""
+    crossings = {crossing_transversality(pw, x1), crossing_transversality(pw, x2)}
+    if Crossing.SLIDING in crossings:
+        return "sliding", None
+    if Crossing.TANGENT in crossings:
+        return "tangent", None
+    if len(crossings) == 1:
+        return "same_direction", None
+    outcome, miss = _return_miss(pw, x1, cfg)
+    if miss is None:
+        return outcome.value, None
+    return (None if _closes(x1, miss) else "miss"), miss
 
 
-def _closes(pw, x1, cfg):
-    """True when the numerical return map brings x1 back within CONFIRM_TOL."""
-    ret = odeint.return_map(pw, x1, cfg)
-    return ret is not None and abs(ret - x1) <= CONFIRM_TOL * max(1.0, abs(x1))
+def _return_miss(pw, x1, cfg):
+    """(outcome, |P(x1) - x1| or None) of the numerical return map P."""
+    outcome, ret = odeint.return_map_outcome(pw, x1, cfg)
+    return outcome, (None if ret is None else abs(ret - x1))
+
+
+def _closes(x1, miss):
+    """True when the return map landed within CONFIRM_TOL of x1."""
+    return miss is not None and miss <= CONFIRM_TOL * max(1.0, abs(x1))
 
 
 def _add_pair(pairs, a, b):
@@ -132,14 +155,16 @@ def _add_pair(pairs, a, b):
 
 def _candidates(pw, pairs, cfg, validate):
     """One candidate per pair: ANALYTIC when validation is off, else
-    REJECTED, or NUMERICALLY_CONFIRMED with the return-map derivative as
-    its multiplier."""
+    REJECTED with its reason, or NUMERICALLY_CONFIRMED with the
+    return-map derivative as its multiplier; each validated one carries
+    the miss when the return map landed."""
     candidates = []
     for x1, x2 in pairs:
+        reason, miss = _confirms(pw, x1, x2, cfg) if validate else (None, None)
         multiplier, stability = None, Stability.UNKNOWN
         if not validate:
             verified = Verified.ANALYTIC
-        elif not _confirms(pw, x1, x2, cfg):
+        elif reason:
             verified = Verified.REJECTED
         else:
             verified = Verified.NUMERICALLY_CONFIRMED
@@ -148,7 +173,8 @@ def _candidates(pw, pairs, cfg, validate):
             except (ValueError, HoloflowError):
                 pass
             stability = _stability_from_multiplier(multiplier)
-        candidates.append(CycleCandidate(x1, x2, multiplier, stability, verified))
+        candidates.append(CycleCandidate(x1, x2, multiplier, stability, verified,
+                                         reason, miss))
     return candidates
 
 
@@ -240,16 +266,17 @@ def solve_mixed_linear_on_sigma(spec: MixedLinearSpec,
     x1, x2 = pair
     multiplier = math.exp(spec.a * math.pi / abs(spec.b))
     stability = Stability.STABLE if spec.a < 0 else Stability.UNSTABLE
-    if validate and not _confirms(pw, x1, x2, cfg):
+    reason, miss = _confirms(pw, x1, x2, cfg) if validate else (None, None)
+    if reason:
         return []
     verified = Verified.NUMERICALLY_CONFIRMED if validate else Verified.ANALYTIC
-    return [CycleCandidate(x1, x2, multiplier, stability, verified)]
+    return [CycleCandidate(x1, x2, multiplier, stability, verified, miss=miss)]
 
 
 def _annulus_representative(pw, x0, cfg):
     """A crossing pair on a confirmed closed orbit of a period annulus."""
     for r in (max(1.0, abs(x0)), 1.0, 0.5 * max(1.0, abs(x0)), 0.1):
-        if _closes(pw, x0 + r, cfg):
+        if _closes(x0 + r, _return_miss(pw, x0 + r, cfg)[1]):
             return (x0 + r, x0 - r)
     return None
 

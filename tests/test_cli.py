@@ -97,6 +97,8 @@ class TestCyclesCommand:
         assert len(confirmed) == 1
         assert confirmed[0]["x1"] == pytest.approx(0.0, abs=1e-9)
         assert confirmed[0]["x2"] == pytest.approx((-9 + S33) / 4, abs=1e-9)
+        # the library's reason and miss stay out of the report
+        assert set(confirmed[0]) == {"x1", "x2", "multiplier", "stability", "verified"}
 
     def test_verify_round_trip(self, tmp_path, capsys):
         out = tmp_path / "cycles.json"
@@ -308,11 +310,20 @@ class TestExitCodes:
         (["verify"], {"system": MIXED_LINEAR_RECORD,
                       "candidates": [{"x1": None, "verified": "rejected"}]}),
         (["verify"], {"system": MIXED_LINEAR_RECORD, "candidates": 3}),
+        (["cycles", "--family", "mixed-general", "--params", "nan,1,1,1,1,1,1,1"], None),
+        (["cycles", "--family", "mixed-linear", "--params", "1,1,1,1,inf,1,0"], None),
+        (["cycles", "--family", "antiholo", "--upper", "(nan,1),1,(0,1)",
+          "--lower", REFERENCE_UPPER], None),
+        (["verify"], {"system": {"family": "antiholo", "upper": [[1.0, 0.0], [0.0, 1.0]],
+                                 "lower": [[1.0, 0.0], [-math.inf, 1.0]]},
+                      "candidates": []}),
     ], ids=["antiholo-no-upper", "mixed-linear-no-params", "verify-short-params",
             "verify-empty-report", "verify-string-coefficient", "flowstats-zero-nodes",
             "verify-candidate-no-verified", "verify-candidate-no-x1",
             "verify-candidate-not-dict", "verify-candidate-null-x1",
-            "verify-candidates-not-list"])
+            "verify-candidates-not-list", "mixed-general-nan-param",
+            "mixed-linear-inf-param", "antiholo-nan-coefficient",
+            "verify-infinite-coefficient"])
     def test_malformed_input(self, tmp_path, capsys, argv, report):
         if report is not None:
             path = tmp_path / "report.json"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from holoflow import flowstats
 from holoflow.errors import AtPole, DomainViolation, FieldSingularOnCurve
 from holoflow.flowstats import (
     Circle,
@@ -32,6 +33,24 @@ class TestContourIntegrals:
         result = contour_integral(lambda z: np.conj(np.cos(z)), square)
         assert result.circulation == pytest.approx(0.0, abs=1e-10)
         assert result.net_flow == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("vertices", [(1, 1j, -1, -1j), (0, 2, 2 + 1j, 1j, -1 + 0.5j)])
+    def test_polygon_rule_is_reused_bit_for_bit(self, vertices):
+        # the memoised Gauss-Legendre rule gives the nodes and weights of a
+        # fresh leggauss call, and callers cannot write to it
+        polygon = Polygon(vertices)
+        per_edge = 256 // len(vertices)
+        xg, wg = np.polynomial.legendre.leggauss(per_edge)
+        for _ in range(2):
+            z, w = polygon.nodes(256)
+            ends = [(complex(a), complex(b)) for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+            np.testing.assert_array_equal(
+                z, np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * xg for a, b in ends]))
+            np.testing.assert_array_equal(
+                w, np.concatenate([0.5 * (b - a) * wg for a, b in ends]))
+        rule = flowstats._gauss_legendre(per_edge)
+        assert rule is flowstats._gauss_legendre(per_edge)
+        assert not rule[0].flags.writeable and not rule[1].flags.writeable
 
     def test_shifted_square_field(self):
         # f = (z-1)^2 on |z| = 1. The independent oracle (expanding

@@ -3,14 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from holoflow import cpoly, odeint
 from holoflow.cpoly import CPoly
-from holoflow.errors import NotEntering, StepUnderflow
+from holoflow.errors import NonConvergence, NotEntering, StepUnderflow
 from holoflow.odeint import (
     IntegratorConfig,
+    Outcome,
     Side,
     Terminal,
     half_return,
+    half_return_outcome,
     integrate,
     return_map,
     return_map_derivative,
@@ -324,3 +329,118 @@ class TestStepper:
         # enters the upper half-plane, then the field is NaN off the axis
         field = lambda z: 1j if z.imag == 0 else complex("nan")  # noqa: E731
         assert half_return(field, 0.0, Side.UPPER) is None
+        assert half_return_outcome(field, 0.0, Side.UPPER) == (Outcome.UNDERFLOW, None)
+
+
+def _focus_side(z_e, lam, others):
+    """Holomorphic side with simple roots z_e and others, scaled so that
+    p'(z_e) = lam: an attracting focus at z_e when Re lam < 0."""
+    unit = CPoly.from_roots([z_e] + others)
+    return holomorphic(unit.coeffs * (lam / unit.derivative()(z_e)))
+
+
+# degree 2 and 3 sides with an attracting focus 0.5 below / 0.6 above the
+# axis; each orbit from the start spirals into it without landing
+TRAPPING_SIDES = [
+    (_focus_side(-0.5j, -0.3 + 1j, [2.0]), -1.0, Side.LOWER),
+    (_focus_side(0.6j, -0.4 - 1j, [3.0, -3.0 - 1j]), -1.0, Side.UPPER),
+]
+
+
+def _uncertified(monkeypatch):
+    monkeypatch.setattr(odeint, "_trap_discs", lambda spec, s, cfg: ())
+
+
+class TestTrapCertificate:
+    """Certified trap discs end doomed half-returns early and change no
+    landing: a certificate only turns a None into an earlier None."""
+
+    @pytest.mark.parametrize("spec, x, side", TRAPPING_SIDES, ids=["degree-2", "degree-3"])
+    def test_attracting_focus_is_trapped(self, spec, x, side):
+        assert half_return_outcome(spec, x, side) == (Outcome.TRAPPED, None)
+        assert half_return(spec, x, side) is None
+
+    @pytest.mark.parametrize("spec, x, side", TRAPPING_SIDES, ids=["degree-2", "degree-3"])
+    def test_uncertified_orbit_runs_to_its_limit(self, monkeypatch, spec, x, side):
+        _uncertified(monkeypatch)
+        cfg = IntegratorConfig(max_steps=3000)
+        assert half_return_outcome(spec, x, side, cfg) == (Outcome.STEP_LIMIT, None)
+
+    def test_focus_on_the_other_side_gives_no_disc(self):
+        spec, _, _ = TRAPPING_SIDES[0]
+        assert odeint._trap_discs(spec, 1.0, odeint.DEFAULT_CONFIG) == ()
+        assert len(odeint._trap_discs(spec, -1.0, odeint.DEFAULT_CONFIG)) == 1
+
+    def test_disc_is_invariant_and_clear_of_the_axis(self):
+        for spec, _, side in TRAPPING_SIDES:
+            (z_e, r), = odeint._trap_discs(spec, float(side.value), odeint.DEFAULT_CONFIG)
+            assert 0 < r < abs(z_e.imag)
+            # the radial speed is inward all around the boundary circle
+            w = r * np.exp(2j * np.pi * np.arange(64) / 64)
+            assert np.all((np.conj(w) * spec.velocity(z_e + w)).real < 0)
+
+    @pytest.mark.parametrize("coeffs", [[complex("nan"), 1j], [1.0, complex("nan"), 1j]])
+    def test_nan_coefficient_changes_nothing(self, monkeypatch, coeffs):
+        spec = holomorphic(coeffs)
+        certified = half_return_outcome(spec, 0.5, Side.LOWER)
+        _uncertified(monkeypatch)
+        assert half_return_outcome(spec, 0.5, Side.LOWER) == certified
+
+    def test_failing_roots_change_nothing(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NonConvergence("companion eigenvalues failed")
+
+        cfg = IntegratorConfig(max_steps=3000)
+        spec, x, side = TRAPPING_SIDES[0]
+        landing = half_return_outcome(spec, 2.0, side, cfg)
+        assert landing[0] is Outcome.LANDED
+        monkeypatch.setattr(cpoly, "roots", fail)
+        assert half_return_outcome(spec, x, side, cfg) == (Outcome.STEP_LIMIT, None)
+        assert half_return_outcome(spec, 2.0, side, cfg) == landing
+
+    def test_linear_side_needs_no_eigenvalue_solve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("roots called for a linear side")
+
+        monkeypatch.setattr(cpoly, "roots", fail)
+        lam = complex(-0.3, 1.0)
+        spec = SystemSpec(SystemKind.HOLOMORPHIC, CPoly([-lam * -0.5j, lam]))
+        assert half_return_outcome(spec, -1.0, Side.LOWER) == (Outcome.TRAPPED, None)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_no_landing_moves(self, monkeypatch, data):
+        """The half-return with the discs monkeypatched away lands exactly
+        (float.hex) where the certified one does, and never lands where
+        the certified one is trapped. Both runs share a cap of 2000
+        steps, which bounds the uncertified run's time and changes no
+        step before it. Sides: the lower side of criterion 4's
+        mixed-general draws, and holomorphic degree 2-3 sides with
+        coefficients in [-2.5, 2.5]^2. The start enters the half-plane
+        its field points into."""
+        real = st.floats(-2.0, 2.0)
+        if data.draw(st.booleans(), label="mixed-general"):
+            b = data.draw(st.floats(0.05, 2.0)) * data.draw(st.sampled_from([-1.0, 1.0]))
+            lam = complex(data.draw(real, label="a"), b)
+            z0 = complex(data.draw(real, label="x0"),
+                         data.draw(real.filter(lambda y: y != 0.0), label="y0"))
+            spec = SystemSpec(SystemKind.HOLOMORPHIC, CPoly([-lam * z0, lam]))
+        else:
+            degree = data.draw(st.integers(2, 3), label="degree")
+            coeff = st.floats(-2.5, 2.5)
+            spec = holomorphic([complex(data.draw(coeff), data.draw(coeff))
+                                for _ in range(degree + 1)])
+        x = data.draw(st.floats(-3.0, 3.0), label="x")
+        side = Side.UPPER if spec.velocity(complex(x, 0.0)).imag > 0 else Side.LOWER
+        cfg = IntegratorConfig(max_steps=2000)
+        certified = half_return_outcome(spec, x, side, cfg)
+        with monkeypatch.context() as m:
+            _uncertified(m)
+            plain = half_return_outcome(spec, x, side, cfg)
+        if certified[0] is Outcome.TRAPPED:
+            assert plain[0] is not Outcome.LANDED
+        else:
+            assert plain[0] is certified[0]
+            if plain[0] is Outcome.LANDED:
+                assert plain[1].hex() == certified[1].hex()

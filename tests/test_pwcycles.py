@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from holoflow.errors import (
     DegreeUnsupported,
     HypothesisViolation,
 )
-from holoflow.odeint import return_map
+from holoflow import pwcycles
+from holoflow.odeint import DEFAULT_CONFIG, return_map
 from holoflow.potential import anti_holomorphic, build_potential, first_integral
 from holoflow.pwcycles import (
+    CONFIRM_TOL,
     Crossing,
     MixedGeneralConstants,
     MixedLinearSpec,
@@ -22,6 +25,7 @@ from holoflow.pwcycles import (
     Verified,
     candidate_bound,
     crossing_transversality,
+    mixed_linear_pair,
     solve_antiholo_pair,
     solve_mixed_general,
     solve_mixed_linear_on_sigma,
@@ -40,6 +44,15 @@ UNSTABLE_CYCLE = MixedLinearSpec(-0.552750, -1.649400, -1.527976, 1.847591,
 # (no closed orbit anywhere: confirmed by a full return-map sweep)
 NO_CYCLE = MixedLinearSpec(1.394242, 0.610349, 1.217567, 0.130889,
                            -0.398753, 0.635533)
+
+
+# a criterion-4 draw whose lower orbit spirals into an attracting focus
+# 0.059 below the switching line: the uncertified oracle ran it to its
+# step limit
+NAMED_HANG = MixedGeneralConstants(-1.5970061260875952, 2.4242920689409377,
+                                   -1.3215941750426292, 2.882308267113605,
+                                   -0.7932669801502348, -0.9436668929858008,
+                                   -0.6546902318465166, -0.059432419444476636)
 
 
 def reference_quadratic_pair():
@@ -440,3 +453,52 @@ class TestAntiholoPair:
         spec = PiecewiseSpec(holomorphic([0, 1]), anti_holomorphic([0, 1j, 1j]))
         with pytest.raises(ValueError):
             solve_antiholo_pair(spec)
+
+
+class TestRejectionReasons:
+    def test_named_hang_is_trapped_at_once(self):
+        start = time.perf_counter()
+        out = solve_mixed_general(NAMED_HANG)
+        elapsed = time.perf_counter() - start
+        assert [(c.verified, c.reason, c.miss) for c in out] == [
+            (Verified.REJECTED, "trapped", None)]
+        assert elapsed < 0.1
+
+    @pytest.mark.parametrize("constants, reason", [
+        ((-2.987480574557079, -2.2737073726409216, -1.58005441687561, 0.5578485290875284,
+          0.9347206572910132, 1.1916813966364015, 1.2135240007304957, -1.1092655478075701),
+         "miss"),
+        ((-0.5681529472564044, -1.4090688589918219, 1.2233346481631218, -1.1504594657109632,
+          -0.5124762031620436, 1.0612412350707898, -0.019200365603848635, 1.1356742438202385),
+         "escaped"),
+    ])
+    def test_criterion_4_draws(self, constants, reason):
+        k = MixedGeneralConstants(*constants)
+        out = solve_mixed_general(k)
+        assert reason in [c.reason for c in out]
+        for c in out:
+            assert c.verified is Verified.REJECTED
+            if c.reason == "miss":
+                ret = return_map(k.as_piecewise(), c.x1)
+                assert c.miss == abs(ret - c.x1) > CONFIRM_TOL * max(1.0, abs(c.x1))
+            else:
+                assert c.miss is None
+
+    def test_sliding_pair(self):
+        pw = NO_CYCLE.as_piecewise()
+        assert pwcycles._confirms(pw, *mixed_linear_pair(NO_CYCLE), DEFAULT_CONFIG) == (
+            "sliding", None)
+
+    @pytest.mark.parametrize("spec", [STABLE_CYCLE, UNSTABLE_CYCLE])
+    def test_confirmed_carries_its_miss(self, spec):
+        cand, = solve_mixed_linear_on_sigma(spec)
+        ret = return_map(spec.as_piecewise(), cand.x1)
+        assert cand.reason is None
+        assert cand.miss == abs(ret - cand.x1) <= CONFIRM_TOL * max(1.0, abs(cand.x1))
+        cand, = solve_antiholo_pair(reference_quadratic_pair())
+        assert cand.reason is None and 0 <= cand.miss <= CONFIRM_TOL
+
+    def test_analytic_carries_neither(self):
+        for cand in (solve_mixed_linear_on_sigma(NO_CYCLE, validate=False)
+                     + solve_mixed_general(NAMED_HANG, validate=False)):
+            assert (cand.reason, cand.miss) == (None, None)
