@@ -4,7 +4,9 @@ Commands: potential, classify-cubic, bernoulli, cycles, flowstats,
 portrait, verify. Complex scalars are written "re,im"; polynomials are
 ascending coefficient lists whose entries are bare reals or "(re,im)"
 pairs, e.g. "1,0,(0,1)" for 1 + i z^2. Exit codes: 0 success, 1 solver
-error, 2 usage error. HOLOFLOW_TOL overrides the default tolerance.
+error, 2 usage error; a NaN or infinite number is a usage error.
+HOLOFLOW_TOL overrides the default tolerance of ``cycles``; it and
+``--tol`` must be finite and positive.
 """
 
 from __future__ import annotations
@@ -22,13 +24,21 @@ from .errors import CenterContinuum, ContinuumDetected, HoloflowError
 from .potential import anti_holomorphic, build_potential, holomorphic
 
 
+def parse_finite(text):
+    """float(text); NaN and inf raise ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
 def parse_complex(text):
     parts = text.split(",")
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
+        return complex(parse_finite(parts[0]), 0.0)
     if len(parts) != 2:
         raise ValueError(f"expected 're' or 're,im', got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+    return complex(parse_finite(parts[0]), parse_finite(parts[1]))
 
 
 def parse_coeffs(text):
@@ -60,15 +70,25 @@ def parse_coeffs(text):
         if e.startswith("(") and e.endswith(")"):
             coeffs.append(parse_complex(e[1:-1]))
         else:
-            coeffs.append(complex(float(e), 0.0))
+            coeffs.append(complex(parse_finite(e), 0.0))
     return coeffs
+
+
+def _tolerance(value, source):
+    """value as a float; ValueError naming source unless it is finite
+    and positive."""
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{source} must be a finite positive number, got {value!r}")
+    return tol
 
 
 def _default_tol():
     raw = os.environ.get("HOLOFLOW_TOL")
-    if raw is None:
-        return 1e-10
-    return float(raw)
+    return 1e-10 if raw is None else _tolerance(raw, "HOLOFLOW_TOL")
 
 
 def _spec_from_args(args):
@@ -81,7 +101,7 @@ def _spec_from_args(args):
 
 def _grid_from_args(args):
     """(Window, nx, ny) from --window and --grid."""
-    vals = [float(v) for v in args.window.split(",")]
+    vals = [parse_finite(v) for v in args.window.split(",")]
     if len(vals) != 4:
         raise ValueError("window must be x_min,x_max,y_min,y_max")
     nx, ny = (int(v) for v in args.grid.split(","))
@@ -252,7 +272,7 @@ def decode_system(system):
 
 
 def cmd_cycles(args):
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _default_tol() if args.tol is None else _tolerance(args.tol, "--tol")
     system = {"family": args.family}
     for key in FAMILIES[args.family][0]:
         text = getattr(args, key)
@@ -283,7 +303,7 @@ def cmd_cycles(args):
 def cmd_flowstats(args):
     field = _spec_from_args(args)
     if args.circle:
-        cx, cy, r = (float(v) for v in args.circle.split(","))
+        cx, cy, r = (parse_finite(v) for v in args.circle.split(","))
         curve = flowstats.Circle(complex(cx, cy), r)
     elif args.polygon:
         verts = [parse_complex(v) for v in args.polygon.split(";")]
@@ -311,7 +331,7 @@ def cmd_portrait(args):
         rep = build_potential(spec)
         xs, ys, phi, psi = render.potential_grid(rep, window, nx, ny)
     if args.levels_at:
-        levels = [float(v) for v in args.levels_at.split(",")]
+        levels = [parse_finite(v) for v in args.levels_at.split(",")]
     else:
         levels = render.default_levels(psi, args.levels)
     contours = [("psi", psi, levels)]
@@ -330,7 +350,7 @@ def cmd_portrait(args):
 
 
 def cmd_verify(args):
-    tol = args.tol if args.tol is not None else 1e-6
+    tol = 1e-6 if args.tol is None else _tolerance(args.tol, "--tol")
     with open(args.report, encoding="utf-8") as fh:
         report = json.load(fh)
     pw, _, _ = decode_system(_field(report, "system", "report"))
@@ -374,7 +394,7 @@ def build_parser():
     p = sub.add_parser("classify-cubic", help="configuration of zdot = z^3 + A1 z + A0")
     p.add_argument("--a1", required=True, help="A1 as re,im")
     p.add_argument("--a0", required=True, help="A0 as re,im")
-    p.add_argument("--eps", type=float, default=1e-9)
+    p.add_argument("--eps", type=parse_finite, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify_cubic)
 

@@ -11,7 +11,10 @@ A half-return ends in one ``Outcome``. For a holomorphic field it also
 stops as soon as the orbit enters a certified trap disc around an
 attracting equilibrium off the axis (see ``_trap_discs``): such an
 orbit never lands, and the uncertified loop would run on to its step
-or time limit. A certificate only ends an orbit that cannot land, so every
+or time limit. For a linear anti-holomorphic field, a saddle, it stops
+as soon as the closed-form future orbit provably stays off the axis
+(see ``_saddle_escape``), where the uncertified loop would run on to
+|z| = 1e12. A certificate only ends an orbit that cannot land, so every
 landing is the same float with or without it.
 
 A step has 7 stages, each one right-hand-side (RHS) evaluation. The
@@ -90,9 +93,15 @@ class IntegratorConfig:
     event_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_step", "event_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        # the step control and the certificate margins read the
+        # tolerances, so NaN and inf are rejected; max_step may be inf
+        for name in ("rel_tol", "abs_tol", "event_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not self.max_step > 0:
+            raise ValueError("max_step must be positive")
+        if not self.max_steps >= 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -246,7 +255,7 @@ class Outcome(enum.Enum):
 
     LANDED = "landed"
     NOT_ENTERING = "not_entering"  # the field does not enter the half-plane
-    ESCAPED = "escaped"            # |z| passed BLOWUP_RADIUS
+    ESCAPED = "escaped"            # |z| passed BLOWUP_RADIUS, or a certified escape
     TRAPPED = "trapped"            # entered a certified trap disc
     STEP_LIMIT = "step_limit"      # cfg.max_steps accepted steps
     T_MAX = "t_max"
@@ -307,6 +316,72 @@ def _trap_discs(spec, s, cfg):
     return tuple(discs)
 
 
+def _saddle_escape(spec, s, cfg):
+    """Test z -> ESCAPED or None for an anti-holomorphic field of degree
+    1 on side s: ESCAPED when the orbit through z provably never returns
+    to the axis. None instead of a test for any other field, or when the
+    coefficients or the saddle are not finite.
+
+    With c1 = |c1| e^{i phi} and z_e = -c0/c1, zeta = (z - z_e) e^{i phi/2}
+    = xi + i eta obeys zeta' = |c1| conj(zeta), so with sigma = e^{|c1| t}
+    the future orbit has Im z = Im z_e - xi sin(phi/2) sigma
+    + eta cos(phi/2) / sigma, and |z| <= |z_e| + |xi| sigma + |eta| / sigma.
+    The test asks that s Im z stay above m = 1e4 (abs_tol + rel_tol |z|),
+    the trap discs' rounding margin, for every sigma >= 1, and budgets an
+    offset of 1e4 (abs_tol + rel_tol |z_e|) in each of xi and eta, for the
+    computed z may sit that far off the true orbit and the saddle
+    stretches an offset in xi by sigma. That reads P sigma + Q + R / sigma
+    > 0 with P > 0; its minimum over sigma >= 1 is P + Q + R when R <= P,
+    else Q + 2 sqrt(P R). A start within the offset of the stable
+    manifold, where rounding decides which way the orbit leaves, or a
+    horizontal unstable direction gives P <= 0 and no certificate. Never
+    raises.
+    """
+    if not (isinstance(spec, SystemSpec) and spec.kind is SystemKind.ANTI_HOLOMORPHIC
+            and spec.p.degree == 1):
+        return None
+    c0, c1 = (complex(c) for c in spec.p.coeffs)
+    if not (cmath.isfinite(c0) and cmath.isfinite(c1)):
+        return None
+    ze = -c0 / c1
+    # as for the trap discs, |Re|, |Im| < 1e12 keep |z_e| finite
+    if not (abs(ze.real) < BLOWUP_RADIUS and abs(ze.imag) < BLOWUP_RADIUS):
+        return None
+    half = cmath.rect(1.0, 0.5 * cmath.phase(c1))  # e^{i phi/2}
+    sin_h, cos_h = s * half.imag, s * half.real
+    k_rel = 1e4 * cfg.rel_tol
+    offset = 1e4 * cfg.abs_tol + k_rel * abs(ze)
+    q = s * ze.imag - offset
+    p_off, r_off = offset * abs(sin_h), offset * abs(cos_h)
+
+    def escaped(z):
+        zeta = (z - ze) * half
+        p = -zeta.real * sin_h - k_rel * abs(zeta.real) - p_off
+        if not p > 0:
+            return None
+        r = zeta.imag * cos_h - k_rel * abs(zeta.imag) - r_off
+        low = p + q + r if r <= p else q + 2.0 * math.sqrt(p * r)
+        return Outcome.ESCAPED if low > 0 else None
+    return escaped
+
+
+def _certificate(spec, s, cfg):
+    """The one per-call test z -> Outcome or None that ends a half-return
+    on side s whose orbit provably never lands: a trap disc of a
+    holomorphic side, or the saddle escape of a linear anti-holomorphic
+    side. None when the field has neither."""
+    discs = _trap_discs(spec, s, cfg)
+    if not discs:
+        return _saddle_escape(spec, s, cfg)
+
+    def trapped(z):
+        for ze, r in discs:
+            if abs(z - ze) < r:
+                return Outcome.TRAPPED
+        return None
+    return trapped
+
+
 def half_return_outcome(spec, x_start, side: Side,
                         cfg: IntegratorConfig = DEFAULT_CONFIG, t_max=1e6):
     """(Outcome, landing abscissa or None) of the orbit through
@@ -319,7 +394,7 @@ def half_return_outcome(spec, x_start, side: Side,
     with np.errstate(over="ignore", invalid="ignore"):
         if f(z0).imag * s <= 0:
             return Outcome.NOT_ENTERING, None
-        discs = _trap_discs(spec, s, cfg)
+        doomed = _certificate(spec, s, cfg)
         st = _Dopri5(f, 0.0, z0, 1.0, cfg)
         armed = False
         for _ in range(cfg.max_steps):
@@ -351,10 +426,11 @@ def half_return_outcome(spec, x_start, side: Side,
                             hi = mid
                     return Outcome.LANDED, st.dense(0.5 * (lo + hi)).real
                 prev_th, prev_y = th, yv
-            # only a step that did not land may end in a trap
-            for ze, r in discs:
-                if abs(st.z - ze) < r:
-                    return Outcome.TRAPPED, None
+            # only a step that did not land may end in a certificate
+            if doomed is not None:
+                outcome = doomed(st.z)
+                if outcome is not None:
+                    return outcome, None
     return Outcome.STEP_LIMIT, None
 
 

@@ -317,13 +317,22 @@ class TestExitCodes:
         (["verify"], {"system": {"family": "antiholo", "upper": [[1.0, 0.0], [0.0, 1.0]],
                                  "lower": [[1.0, 0.0], [-math.inf, 1.0]]},
                       "candidates": []}),
+        (["potential", "--antiholo", "nan,1"], None),
+        (["potential", "--holo", "(inf,1),1"], None),
+        (["classify-cubic", "--a1", "nan,0", "--a0", "0,1"], None),
+        (["portrait", "--antiholo", "0,0,1", "--grid", "9,9", "--levels-at", "nan,0.5"], None),
+        (["portrait", "--antiholo", "0,0,1", "--window=-2,2,-2,nan"], None),
+        (["flowstats", "--holo", "1,1", "--circle", "0,0,nan"], None),
+        (["flowstats", "--holo", "1,1", "--polygon", "0,0;1,inf;0,1"], None),
     ], ids=["antiholo-no-upper", "mixed-linear-no-params", "verify-short-params",
             "verify-empty-report", "verify-string-coefficient", "flowstats-zero-nodes",
             "verify-candidate-no-verified", "verify-candidate-no-x1",
             "verify-candidate-not-dict", "verify-candidate-null-x1",
             "verify-candidates-not-list", "mixed-general-nan-param",
             "mixed-linear-inf-param", "antiholo-nan-coefficient",
-            "verify-infinite-coefficient"])
+            "verify-infinite-coefficient", "potential-nan-coefficient",
+            "potential-infinite-coefficient", "classify-cubic-nan", "portrait-nan-level",
+            "portrait-nan-window", "flowstats-nan-circle", "flowstats-infinite-vertex"])
     def test_malformed_input(self, tmp_path, capsys, argv, report):
         if report is not None:
             path = tmp_path / "report.json"
@@ -333,3 +342,26 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command", ["cycles", "verify"])
+    def test_bad_tol_flag(self, tmp_path, capsys, command, value):
+        report = tmp_path / "report.json"
+        assert main(["cycles", "--family", "mixed-linear", "--params", MIXED_LINEAR_CYCLE,
+                     "--out", str(report)]) == 0
+        argv = {"cycles": ["cycles", "--family", "antiholo", "--upper", REFERENCE_UPPER,
+                           "--lower", reference_lower()],
+                "verify": ["verify", "--report", str(report)]}[command]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--tol={value}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: --tol ")
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-8"])
+    def test_bad_holoflow_tol(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HOLOFLOW_TOL", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["cycles", "--family", "mixed-linear", "--params", MIXED_LINEAR_CYCLE])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: HOLOFLOW_TOL ")

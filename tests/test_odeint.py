@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from holoflow import cpoly, odeint
@@ -32,8 +32,14 @@ CYCLE_PARAMS = dict(a1=1.413612, a2=-1.064242, b1=-1.766789, b2=-0.874464,
                     a=-0.619219, b=0.485750)
 
 
+def _upper_side(a1, a2, b1, b2):
+    """The upper side conj((a1 + i a2) z + (b1 + i b2)) of both mixed
+    families: a linear saddle."""
+    return anti_holomorphic([complex(b1, b2), complex(a1, a2)])
+
+
 def _mixed_piecewise(a1, a2, b1, b2, a, b, x0=0.0, y0=0.0):
-    upper = anti_holomorphic([complex(b1, b2), complex(a1, a2)])
+    upper = _upper_side(a1, a2, b1, b2)
     lam = complex(a, b)
     z0 = complex(x0, y0)
     lower = SystemSpec(SystemKind.HOLOMORPHIC, CPoly([-lam * z0, lam]))
@@ -348,7 +354,7 @@ TRAPPING_SIDES = [
 
 
 def _uncertified(monkeypatch):
-    monkeypatch.setattr(odeint, "_trap_discs", lambda spec, s, cfg: ())
+    monkeypatch.setattr(odeint, "_certificate", lambda spec, s, cfg: None)
 
 
 class TestTrapCertificate:
@@ -444,3 +450,140 @@ class TestTrapCertificate:
             assert plain[0] is certified[0]
             if plain[0] is Outcome.LANDED:
                 assert plain[1].hex() == certified[1].hex()
+
+
+def _saddle_through(z_e, c1):
+    """Linear anti-holomorphic side with its saddle at z_e."""
+    return anti_holomorphic([-c1 * z_e, c1])
+
+
+class TestEscapeCertificate:
+    """The saddle certificate ends a linear anti-holomorphic half-return
+    once the closed-form future orbit provably stays off the axis, and
+    changes no landing."""
+
+    def test_quick_escape(self, monkeypatch):
+        spec = _mixed_piecewise(**CYCLE_PARAMS).upper
+        cfg = IntegratorConfig(max_steps=3)
+        assert half_return_outcome(spec, 2.0, Side.UPPER, cfg) == (Outcome.ESCAPED, None)
+        assert half_return(spec, 2.0, Side.UPPER) is None
+        _uncertified(monkeypatch)
+        assert half_return_outcome(spec, 2.0, Side.UPPER, cfg) == (Outcome.STEP_LIMIT, None)
+        assert half_return_outcome(spec, 2.0, Side.UPPER) == (Outcome.ESCAPED, None)
+
+    def test_stable_manifold_start_gets_no_certificate(self, monkeypatch):
+        # c1 = 2i: the stable manifold of the saddle 1 + 0.5i runs along
+        # 1 + i and meets the axis at 0.5. Rounding decides which way the
+        # orbit leaves the saddle; here it lands, so a certificate that
+        # trusted the sign of a rounding-sized unstable component would
+        # have called this orbit escaped.
+        z_e = 1.0 + 0.5j
+        spec = _saddle_through(z_e, 2j)
+        escaped = odeint._saddle_escape(spec, 1.0, odeint.DEFAULT_CONFIG)
+        for t in np.linspace(-0.5, 0.5, 11):
+            assert escaped(z_e + t * (1 + 1j)) is None
+        certified = half_return_outcome(spec, 0.5, Side.UPPER)
+        assert certified[0] is Outcome.LANDED
+        _uncertified(monkeypatch)
+        plain = half_return_outcome(spec, 0.5, Side.UPPER)
+        assert plain[1].hex() == certified[1].hex()
+
+    def test_real_c1_escapes_through_the_blowup_radius(self):
+        # zdot = conj(z) + 0.5i: the unstable direction is horizontal, so
+        # the orbit nears y = 0.5 and the saddle test never fires
+        spec = anti_holomorphic([-0.5j, 1.0])
+        escaped = odeint._saddle_escape(spec, 1.0, odeint.DEFAULT_CONFIG)
+        assert all(escaped(complex(x, y)) is None
+                   for x in (-1e6, -1.0, 3.0, 1e9) for y in (0.25, 0.5, 2.0))
+        assert half_return_outcome(spec, 1.0, Side.UPPER) == (Outcome.ESCAPED, None)
+        cfg = IntegratorConfig(max_steps=100)
+        assert half_return_outcome(spec, 1.0, Side.UPPER, cfg) == (Outcome.STEP_LIMIT, None)
+
+    @pytest.mark.parametrize("coeffs", [[complex("nan"), 1j], [1.0 - 1j, complex("nan")],
+                                        [1.0 - 1j, complex(0.0, math.inf)]])
+    def test_non_finite_coefficient_changes_nothing(self, monkeypatch, coeffs):
+        spec = anti_holomorphic(coeffs)
+        assert odeint._saddle_escape(spec, 1.0, odeint.DEFAULT_CONFIG) is None
+        certified = half_return_outcome(spec, 0.5, Side.UPPER)
+        _uncertified(monkeypatch)
+        assert half_return_outcome(spec, 0.5, Side.UPPER) == certified
+
+    @pytest.mark.parametrize("spec", [
+        holomorphic([1.0 - 1j, 2j]),
+        holomorphic([1.0 - 1j, 2j, 1.0]),
+        anti_holomorphic([1.0 - 1j]),
+        anti_holomorphic([1.0 - 1j, 2j, 1.0]),
+        anti_holomorphic([1.0 - 1j, 2j, 1.0, 0.5j]),
+    ], ids=["holo-1", "holo-2", "antiholo-0", "antiholo-2", "antiholo-3"])
+    def test_other_sides_make_no_saddle_check(self, spec):
+        for s in (1.0, -1.0):
+            assert odeint._saddle_escape(spec, s, odeint.DEFAULT_CONFIG) is None
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_no_landing_moves(self, monkeypatch, data):
+        """The half-return with the certificates monkeypatched away lands
+        exactly (float.hex) where the certified one does, and never lands
+        where the certified one escaped. Both runs share a cap of 2000
+        steps. Sides: the upper side of criterion 3's and criterion 4's
+        draws, and linear anti-holomorphic sides with coefficients in
+        [-2.5, 2.5]^2, at tolerances 1e-9 and 1e-11. The random sides
+        start anywhere in [-3, 3], or within 1e-7 relative of where the
+        saddle's stable manifold meets the axis, where rounding decides
+        whether the orbit lands."""
+        family = data.draw(st.sampled_from(["criterion-3", "criterion-4", "random",
+                                            "stable-manifold"]), label="family")
+        x = data.draw(st.floats(-3.0, 3.0), label="x")
+        if family == "stable-manifold":
+            coeff = st.floats(-2.5, 2.5)
+            z_e = complex(data.draw(coeff), data.draw(coeff.filter(lambda y: abs(y) > 0.1)))
+            c1 = complex(data.draw(coeff), data.draw(coeff))
+            assume(abs(c1) > 0.1)
+            # the stable manifold runs along i e^{-i phi/2}
+            d = 1j / np.sqrt(c1 / abs(c1))
+            assume(abs(d.imag) > 0.1)
+            offset = (10.0 ** data.draw(st.integers(-16, -7), label="log10 offset")
+                      * data.draw(st.floats(-1.0, 1.0)))
+            x = (z_e.real - z_e.imag * d.real / d.imag) * (1.0 + offset)
+            spec = _saddle_through(z_e, c1)
+        elif family == "criterion-3":
+            unit = st.floats(-2.0, 2.0)
+            b2 = data.draw(st.floats(0.2, 2.0)) * data.draw(st.sampled_from([-1.0, 1.0]))
+            spec = _upper_side(data.draw(unit), data.draw(unit), data.draw(unit), b2)
+        elif family == "criterion-4":
+            unit = st.floats(-3.0, 3.0)
+            spec = _upper_side(*(data.draw(unit) for _ in range(4)))
+        else:
+            coeff = st.floats(-2.5, 2.5)
+            spec = anti_holomorphic([complex(data.draw(coeff), data.draw(coeff))
+                                     for _ in range(2)])
+        side = Side.UPPER if spec.velocity(complex(x, 0.0)).imag > 0 else Side.LOWER
+        tol = data.draw(st.sampled_from([1e-9, 1e-11]), label="tol")
+        cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol, max_steps=2000)
+        certified = half_return_outcome(spec, x, side, cfg)
+        with monkeypatch.context() as m:
+            _uncertified(m)
+            plain = half_return_outcome(spec, x, side, cfg)
+        if certified[0] is Outcome.ESCAPED:
+            assert plain[0] is not Outcome.LANDED
+        else:
+            assert plain[0] is certified[0]
+            if plain[0] is Outcome.LANDED:
+                assert plain[1].hex() == certified[1].hex()
+
+
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("rel_tol", math.nan), ("rel_tol", math.inf), ("rel_tol", 0.0),
+        ("abs_tol", math.nan), ("abs_tol", math.inf), ("abs_tol", -1e-9),
+        ("event_tol", math.nan), ("event_tol", math.inf),
+        ("max_step", math.nan), ("max_step", 0.0), ("max_steps", 0),
+    ])
+    def test_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IntegratorConfig(**{field: value})
+
+    def test_infinite_max_step_and_one_step_allowed(self):
+        cfg = IntegratorConfig(max_step=math.inf, max_steps=1)
+        assert cfg.max_step == math.inf and cfg.max_steps == 1
