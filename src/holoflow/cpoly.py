@@ -9,6 +9,7 @@ of the two variables.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,8 +316,11 @@ def real_roots(r: CPoly, interval=None, tol=DEFAULT_TOL):
     Counting uses a Sturm sequence (exact distinct-root counts even in
     the presence of multiple roots), then each isolated root is refined
     by count-preserving bisection and Newton polish. Raises
-    IdenticallyZero for the zero polynomial.
+    IdenticallyZero for the zero polynomial and NonConvergence for a
+    coefficient that is not finite.
     """
+    if not all(map(cmath.isfinite, r.coeffs.tolist())):
+        raise NonConvergence("real_roots needs finite coefficients")
     c = _trim_real(r.real_coeffs())
     if len(c) == 1:
         if c[0] == 0.0:

@@ -13,9 +13,12 @@ attracting equilibrium off the axis (see ``_trap_discs``): such an
 orbit never lands, and the uncertified loop would run on to its step
 or time limit. For a linear anti-holomorphic field, a saddle, it stops
 as soon as the closed-form future orbit provably stays off the axis
-(see ``_saddle_escape``), where the uncertified loop would run on to
-|z| = 1e12. A certificate only ends an orbit that cannot land, so every
-landing is the same float with or without it.
+(see ``_saddle_escape``), and for an anti-holomorphic field of degree
+d >= 2 as soon as the first integral Im Omega, Omega = int p, leaves no
+point of the axis within reach (see ``_level_escape``); the uncertified
+loop would run on to |z| = 1e12 in both cases. A certificate only ends
+an orbit that cannot land, so every landing is the same float with or
+without it.
 
 A step has 7 stages, each one right-hand-side (RHS) evaluation. The
 seventh is the field at the new point, and an accepted step hands it
@@ -100,8 +103,9 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be finite and positive")
         if not self.max_step > 0:
             raise ValueError("max_step must be positive")
-        if not self.max_steps >= 1:
-            raise ValueError("max_steps must be at least 1")
+        # range(max_steps) needs an int: 2.5 and 1e6 are rejected here
+        if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
+            raise ValueError("max_steps must be an integer of at least 1")
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -221,9 +225,11 @@ class _Dopri5:
 
 def integrate(field, z0, t_end, cfg: IntegratorConfig = DEFAULT_CONFIG) -> Trajectory:
     """Integrate zdot = field(z) from z0 over [0, t_end] (t_end < 0
-    integrates backward). Declares Blowup past |z| = 1e12."""
-    if t_end == 0:
-        raise ValueError("t_end must be nonzero; its sign gives the direction")
+    integrates backward; t_end may be infinite). Declares Blowup past
+    |z| = 1e12."""
+    # a NaN t_end fails every time comparison, so no time limit applies
+    if t_end == 0 or math.isnan(t_end):
+        raise ValueError("t_end must be nonzero and not NaN; its sign gives the direction")
     f = _rhs(field)
     direction = 1.0 if t_end > 0 else -1.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -255,7 +261,9 @@ class Outcome(enum.Enum):
 
     LANDED = "landed"
     NOT_ENTERING = "not_entering"  # the field does not enter the half-plane
-    ESCAPED = "escaped"            # |z| passed BLOWUP_RADIUS, or a certified escape
+    # |z| passed BLOWUP_RADIUS, or a certified escape on an
+    # anti-holomorphic side of any degree >= 1
+    ESCAPED = "escaped"
     TRAPPED = "trapped"            # entered a certified trap disc
     STEP_LIMIT = "step_limit"      # cfg.max_steps accepted steps
     T_MAX = "t_max"
@@ -365,14 +373,81 @@ def _saddle_escape(spec, s, cfg):
     return escaped
 
 
+def _level_escape(spec, cfg):
+    """Test z -> ESCAPED or None for an anti-holomorphic field of degree
+    d >= 2: ESCAPED when the first integral proves that the orbit
+    through z never reaches the axis again. None instead of a test for
+    any other field, or when a coefficient is not finite or the leading
+    coefficient of Omega is real.
+
+    Along zdot = conj(p), Omega = int p with Omega(0) = 0 has
+    dOmega/dt = p conj(p) = |p|^2 >= 0, so Im Omega is constant and
+    Re Omega never decreases. On the axis Omega(x) = rho(x) + i psi(x)
+    with rho = sum Re omega_k x^k and psi = sum Im omega_k x^k, of
+    degree n = d + 1. At w = Omega(z), with the rounding margin
+    eps = 1e4 (abs_tol + rel_tol |z|) |p(z)| of the other certificates
+    carried through Omega, plus the bound 8 n 2^-53 sum |omega_k| |z|^k
+    on Horner's rounding error in w (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 5.1, with complex products), a landing
+    x has |psi(x) - Im w| <= eps. Fujiwara's bound (Tohoku Math. J. 10,
+    1916) puts every such x in |x| <= R = 2 max(max_{1<=j<n}
+    (|Im omega_j| / L)^(1/(n-j)), ((|Im w| + eps) / (2 L))^(1/n)) with
+    L = |Im omega_n|, where rho(x) <= M = sum |Re omega_k| R^k. So
+    Re w - eps > M leaves no point of the axis on the orbit's level line
+    that Re Omega can still reach. The test uses Python floats only, no
+    root finding, and never raises.
+    """
+    if not (isinstance(spec, SystemSpec) and spec.kind is SystemKind.ANTI_HOLOMORPHIC
+            and spec.p.degree >= 2):
+        return None
+    p = [complex(c) for c in spec.p.coeffs]
+    if not all(cmath.isfinite(c) for c in p):
+        return None
+    omega = [0j] + [c / k for k, c in enumerate(p, 1)]
+    n = len(omega) - 1
+    lead = abs(omega[n].imag)
+    if lead == 0:
+        return None
+    root_bound = max((abs(omega[j].imag) / lead) ** (1.0 / (n - j)) for j in range(1, n))
+    # descending coefficients for Horner
+    rev = omega[::-1]
+    top, rest = rev[0], rev[1:]
+    rev_re = [abs(c.real) for c in rev]
+    rev_mag = [math.hypot(c.real, c.imag) for c in rev]
+    k_abs, k_rel = 1e4 * cfg.abs_tol, 1e4 * cfg.rel_tol
+    horner = 8 * n * 2.0 ** -53
+
+    def escaped(z):
+        # w = Omega(z) and v = Omega'(z) = p(z) in one Horner pass
+        w, v = top, 0j
+        for c in rest:
+            v = v * z + w
+            w = w * z + c
+        r = abs(z)
+        size = 0.0
+        for m in rev_mag:
+            size = size * r + m
+        eps = (k_abs + k_rel * r) * math.hypot(v.real, v.imag) + horner * size
+        level = ((abs(w.imag) + eps) / (2.0 * lead)) ** (1.0 / n)
+        # a NaN level propagates through max's first argument and fails
+        # the test below
+        radius = 2.0 * max(level, root_bound)
+        bound = 0.0
+        for a in rev_re:
+            bound = bound * radius + a
+        return Outcome.ESCAPED if w.real - eps > bound else None
+    return escaped
+
+
 def _certificate(spec, s, cfg):
     """The one per-call test z -> Outcome or None that ends a half-return
     on side s whose orbit provably never lands: a trap disc of a
-    holomorphic side, or the saddle escape of a linear anti-holomorphic
-    side. None when the field has neither."""
+    holomorphic side, the saddle escape of a linear anti-holomorphic
+    side, or the level escape of an anti-holomorphic side of degree
+    >= 2. None when the field has none of them."""
     discs = _trap_discs(spec, s, cfg)
     if not discs:
-        return _saddle_escape(spec, s, cfg)
+        return _saddle_escape(spec, s, cfg) or _level_escape(spec, cfg)
 
     def trapped(z):
         for ze, r in discs:
@@ -498,7 +573,12 @@ def trace_separatrix(p: CPoly, inf_eq: InfinityEquilibrium,
     """Numerical rendering of the separatrix attached to an infinity
     saddle: seed just inside the Poincare disk along the saddle angle and
     integrate toward the finite region (figure output, not
-    classification)."""
+    classification). offset must be finite and positive, t_span finite
+    and nonzero."""
+    if not 0 < offset < math.inf:
+        raise ValueError("offset must be finite and positive")
+    if not (math.isfinite(t_span) and t_span != 0):
+        raise ValueError("t_span must be finite and nonzero")
     spec = SystemSpec(SystemKind.HOLOMORPHIC, p)
     z_seed = np.exp(1j * inf_eq.angle) / offset
     v = spec.velocity(z_seed)

@@ -16,6 +16,7 @@ switching line and confirmed against the numerical return map:
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .errors import (
     HoloflowError,
     HypothesisViolation,
     IdenticallyZero,
+    NonConvergence,
 )
 from .odeint import IntegratorConfig, DEFAULT_CONFIG
 from .potential import SystemKind, SystemSpec, anti_holomorphic, build_potential
@@ -455,14 +457,18 @@ def solve_antiholo_pair(spec: PiecewiseSpec, tol=1e-10,
     one, cubic at most three. Sides of degree > 3 run the same pipeline
     but carry no proven bound (see candidate_bound). A side whose c is
     a nonzero constant has no crossing pairs, so the result is []. Raises
-    ContinuumDetected when R vanishes identically and
-    DegreeUnsupported for constant sides.
+    ContinuumDetected when R vanishes identically,
+    DegreeUnsupported for constant sides and NonConvergence when a
+    coefficient is not finite.
     """
     for side in (spec.upper, spec.lower):
         if side.kind is not SystemKind.ANTI_HOLOMORPHIC:
             raise ValueError("solve_antiholo_pair requires anti-holomorphic sides")
         if side.p.degree < 1:
             raise DegreeUnsupported("sides must have degree >= 1")
+        if not all(map(cmath.isfinite, side.p.coeffs.tolist())):
+            # a NaN would otherwise read as "no crossing pair"
+            raise NonConvergence("sides must have finite coefficients")
     c_up = crossing_pair_polynomial(spec.upper)
     c_lo = crossing_pair_polynomial(spec.lower)
     if any(c.x2_degree == 0 and c.coeffs[0, 0] != 0.0 for c in (c_up, c_lo)):

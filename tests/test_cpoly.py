@@ -354,6 +354,14 @@ class TestRealRoots:
         with pytest.raises(IdenticallyZero):
             real_roots(CPoly([0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_raises(self, bad):
+        # NaN used to give [] and inf IdenticallyZero
+        with pytest.raises(NonConvergence):
+            real_roots(CPoly([bad, 1.0, 1.0]))
+        with pytest.raises(NonConvergence):
+            real_roots(CPoly([1.0, 1.0, bad]))
+
 
 class TestSylvesterShape:
     def test_matrix_layout(self):

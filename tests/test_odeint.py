@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from holoflow import cpoly, odeint
+from holoflow import cpoly, odeint, pwcycles
 from holoflow.cpoly import CPoly
 from holoflow.errors import NonConvergence, NotEntering, StepUnderflow
 from holoflow.odeint import (
@@ -95,6 +95,18 @@ class TestIntegrate:
     def test_zero_time_rejected(self):
         with pytest.raises(ValueError):
             integrate(holomorphic([0, 1]), 1.0, 0.0)
+
+    def test_nan_time_rejected(self):
+        # NaN fails every time comparison: it used to run to the step limit
+        with pytest.raises(ValueError, match="t_end"):
+            integrate(holomorphic([0, 1j]), 0.5, math.nan)
+
+    @pytest.mark.parametrize("t_end", [math.inf, -math.inf])
+    def test_infinite_time_allowed(self, t_end):
+        traj = integrate(holomorphic([0, 1j]), 0.5, t_end, IntegratorConfig(max_steps=20))
+        assert traj.terminal is Terminal.STEP_LIMIT
+        assert traj.samples.shape[0] == 21
+        assert np.sign(traj.times[-1]) == np.sign(t_end)
 
     def test_callable_field(self):
         traj = integrate(lambda z: 1.0 / z, 1.0, 1.5)
@@ -211,6 +223,18 @@ class TestSeparatrices:
         xs = traj.samples[:, 1]
         ys = np.abs(traj.samples[:, 2])
         assert np.max(np.abs(xs)) < 1e-6 * np.max(ys)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(offset=0.0), dict(offset=-1e-4), dict(offset=math.nan), dict(offset=math.inf),
+        dict(t_span=0.0), dict(t_span=math.nan), dict(t_span=math.inf),
+    ])
+    def test_bad_offset_or_span_rejected(self, kwargs):
+        # offset 0 used to seed at inf+nanj and raise StepUnderflow
+        name, = kwargs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=name):
+                trace_separatrix(CPoly([0, -1, 0, 1]), infinity_equilibria(3)[1], **kwargs)
 
     def test_center_case_recurrent(self):
         # in the three-center configuration the trace from e0 crosses the
@@ -573,12 +597,156 @@ class TestEscapeCertificate:
                 assert plain[1].hex() == certified[1].hex()
 
 
+def _readme_quadratic_pair():
+    """The README's `holoflow cycles --family antiholo` example."""
+    return PiecewiseSpec(anti_holomorphic([1 + 0.5j, 2 + 1.5j, 3 + 0.5j]),
+                         anti_holomorphic([-3 + 1j, -1 + 1j, -4 - 2.6862j]))
+
+
+def _entering_side(spec, x):
+    return Side.UPPER if spec.velocity(complex(x, 0.0)).imag > 0 else Side.LOWER
+
+
+class TestLevelEscape:
+    """The level certificate ends a half-return on an anti-holomorphic
+    side of degree >= 2 once the first integral Im Omega leaves no point
+    of the axis that Re Omega can still reach, and changes no landing."""
+
+    SIDE = anti_holomorphic([1.0 - 1j, 2j, 1.0, 0.5j])
+
+    def test_degree_3_escape_within_100_steps(self, monkeypatch):
+        cfg = IntegratorConfig(max_steps=100)
+        assert half_return_outcome(self.SIDE, 0.5, Side.LOWER, cfg) == (Outcome.ESCAPED, None)
+        _uncertified(monkeypatch)
+        assert half_return_outcome(self.SIDE, 0.5, Side.LOWER, cfg) == (Outcome.STEP_LIMIT, None)
+        assert half_return_outcome(self.SIDE, 0.5, Side.LOWER) == (Outcome.ESCAPED, None)
+
+    def test_readme_pair_cycle_lands_bit_identical(self, monkeypatch):
+        pw = _readme_quadratic_pair()
+        cand, = pwcycles.solve_antiholo_pair(pw)
+        assert cand.verified is pwcycles.Verified.NUMERICALLY_CONFIRMED
+        # the lower arc runs from x1 to x2, the upper one back
+
+        def landings():
+            return (return_map(pw, cand.x1), half_return(pw.lower, cand.x1, Side.LOWER),
+                    half_return(pw.upper, cand.x2, Side.UPPER))
+
+        certified = landings()
+        _uncertified(monkeypatch)
+        plain = landings()
+        assert [x.hex() for x in plain] == [x.hex() for x in certified]
+        again, = pwcycles.solve_antiholo_pair(pw)
+        assert (again.x1.hex(), again.miss.hex(), again.multiplier.hex()) == (
+            cand.x1.hex(), cand.miss.hex(), cand.multiplier.hex())
+
+    @pytest.mark.parametrize("coeffs", [
+        [1.0 - 1j, 2j, 3.0],                      # Omega's leading coefficient 1 is real
+        [0.5j, 1.0, -1j, 2.0],
+        [complex("nan"), 2j, 1.0 + 1j],
+        [1.0, 2j, complex(0.5, math.inf)],
+        [1.0, complex(-math.inf, 1.0), 1.0, 0.5j],
+    ], ids=["real-lead-2", "real-lead-3", "nan", "inf-lead", "inf-middle"])
+    def test_no_certificate(self, monkeypatch, coeffs):
+        spec = anti_holomorphic(coeffs)
+        assert odeint._level_escape(spec, odeint.DEFAULT_CONFIG) is None
+        assert odeint._certificate(spec, 1.0, odeint.DEFAULT_CONFIG) is None
+        cfg = IntegratorConfig(max_steps=2000)
+        certified = [half_return_outcome(spec, 0.5, side, cfg) for side in Side]
+        _uncertified(monkeypatch)
+        assert [half_return_outcome(spec, 0.5, side, cfg) for side in Side] == certified
+
+    @pytest.mark.parametrize("spec", [
+        holomorphic([1.0 - 1j, 2j]),
+        holomorphic([1.0 - 1j, 2j, 1.0]),
+        holomorphic([1.0 - 1j, 2j, 1.0, 0.5j]),
+        anti_holomorphic([1.0 - 1j]),
+        anti_holomorphic([1.0 - 1j, 2j]),
+        lambda z: 1j * z * z,
+    ], ids=["holo-1", "holo-2", "holo-3", "antiholo-0", "antiholo-1", "callable"])
+    def test_other_fields_make_no_level_check(self, spec):
+        assert odeint._level_escape(spec, odeint.DEFAULT_CONFIG) is None
+
+    def test_no_root_finding(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("root finding called by the level certificate")
+
+        monkeypatch.setattr(np, "roots", fail)
+        monkeypatch.setattr(cpoly, "roots", fail)
+        cfg = IntegratorConfig(max_steps=100)
+        assert half_return_outcome(self.SIDE, 0.5, Side.LOWER, cfg) == (Outcome.ESCAPED, None)
+        spec = anti_holomorphic([0.5j, 1.0, -1j])
+        assert half_return_outcome(spec, 1.0, _entering_side(spec, 1.0), cfg) == (
+            Outcome.ESCAPED, None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(degree=st.integers(2, 3), data=st.data())
+    def test_no_point_before_a_landing_is_certified(self, degree, data):
+        """Every point of an orbit that reaches the axis at x later is
+        left uncertified: integrate backward from x and test each
+        sample."""
+        unit = st.floats(-3.0, 3.0)
+        coeffs = [complex(data.draw(unit), data.draw(unit)) for _ in range(degree + 1)]
+        assume(abs(coeffs[-1].imag) >= 0.05)
+        spec = anti_holomorphic(coeffs)
+        escaped = odeint._level_escape(spec, odeint.DEFAULT_CONFIG)
+        x = data.draw(unit, label="x")
+        traj = integrate(spec, x, -20.0, IntegratorConfig(max_steps=500))
+        assert all(escaped(complex(z)) is None for z in traj.points)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_no_landing_moves(self, monkeypatch, data):
+        """The half-return with the certificates monkeypatched away lands
+        exactly (float.hex) where the certified one does, and never lands
+        where the certified one escaped. Both runs share a cap of 2000
+        steps. Sides: degree 2 and 3, coefficients in [-3, 3]^2 (criterion
+        4's normal draws to 3 sigma) with |Im| of the leading one at least
+        0.05, as criterion 4 asks, at tolerances 1e-9 and 1e-11. The start is anywhere in [-3, 3], on the side
+        the field enters, or within 1e-7 relative of a point of the axis
+        on the level line Im Omega = Im Omega(z_e) of a saddle z_e, where
+        rounding decides which way the orbit leaves the saddle."""
+        degree = data.draw(st.integers(2, 3), label="degree")
+        unit = st.floats(-3.0, 3.0)
+        coeffs = [complex(data.draw(unit), data.draw(unit)) for _ in range(degree + 1)]
+        assume(abs(coeffs[-1].imag) >= 0.05)
+        spec = anti_holomorphic(coeffs)
+        if data.draw(st.booleans(), label="separatrix"):
+            omega = spec.p.antiderivative()
+            saddles = np.roots(spec.p.coeffs[::-1])
+            z_e = saddles[data.draw(st.integers(0, degree - 1), label="saddle")]
+            psi = omega.coeffs.imag.copy()
+            psi[0] -= omega(z_e).imag
+            xs = [r.real for r in np.roots(psi[::-1]) if abs(r.imag) < 1e-9]
+            assume(xs)
+            x = xs[data.draw(st.integers(0, len(xs) - 1), label="crossing")]
+            x *= 1.0 + (10.0 ** data.draw(st.integers(-16, -7), label="log10 offset")
+                        * data.draw(st.floats(-1.0, 1.0)))
+        else:
+            x = data.draw(st.floats(-3.0, 3.0), label="x")
+        assume(spec.velocity(complex(x, 0.0)).imag != 0)
+        side = _entering_side(spec, x)
+        tol = data.draw(st.sampled_from([1e-9, 1e-11]), label="tol")
+        cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol, max_steps=2000)
+        certified = half_return_outcome(spec, x, side, cfg)
+        with monkeypatch.context() as m:
+            _uncertified(m)
+            plain = half_return_outcome(spec, x, side, cfg)
+        if certified[0] is Outcome.ESCAPED:
+            assert plain[0] is not Outcome.LANDED
+        else:
+            assert plain[0] is certified[0]
+            if plain[0] is Outcome.LANDED:
+                assert plain[1].hex() == certified[1].hex()
+
+
 class TestIntegratorConfig:
     @pytest.mark.parametrize("field, value", [
         ("rel_tol", math.nan), ("rel_tol", math.inf), ("rel_tol", 0.0),
         ("abs_tol", math.nan), ("abs_tol", math.inf), ("abs_tol", -1e-9),
         ("event_tol", math.nan), ("event_tol", math.inf),
         ("max_step", math.nan), ("max_step", 0.0), ("max_steps", 0),
+        ("max_steps", 2.5), ("max_steps", 1e6), ("max_steps", "10"),
     ])
     def test_rejects(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -587,3 +755,9 @@ class TestIntegratorConfig:
     def test_infinite_max_step_and_one_step_allowed(self):
         cfg = IntegratorConfig(max_step=math.inf, max_steps=1)
         assert cfg.max_step == math.inf and cfg.max_steps == 1
+
+    def test_numpy_integer_max_steps_allowed(self):
+        cfg = IntegratorConfig(max_steps=np.int64(5))
+        traj = integrate(holomorphic([0, 1]), 1.0, 100.0, cfg)
+        assert traj.terminal is Terminal.STEP_LIMIT
+        assert traj.samples.shape[0] == 6

@@ -11,6 +11,7 @@ from holoflow.errors import (
     DegenerateLeadingCoefficient,
     DegreeUnsupported,
     HypothesisViolation,
+    NonConvergence,
 )
 from holoflow import pwcycles
 from holoflow.odeint import DEFAULT_CONFIG, return_map
@@ -436,6 +437,19 @@ class TestAntiholoPair:
         spec = PiecewiseSpec(anti_holomorphic([1.0]), anti_holomorphic([0, 1j, 1j]))
         with pytest.raises(DegreeUnsupported):
             solve_antiholo_pair(spec)
+
+    @pytest.mark.parametrize("side, k, bad", [
+        ("upper", 0, complex(math.nan, 0.0)), ("upper", 2, complex(0.5, math.nan)),
+        ("lower", 1, complex(math.inf, 1.0)), ("lower", 2, complex(-4.0, -math.inf)),
+    ])
+    def test_non_finite_coefficient_raises(self, side, k, bad):
+        # a NaN must not read as "no cycles"
+        pw = reference_quadratic_pair()
+        coeffs = list(getattr(pw, side).p.coeffs)
+        coeffs[k] = bad
+        sides = {"upper": pw.upper, "lower": pw.lower, side: anti_holomorphic(coeffs)}
+        with pytest.raises(NonConvergence):
+            solve_antiholo_pair(PiecewiseSpec(sides["upper"], sides["lower"]))
 
     def test_degree_four_runs_without_bound(self):
         rng = np.random.default_rng(113)
