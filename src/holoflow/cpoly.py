@@ -68,15 +68,16 @@ class CPoly:
         The products go through the ``np.multiply`` ufunc, whose complex
         loop may fuse multiply-add (FMA) where plain Python complex
         arithmetic does not; the integrator oracle's results are pinned
-        to this arithmetic bit for bit.
+        to this arithmetic bit for bit. The loop is ``_horner``, which
+        ``SystemSpec.scalar_field`` shares, so the oracle's per-step
+        field computes the same float without this method's per-call
+        overhead.
         """
         coeffs = self.coeffs
         if len(coeffs) == 1:
             acc = np.full(np.shape(z), coeffs[0])
         else:
-            acc = coeffs[-1]
-            for c in coeffs[-2::-1]:
-                acc = np.multiply(acc, z) + c
+            acc = _horner(coeffs[-1], coeffs[-2::-1], z)
         return acc if acc.shape else complex(acc)
 
     def derivative(self):
@@ -138,6 +139,17 @@ class CPoly:
 
     def __repr__(self):
         return f"CPoly({list(self.coeffs)})"
+
+
+def _horner(top, rest, z):
+    """The one ufunc Horner loop: top z^n + ... from the leading
+    coefficient top and the others in descending order. Each product is
+    ``np.multiply``, not ``*``: the ufunc's complex loop may fuse
+    multiply-add, and the oracle's bits are pinned to it."""
+    acc = top
+    for c in rest:
+        acc = np.multiply(acc, z) + c
+    return acc
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ spectral accuracy.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,14 @@ class Circle:
     radius: float
     orientation: int = 1  # +1 counterclockwise, -1 clockwise
 
+    def __post_init__(self):
+        if not cmath.isfinite(complex(self.center)):
+            raise ValueError("circle center must be finite")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("circle radius must be finite and positive")
+        if self.orientation not in (1, -1):
+            raise ValueError("circle orientation must be 1 or -1")
+
     def nodes(self, n):
         t = 2.0 * np.pi * np.arange(n) / n
         rot = np.exp(1j * self.orientation * t)
@@ -62,6 +72,12 @@ def _gauss_legendre(n):
 @dataclass(frozen=True)
 class Polygon:
     vertices: tuple
+
+    def __post_init__(self):
+        if len(self.vertices) < 3:
+            raise ValueError("a polygon needs at least 3 vertices")
+        if not all(cmath.isfinite(complex(v)) for v in self.vertices):
+            raise ValueError("polygon vertices must be finite")
 
     def nodes(self, n):
         verts = [complex(v) for v in self.vertices]

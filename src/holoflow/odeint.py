@@ -33,6 +33,12 @@ about 1e5-fold. So the order of every stage sum is fixed, each sum
 starts from 0 as the builtin ``sum`` does (which decides the sign of a
 zero result), zero tableau weights are kept, and the field's complex
 products go through the numpy ufunc (see ``CPoly.__call__``).
+
+Each integration builds its field once: ``_rhs`` turns a ``SystemSpec``
+into ``SystemSpec.scalar_field()``, which reads the coefficients when it
+is built and then runs only the Horner loop that ``CPoly.__call__``
+shares (``cpoly._horner``). So every RHS value is the float that
+``SystemSpec.velocity`` gives, without that method's per-call overhead.
 """
 
 from __future__ import annotations
@@ -141,8 +147,10 @@ class Trajectory:
 
 
 def _rhs(field):
+    """The scalar RHS of one integration: a SystemSpec's field is built
+    here, once, and any other callable passes through unchanged."""
     if isinstance(field, SystemSpec):
-        return field.velocity
+        return field.scalar_field()
     return field
 
 
@@ -530,11 +538,15 @@ def half_return(spec, x_start, side: Side, cfg: IntegratorConfig = DEFAULT_CONFI
 def return_map_outcome(spec, x_start, cfg: IntegratorConfig = DEFAULT_CONFIG, t_max=1e6):
     """(Outcome, full return or None): the core of ``return_map``. The
     outcome is NOT_ENTERING when the two fields do not cross Sigma in
-    the same direction at x_start, else the outcome of the first
-    half-return that did not land, or of the second."""
-    v_up = spec.upper.planar(x_start, 0.0)[1]
-    v_lo = spec.lower.planar(x_start, 0.0)[1]
-    if v_up * v_lo <= 0:
+    the same direction at x_start, or either vertical velocity there is
+    not finite, else the outcome of the first half-return that did not
+    land, or of the second."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_up = spec.upper.planar(x_start, 0.0)[1]
+        v_lo = spec.lower.planar(x_start, 0.0)[1]
+    # a non-finite velocity reads as a tangency, as in
+    # pwcycles.crossing_transversality, and is never integrated
+    if not (math.isfinite(v_up) and math.isfinite(v_lo) and v_up * v_lo > 0):
         return Outcome.NOT_ENTERING, None
     if v_up > 0:
         first, second = (spec.upper, Side.UPPER), (spec.lower, Side.LOWER)

@@ -38,6 +38,25 @@ class SystemSpec:
         v = self.p(z)
         return v.conjugate() if self.kind is SystemKind.ANTI_HOLOMORPHIC else v
 
+    def scalar_field(self):
+        """z -> velocity(z) for a complex scalar z, the same float bit
+        for bit, with the coefficients read once when it is built.
+
+        It runs the ufunc Horner loop that ``CPoly.__call__`` runs, so
+        only the per-call overhead goes. Build it once per integration
+        and drop it afterwards; nothing is cached on the instance."""
+        coeffs = self.p.coeffs
+        conj = self.kind is SystemKind.ANTI_HOLOMORPHIC
+        if len(coeffs) == 1:
+            v = complex(coeffs[0])
+            v = v.conjugate() if conj else v
+            return lambda z: v
+        top, rest = coeffs[-1], tuple(coeffs[-2::-1])
+        horner = cpoly._horner
+        if conj:
+            return lambda z: complex(horner(top, rest, z)).conjugate()
+        return lambda z: complex(horner(top, rest, z))
+
     def planar(self, x, y):
         """(dx/dt, dy/dt); the anti-holomorphic field is (u, -v)."""
         v = self.velocity(np.asarray(x) + 1j * np.asarray(y))

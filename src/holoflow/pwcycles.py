@@ -94,9 +94,11 @@ class Crossing(enum.Enum):
 
 def crossing_transversality(spec: PiecewiseSpec, x: float) -> Crossing:
     """Filippov classification of the point (x, 0) on the switching line
-    from the vertical components of the two fields."""
-    v_up = spec.upper.planar(x, 0.0)[1]
-    v_lo = spec.lower.planar(x, 0.0)[1]
+    from the vertical components of the two fields; a non-finite one
+    reads as tangent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_up = spec.upper.planar(x, 0.0)[1]
+        v_lo = spec.lower.planar(x, 0.0)[1]
     s_up = _tangency_sign(spec.upper, x, v_up)
     s_lo = _tangency_sign(spec.lower, x, v_lo)
     if s_up == 0 or s_lo == 0:
@@ -107,6 +109,8 @@ def crossing_transversality(spec: PiecewiseSpec, x: float) -> Crossing:
 
 
 def _tangency_sign(spec: SystemSpec, x, v):
+    if not math.isfinite(v):
+        return 0  # a NaN would otherwise read as -1, "crossing down"
     scale = float(np.max(np.abs(spec.p.coeffs))) * max(1.0, abs(x)) ** spec.p.degree
     if abs(v) <= 1e-12 * max(scale, 1e-300):
         return 0
@@ -437,7 +441,11 @@ DEGREE_BOUNDS = {1: 0, 2: 1, 3: 3}
 
 def crossing_pair_polynomial(spec: SystemSpec) -> cpoly.BivarSym:
     """The symmetric divided-difference polynomial c(x1, x2) of one
-    anti-holomorphic side: (psi(x1,0) - psi(x2,0)) / (x1 - x2)."""
+    anti-holomorphic side: (psi(x1,0) - psi(x2,0)) / (x1 - x2).
+    Raises NonConvergence when a coefficient is not finite."""
+    if not all(map(cmath.isfinite, spec.p.coeffs.tolist())):
+        # a NaN would otherwise read as "no crossing pair"
+        raise NonConvergence("sides must have finite coefficients")
     rep = build_potential(spec)
     psi_axis = rep.poly_part.coeffs.imag
     return cpoly.divided_difference(psi_axis)
@@ -466,9 +474,6 @@ def solve_antiholo_pair(spec: PiecewiseSpec, tol=1e-10,
             raise ValueError("solve_antiholo_pair requires anti-holomorphic sides")
         if side.p.degree < 1:
             raise DegreeUnsupported("sides must have degree >= 1")
-        if not all(map(cmath.isfinite, side.p.coeffs.tolist())):
-            # a NaN would otherwise read as "no crossing pair"
-            raise NonConvergence("sides must have finite coefficients")
     c_up = crossing_pair_polynomial(spec.upper)
     c_lo = crossing_pair_polynomial(spec.lower)
     if any(c.x2_degree == 0 and c.coeffs[0, 0] != 0.0 for c in (c_up, c_lo)):

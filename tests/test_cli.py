@@ -324,6 +324,10 @@ class TestExitCodes:
         (["portrait", "--antiholo", "0,0,1", "--window=-2,2,-2,nan"], None),
         (["flowstats", "--holo", "1,1", "--circle", "0,0,nan"], None),
         (["flowstats", "--holo", "1,1", "--polygon", "0,0;1,inf;0,1"], None),
+        (["flowstats", "--holo", "1,1", "--circle", "0,0,-1"], None),
+        (["flowstats", "--holo", "1,1", "--circle", "0,0,0"], None),
+        (["flowstats", "--holo", "1,1", "--polygon", "0,0"], None),
+        (["flowstats", "--holo", "1,1", "--polygon", "0,0;1,0"], None),
     ], ids=["antiholo-no-upper", "mixed-linear-no-params", "verify-short-params",
             "verify-empty-report", "verify-string-coefficient", "flowstats-zero-nodes",
             "verify-candidate-no-verified", "verify-candidate-no-x1",
@@ -332,7 +336,9 @@ class TestExitCodes:
             "mixed-linear-inf-param", "antiholo-nan-coefficient",
             "verify-infinite-coefficient", "potential-nan-coefficient",
             "potential-infinite-coefficient", "classify-cubic-nan", "portrait-nan-level",
-            "portrait-nan-window", "flowstats-nan-circle", "flowstats-infinite-vertex"])
+            "portrait-nan-window", "flowstats-nan-circle", "flowstats-infinite-vertex",
+            "flowstats-negative-radius", "flowstats-zero-radius",
+            "flowstats-one-vertex", "flowstats-two-vertices"])
     def test_malformed_input(self, tmp_path, capsys, argv, report):
         if report is not None:
             path = tmp_path / "report.json"

@@ -122,6 +122,31 @@ class TestContourIntegrals:
         result = contour_integral(lambda z: (1 + 1j) * z, Circle(0j, 1.0, orientation=-1))
         assert result.as_complex() == pytest.approx(-2 * math.pi * (1 + 1j))
 
+    @pytest.mark.parametrize("args, kwargs, match", [
+        ((0j, -1.0), {}, "radius"),
+        ((0j, 0.0), {}, "radius"),
+        ((0j, math.inf), {}, "radius"),
+        ((0j, math.nan), {}, "radius"),
+        ((complex(math.nan, 0.0), 1.0), {}, "center"),
+        ((complex(0.0, math.inf), 1.0), {}, "center"),
+        ((0j, 1.0), {"orientation": 0}, "orientation"),
+        ((0j, 1.0), {"orientation": 2}, "orientation"),
+    ])
+    def test_degenerate_circle_rejected(self, args, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            Circle(*args, **kwargs)
+
+    @pytest.mark.parametrize("vertices, match", [
+        ((), "3 vertices"),
+        ((1j,), "3 vertices"),
+        ((0, 1), "3 vertices"),
+        ((0, 1, complex(math.nan, 0.0)), "finite"),
+        ((0, 1, complex(1.0, math.inf), 1j), "finite"),
+    ])
+    def test_degenerate_polygon_rejected(self, vertices, match):
+        with pytest.raises(ValueError, match=match):
+            Polygon(vertices)
+
 
 class TestClosedFormFlows:
     def test_constant(self):

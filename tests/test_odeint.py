@@ -19,6 +19,7 @@ from holoflow.odeint import (
     integrate,
     return_map,
     return_map_derivative,
+    return_map_outcome,
     trace_separatrix,
 )
 from holoflow.classify import infinity_equilibria
@@ -50,6 +51,13 @@ def _reference_quadratic_pair():
     a2m_lead = -4 + 1j * (-1 + S33) / (-19 + 3 * S33)
     lower = anti_holomorphic([-3 + 1j, -(1 - 1j), a2m_lead])
     upper = anti_holomorphic([0.5 * (2 + 1j), 0.5 * (4 + 3j), 0.5 * (6 + 1j)])
+    return PiecewiseSpec(upper, lower)
+
+
+def _non_finite_quadratic_pair():
+    """A quadratic pair whose upper side has an infinite coefficient."""
+    upper = anti_holomorphic([0.1, 0.2j, complex(0.5, math.inf)])
+    lower = anti_holomorphic([-0.1, 0.3, 0.5 + 0.5j])
     return PiecewiseSpec(upper, lower)
 
 
@@ -204,6 +212,23 @@ class TestReturnMap:
         lo = pw.lower.planar(2.0, 0.0)[1]
         assert up * lo < 0
         assert return_map(pw, 2.0) is None
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, -0.5, 2.0])
+    def test_non_finite_field_is_not_entering(self, x):
+        # the upper vertical velocity is NaN: no warning, and no NaN
+        # field is integrated
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            outcome = return_map_outcome(_non_finite_quadratic_pair(), x)
+        assert outcome == (Outcome.NOT_ENTERING, None)
+
+    def test_infinite_velocity_is_not_entering(self):
+        # both fields point up, the upper one at infinite speed: a
+        # tangency, not a crossing whose orbit steps until it underflows
+        pw = PiecewiseSpec(anti_holomorphic([complex(0.0, -math.inf), 1.0]),
+                           anti_holomorphic([-1j, 1.0]))
+        assert pw.upper.planar(0.5, 0.0)[1] == math.inf
+        assert return_map_outcome(pw, 0.5) == (Outcome.NOT_ENTERING, None)
 
 
 class TestSeparatrices:
@@ -360,6 +385,56 @@ class TestStepper:
         field = lambda z: 1j if z.imag == 0 else complex("nan")  # noqa: E731
         assert half_return(field, 0.0, Side.UPPER) is None
         assert half_return_outcome(field, 0.0, Side.UPPER) == (Outcome.UNDERFLOW, None)
+
+
+def _bits(v):
+    """The bytes of a complex, so that NaN and the sign of zero count."""
+    return np.complex128(v).tobytes()
+
+
+# points with signed zeros, infinite parts and moduli that overflow
+_EDGE_POINTS = (0j, -0j, complex(math.inf, 0.0), complex(-math.inf, 1.0),
+                complex(0.0, math.inf), complex(1.0, -math.inf), complex(1e300, 1e300),
+                complex(-1e200, 3e200), complex(1e-300, -1e-320))
+
+
+class TestScalarField:
+    """``SystemSpec.scalar_field`` is ``velocity`` bit for bit. These
+    checks compare the two paths on the same machine, so unlike the
+    float.hex goldens they hold with or without a fused multiply."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(coeffs=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=7),
+           z0=st.complex_numbers(max_magnitude=2.0),
+           make=st.sampled_from([holomorphic, anti_holomorphic]),
+           t_end=st.sampled_from([1.0, -1.0]))
+    def test_integrate_matches_velocity(self, coeffs, z0, make, t_end):
+        spec = make(coeffs)
+        try:
+            fast = integrate(spec, z0, t_end)
+        except StepUnderflow:
+            with pytest.raises(StepUnderflow):
+                integrate(spec.velocity, z0, t_end)
+            return
+        slow = integrate(spec.velocity, z0, t_end)
+        assert fast.terminal is slow.terminal
+        assert fast.samples.tobytes() == slow.samples.tobytes()
+        # the field lives for the one call; nothing is cached on the spec
+        assert set(vars(spec)) == {"kind", "p"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.lists(st.complex_numbers(allow_nan=False), min_size=1, max_size=7),
+           points=st.lists(st.complex_numbers(allow_nan=False), max_size=8),
+           make=st.sampled_from([holomorphic, anti_holomorphic]))
+    def test_field_matches_velocity(self, coeffs, points, make):
+        spec = make(coeffs)
+        field = spec.scalar_field()
+        with np.errstate(all="ignore"):
+            for z in points + list(_EDGE_POINTS):
+                fast, slow = field(z), spec.velocity(z)
+                assert type(fast) is complex
+                assert _bits(fast) == _bits(slow)
 
 
 def _focus_side(z_e, lam, others):

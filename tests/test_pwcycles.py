@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from holoflow.pwcycles import (
     Stability,
     Verified,
     candidate_bound,
+    crossing_pair_polynomial,
     crossing_transversality,
     mixed_linear_pair,
     solve_antiholo_pair,
@@ -63,6 +65,12 @@ def reference_quadratic_pair():
     return PiecewiseSpec(upper, lower)
 
 
+def non_finite_quadratic_pair():
+    upper = anti_holomorphic([0.1, 0.2j, complex(0.5, math.inf)])
+    lower = anti_holomorphic([-0.1, 0.3, 0.5 + 0.5j])
+    return PiecewiseSpec(upper, lower)
+
+
 def period_annulus_spec():
     return MixedLinearSpec(a1=2, a2=1, b1=5, b2=-10, a=0, b=-1, x0=10)
 
@@ -89,6 +97,15 @@ class TestCrossingTransversality:
         kinds = [crossing_transversality(spec, x)
                  for x in np.linspace(-0.8, -0.05, 20)]
         assert Crossing.SLIDING in kinds
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, -0.5, 2.0])
+    def test_non_finite_velocity_is_tangent(self, x):
+        # the upper vertical velocity is NaN, which must not read as
+        # "crossing down", and reading it must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            crossing = crossing_transversality(non_finite_quadratic_pair(), x)
+        assert crossing is Crossing.TANGENT
 
 
 class TestMixedLinear:
@@ -450,6 +467,15 @@ class TestAntiholoPair:
         sides = {"upper": pw.upper, "lower": pw.lower, side: anti_holomorphic(coeffs)}
         with pytest.raises(NonConvergence):
             solve_antiholo_pair(PiecewiseSpec(sides["upper"], sides["lower"]))
+
+    def test_non_finite_crossing_pair_polynomial_raises(self):
+        # checked before the primitive is built, so nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonConvergence):
+                crossing_pair_polynomial(non_finite_quadratic_pair().upper)
+            with pytest.raises(NonConvergence):
+                solve_antiholo_pair(non_finite_quadratic_pair())
 
     def test_degree_four_runs_without_bound(self):
         rng = np.random.default_rng(113)
