@@ -47,10 +47,6 @@ class SystemSpec:
         and drop it afterwards; nothing is cached on the instance."""
         coeffs = self.p.coeffs
         conj = self.kind is SystemKind.ANTI_HOLOMORPHIC
-        if len(coeffs) == 1:
-            v = complex(coeffs[0])
-            v = v.conjugate() if conj else v
-            return lambda z: v
         top, rest = coeffs[-1], tuple(coeffs[-2::-1])
         horner = cpoly._horner
         if conj:

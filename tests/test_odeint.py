@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from holoflow import cpoly, odeint, pwcycles
@@ -427,6 +427,9 @@ class TestScalarField:
     @given(coeffs=st.lists(st.complex_numbers(allow_nan=False), min_size=1, max_size=7),
            points=st.lists(st.complex_numbers(allow_nan=False), max_size=8),
            make=st.sampled_from([holomorphic, anti_holomorphic]))
+    # degree 0 goes through the same loop with no products
+    @example(coeffs=[0.5 - 2j], points=[1j], make=holomorphic)
+    @example(coeffs=[complex(-0.0, 0.0)], points=[1j], make=anti_holomorphic)
     def test_field_matches_velocity(self, coeffs, points, make):
         spec = make(coeffs)
         field = spec.scalar_field()
