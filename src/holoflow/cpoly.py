@@ -21,7 +21,7 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-10
-DEFAULT_CLUSTER_TOL = 1e-6
+CLUSTER_TOL = 1e-6
 
 
 class CPoly:
@@ -98,39 +98,6 @@ class CPoly:
             raise ValueError("polynomial has non-real coefficients")
         return self.coeffs.real.copy()
 
-    # -- arithmetic helpers (used by expansion, Sturm chains, tests) --
-
-    def _lifted(self, other):
-        if isinstance(other, CPoly):
-            return other
-        return CPoly([other])
-
-    def __add__(self, other):
-        other = self._lifted(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n, dtype=complex)
-        a[: len(self.coeffs)] += self.coeffs
-        a[: len(other.coeffs)] += other.coeffs
-        return CPoly(a)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CPoly(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-self._lifted(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, CPoly):
-            return CPoly(np.convolve(self.coeffs, other.coeffs))
-        return CPoly(self.coeffs * complex(other))
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return isinstance(other, CPoly) and np.array_equal(self.coeffs, other.coeffs)
 
@@ -171,10 +138,10 @@ class RootSet:
         return len(self.roots)
 
 
-def _approx_roots(coeffs, tol):
+def _approx_roots(coeffs):
     """All roots of the ascending coefficients as companion-matrix
     eigenvalues (LAPACK's real path for real coefficients), accepted
-    only if every scaled residual meets tol."""
+    only if every scaled residual meets DEFAULT_TOL."""
     n = len(coeffs) - 1
     c = coeffs.real if not coeffs.imag.any() else coeffs
     try:
@@ -182,16 +149,16 @@ def _approx_roots(coeffs, tol):
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"companion eigenvalues failed: {exc}") from None
     scale = float(np.max(np.abs(coeffs))) * np.maximum(1.0, np.abs(x)) ** n
-    if len(x) == n and np.all(np.abs(CPoly(coeffs)(x)) <= tol * scale):
+    if len(x) == n and np.all(np.abs(CPoly(coeffs)(x)) <= DEFAULT_TOL * scale):
         return x
-    raise NonConvergence(f"companion eigenvalues do not meet tol={tol:g}")
+    raise NonConvergence(f"companion eigenvalues do not meet tol={DEFAULT_TOL:g}")
 
 
-def _cluster(points, cluster_tol):
+def _cluster(points):
     """Greedy merge of approximate roots into multiplicity clusters.
 
     Two clusters merge when their centers lie within
-    cluster_tol**(1/m) * max(1, |center|) of each other, m being the
+    CLUSTER_TOL**(1/m) * max(1, |center|) of each other, m being the
     combined size: multiple roots of multiplicity m are resolved by the
     eigenvalue solve only to a radius on that order.
     """
@@ -205,7 +172,7 @@ def _cluster(points, cluster_tol):
                 zi = np.mean(ci)
                 zj = np.mean(cj)
                 m = len(ci) + len(cj)
-                radius = cluster_tol ** (1.0 / m) * max(1.0, abs(zi), abs(zj))
+                radius = CLUSTER_TOL ** (1.0 / m) * max(1.0, abs(zi), abs(zj))
                 if abs(zi - zj) <= radius:
                     clusters[i] = ci + cj
                     del clusters[j]
@@ -216,7 +183,7 @@ def _cluster(points, cluster_tol):
     return [(complex(np.mean(c)), len(c)) for c in clusters]
 
 
-def roots(p: CPoly, tol=DEFAULT_TOL, cluster_tol=DEFAULT_CLUSTER_TOL) -> RootSet:
+def roots(p: CPoly) -> RootSet:
     """All complex roots of p with multiplicities.
 
     Raises NonConvergence if the eigenvalue solve fails or its roots
@@ -224,39 +191,25 @@ def roots(p: CPoly, tol=DEFAULT_TOL, cluster_tol=DEFAULT_CLUSTER_TOL) -> RootSet
     """
     if p.degree < 1:
         raise ValueError("roots() requires degree >= 1")
-    approx = _approx_roots(p.coeffs, tol)
-    clustered = _cluster(list(approx), cluster_tol)
-    dp = p.derivative()
+    derivatives = [p]
     refined = []
-    for z0, m in clustered:
-        if m == 1:
-            # Newton polish to full precision
-            z = z0
-            for _ in range(3):
-                dv = dp(z)
-                if dv == 0:
-                    break
-                step = p(z) / dv
-                z = z - step
-                if abs(step) <= 1e-16 * (1.0 + abs(z)):
-                    break
-            if abs(z - z0) < cluster_tol * max(1.0, abs(z0)):
-                z0 = z
-        if m > 1:
-            # an m-fold root of p is a simple root of the (m-1)-th
-            # derivative: polish the cluster mean with Newton there
-            q = p
-            for _ in range(m - 1):
-                q = q.derivative()
-            dq = q.derivative()
-            z = z0
-            for _ in range(3):
-                dv = dq(z)
-                if dv == 0:
-                    break
-                z = z - q(z) / dv
-            if abs(z - z0) < cluster_tol ** (1.0 / m) * max(1.0, abs(z0)):
-                z0 = z
+    for z0, m in _cluster(list(_approx_roots(p.coeffs))):
+        # an m-fold root of p is a simple root of the (m-1)-th
+        # derivative q: polish the cluster mean with Newton on q
+        while len(derivatives) <= m:
+            derivatives.append(derivatives[-1].derivative())
+        q, dq = derivatives[m - 1], derivatives[m]
+        z = z0
+        for _ in range(3):
+            dv = dq(z)
+            if dv == 0:
+                break
+            step = q(z) / dv
+            z = z - step
+            if abs(step) <= 1e-16 * (1.0 + abs(z)):
+                break
+        if abs(z - z0) < CLUSTER_TOL ** (1.0 / m) * max(1.0, abs(z0)):
+            z0 = z
         refined.append((z0, m))
     refined.sort(key=lambda t: (t[0].real, t[0].imag))
     return RootSet(tuple(refined))
@@ -322,7 +275,7 @@ def _sign_changes(chain, x):
     return count
 
 
-def real_roots(r: CPoly, interval=None, tol=DEFAULT_TOL):
+def real_roots(r: CPoly, tol=DEFAULT_TOL):
     """All distinct real roots of a real-coefficient polynomial, sorted.
 
     Counting uses a Sturm sequence (exact distinct-root counts even in
@@ -341,15 +294,9 @@ def real_roots(r: CPoly, interval=None, tol=DEFAULT_TOL):
     chain = _sturm_chain(c)
     lead = c[-1]
     bound = 1.0 + float(np.max(np.abs(c[:-1] / lead)))
-    if interval is None:
-        lo, hi = -bound, bound
-    else:
-        lo, hi = float(interval[0]), float(interval[1])
-        lo, hi = max(lo, -bound), min(hi, bound)
-        if lo >= hi:
-            return np.array([])
+    lo, hi = -bound, bound
     # nudge endpoints off possible roots; Sturm counts roots in (lo, hi]
-    eps = 1e-12 * max(1.0, abs(lo), abs(hi))
+    eps = 1e-12 * bound
     while _eval_real(c, lo) == 0.0:
         lo -= eps
         eps *= 2

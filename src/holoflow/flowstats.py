@@ -18,11 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cpoly import CPoly
 from .errors import AtPole, DomainViolation, FieldSingularOnCurve
 from .odeint import IntegratorConfig, DEFAULT_CONFIG, integrate
 from .potential import PotentialRep, SystemKind, SystemSpec, eval_potential
 
 DEFAULT_NODES = 4096
+N_TRACK = 64
 
 
 @dataclass(frozen=True)
@@ -170,11 +172,11 @@ def _tracked_power(w_path, exponent_denominator, start):
     return current
 
 
-def closed_form_flow(flow: ClosedFormFlow, z0: complex, T: complex, n_track=64) -> complex:
+def closed_form_flow(flow: ClosedFormFlow, z0: complex, T: complex) -> complex:
     """Evaluate the closed-form solution z(T) with z(0) = z0.
 
     Square roots and fractional powers are tracked for continuity along
-    the straight path from 0 to T in n_track increments. Raises
+    the straight path from 0 to T in N_TRACK increments. Raises
     DomainViolation at blow-up times and excluded initial conditions.
     """
     z0 = complex(z0)
@@ -194,7 +196,7 @@ def closed_form_flow(flow: ClosedFormFlow, z0: complex, T: complex, n_track=64) 
     if kind is FlowKind.RECIPROCAL:
         if z0 == 0:
             raise DomainViolation("reciprocal flow undefined at z0 = 0")
-        ts = np.linspace(0.0, 1.0, n_track + 1)
+        ts = np.linspace(0.0, 1.0, N_TRACK + 1)
         w_path = z0 * z0 + 2.0 * ts * T
         return _tracked_power(w_path, 2, z0)
     # Bernoulli
@@ -207,7 +209,7 @@ def closed_form_flow(flow: ClosedFormFlow, z0: complex, T: complex, n_track=64) 
         return 0j  # equilibrium at the origin
     w0 = z0 ** (1 - n)
     fixed = be / al
-    ts = np.linspace(0.0, 1.0, n_track + 1)
+    ts = np.linspace(0.0, 1.0, N_TRACK + 1)
     w_path = fixed + (w0 - fixed) * np.exp((n - 1) * al * ts * T)
     if n == 2:
         if w_path[-1] == 0:
@@ -230,7 +232,7 @@ def complex_time_invariants(spec: SystemSpec, rep: PotentialRep, z0: complex,
         raise ValueError("complex-time flows are defined for holomorphic specs")
     w0 = eval_potential(rep, z0)
     real_traj = integrate(spec, z0, duration, cfg)
-    imag_spec = SystemSpec(SystemKind.HOLOMORPHIC, 1j * spec.p)
+    imag_spec = SystemSpec(SystemKind.HOLOMORPHIC, CPoly(1j * spec.p.coeffs))
     imag_traj = integrate(imag_spec, z0, duration, cfg)
     w_real = eval_potential(rep, real_traj.points)
     w_imag = eval_potential(rep, imag_traj.points)

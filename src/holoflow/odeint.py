@@ -57,6 +57,7 @@ from .errors import NonConvergence, NotEntering, StepUnderflow
 from .potential import SystemKind, SystemSpec
 
 BLOWUP_RADIUS = 1e12
+MAX_TIME = 1e6
 
 # Dormand-Prince RK5(4)7M tableau; the fields are autonomous, so the
 # nodes c_i are not needed
@@ -88,7 +89,6 @@ _THETAS = tuple(k / 8 for k in range(1, 9))
 
 class Terminal(enum.Enum):
     TIME_REACHED = "time_reached"
-    EVENT_HIT = "event_hit"
     BLOWUP = "blowup"
     STEP_LIMIT = "step_limit"
 
@@ -97,18 +97,15 @@ class Terminal(enum.Enum):
 class IntegratorConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-9
-    max_step: float = np.inf
     max_steps: int = 1_000_000
     event_tol: float = 1e-12
 
     def __post_init__(self):
         # the step control and the certificate margins read the
-        # tolerances, so NaN and inf are rejected; max_step may be inf
+        # tolerances, so NaN and inf are rejected
         for name in ("rel_tol", "abs_tol", "event_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
         # range(max_steps) needs an int: 2.5 and 1e6 are rejected here
         if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
             raise ValueError("max_steps must be an integer of at least 1")
@@ -123,7 +120,6 @@ class Trajectory:
 
     samples: np.ndarray
     terminal: Terminal
-    x_event: float | None = None
 
     @property
     def times(self):
@@ -167,7 +163,7 @@ class _Dopri5:
         v = abs(self.k1)
         scale = cfg.abs_tol + cfg.rel_tol * abs(z0)
         h = 0.01 * scale ** 0.2 / max(v, 1e-8) ** 0.2 if v > 0 else 1e-3
-        self.h = min(h, cfg.max_step, 1.0)
+        self.h = min(h, 1.0)
         self._dense = None
 
     def step(self, t_limit=None):
@@ -206,7 +202,7 @@ class _Dopri5:
                 continue
             if err_norm <= 1.0 or h <= 1e-14 * max(1.0, abs(t)):
                 factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
-                self.h = min(h * min(max(factor, 0.2), 5.0), cfg.max_step)
+                self.h = h * min(max(factor, 0.2), 5.0)
                 delta = z_new - z
                 r3 = hs * k1 - delta
                 self._dense = (
@@ -274,7 +270,7 @@ class Outcome(enum.Enum):
     ESCAPED = "escaped"
     TRAPPED = "trapped"            # entered a certified trap disc
     STEP_LIMIT = "step_limit"      # cfg.max_steps accepted steps
-    T_MAX = "t_max"
+    T_MAX = "t_max"                # not landed by time MAX_TIME
     UNDERFLOW = "underflow"        # StepUnderflow
 
 
@@ -466,7 +462,7 @@ def _certificate(spec, s, cfg):
 
 
 def half_return_outcome(spec, x_start, side: Side,
-                        cfg: IntegratorConfig = DEFAULT_CONFIG, t_max=1e6):
+                        cfg: IntegratorConfig = DEFAULT_CONFIG):
     """(Outcome, landing abscissa or None) of the orbit through
     (x_start, 0) over one excursion into the requested half-plane; the
     core of ``half_return``, which documents the search."""
@@ -481,7 +477,7 @@ def half_return_outcome(spec, x_start, side: Side,
         st = _Dopri5(f, 0.0, z0, 1.0, cfg)
         armed = False
         for _ in range(cfg.max_steps):
-            if st.t > t_max:
+            if st.t > MAX_TIME:
                 return Outcome.T_MAX, None
             try:
                 st.step()
@@ -517,8 +513,7 @@ def half_return_outcome(spec, x_start, side: Side,
     return Outcome.STEP_LIMIT, None
 
 
-def half_return(spec, x_start, side: Side, cfg: IntegratorConfig = DEFAULT_CONFIG,
-                t_max=1e6):
+def half_return(spec, x_start, side: Side, cfg: IntegratorConfig = DEFAULT_CONFIG):
     """Landing abscissa of the orbit through (x_start, 0) after one
     excursion into the requested half-plane, or None if it escapes, is
     trapped, or runs out of steps, time or step size.
@@ -528,14 +523,14 @@ def half_return(spec, x_start, side: Side, cfg: IntegratorConfig = DEFAULT_CONFI
     output until |Im z| <= event_tol. ``half_return_outcome`` also
     returns the reason.
     """
-    outcome, x = half_return_outcome(spec, x_start, side, cfg, t_max)
+    outcome, x = half_return_outcome(spec, x_start, side, cfg)
     if outcome is Outcome.NOT_ENTERING:
         raise NotEntering(
             f"field does not enter the {side.name.lower()} half-plane at x={x_start}")
     return x
 
 
-def return_map_outcome(spec, x_start, cfg: IntegratorConfig = DEFAULT_CONFIG, t_max=1e6):
+def return_map_outcome(spec, x_start, cfg: IntegratorConfig = DEFAULT_CONFIG):
     """(Outcome, full return or None): the core of ``return_map``. The
     outcome is NOT_ENTERING when the two fields do not cross Sigma in
     the same direction at x_start, or either vertical velocity there is
@@ -552,20 +547,20 @@ def return_map_outcome(spec, x_start, cfg: IntegratorConfig = DEFAULT_CONFIG, t_
         first, second = (spec.upper, Side.UPPER), (spec.lower, Side.LOWER)
     else:
         first, second = (spec.lower, Side.LOWER), (spec.upper, Side.UPPER)
-    outcome, mid = half_return_outcome(first[0], x_start, first[1], cfg, t_max)
+    outcome, mid = half_return_outcome(first[0], x_start, first[1], cfg)
     if mid is None:
         return outcome, None
-    return half_return_outcome(second[0], mid, second[1], cfg, t_max)
+    return half_return_outcome(second[0], mid, second[1], cfg)
 
 
-def return_map(spec, x_start, cfg: IntegratorConfig = DEFAULT_CONFIG, t_max=1e6):
+def return_map(spec, x_start, cfg: IntegratorConfig = DEFAULT_CONFIG):
     """Full Poincare return to Sigma = {Im z = 0} for a piecewise spec
     (any object with .upper/.lower SystemSpec attributes).
 
     Returns None unless both fields cross Sigma in the same direction at
     x_start (Filippov crossing) and both half-returns land;
     ``return_map_outcome`` also returns the reason."""
-    return return_map_outcome(spec, x_start, cfg, t_max)[1]
+    return return_map_outcome(spec, x_start, cfg)[1]
 
 
 def return_map_derivative(spec, x, cfg: IntegratorConfig = DEFAULT_CONFIG, h=None):

@@ -153,7 +153,7 @@ def _series_product(a, b, order):
     return out
 
 
-def partial_fraction_primitive(num: CPoly, den: CPoly, tol=1e-10) -> PotentialRep:
+def partial_fraction_primitive(num: CPoly, den: CPoly) -> PotentialRep:
     """Primitive of num/den (deg num < deg den) as log + rational terms.
 
     The expansion coefficient of 1/(z - z_j)**m is read off the Taylor
@@ -163,7 +163,7 @@ def partial_fraction_primitive(num: CPoly, den: CPoly, tol=1e-10) -> PotentialRe
         raise ZeroPolynomial("denominator is identically zero")
     if num.degree >= den.degree:
         raise ValueError("partial fractions require deg num < deg den")
-    root_set = cpoly.roots(den, tol=tol)
+    root_set = cpoly.roots(den)
     logs = []
     rats = []
     for z_j, m in root_set:
@@ -187,7 +187,7 @@ def partial_fraction_primitive(num: CPoly, den: CPoly, tol=1e-10) -> PotentialRe
     return PotentialRep(CPoly([0.0]), tuple(logs), tuple(rats))
 
 
-def build_potential(spec: SystemSpec, tol=1e-10) -> PotentialRep:
+def build_potential(spec: SystemSpec) -> PotentialRep:
     """Potential of the system: primitive of p (anti-holomorphic case,
     purely polynomial) or of 1/p (holomorphic case, partial fractions).
     """
@@ -197,7 +197,7 @@ def build_potential(spec: SystemSpec, tol=1e-10) -> PotentialRep:
         return PotentialRep(spec.p.antiderivative())
     if spec.p.degree == 0:
         return PotentialRep(CPoly([0.0, 1.0 / spec.p.coeffs[0]]))
-    return partial_fraction_primitive(CPoly([1.0]), spec.p, tol=tol)
+    return partial_fraction_primitive(CPoly([1.0]), spec.p)
 
 
 def eval_potential(rep: PotentialRep, z):

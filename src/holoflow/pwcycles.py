@@ -508,10 +508,7 @@ def candidate_bound(spec: PiecewiseSpec):
 
 
 def _univariate_real_roots(ascending, tol):
-    c = cpoly._trim_real(np.asarray(ascending, dtype=float))
-    if len(c) == 1:
-        return []
     try:
-        return list(cpoly.real_roots(CPoly(c.astype(complex)), tol=tol))
+        return list(cpoly.real_roots(CPoly(ascending), tol=tol))
     except IdenticallyZero:
         return []

@@ -17,6 +17,8 @@ import numpy as np
 
 from .potential import PotentialRep, SystemSpec, build_potential, eval_potential
 
+SVG_WIDTH, SVG_HEIGHT = 640, 480
+
 
 @dataclass(frozen=True)
 class Window:
@@ -127,12 +129,12 @@ def default_levels(values, count):
     return list(np.linspace(lo, hi, count + 2)[1:-1])
 
 
-def svg_document(segment_groups, window: Window, width=640, height=480):
+def svg_document(segment_groups, window: Window):
     """SVG 1.1 document with one polyline group per contour level.
 
     Deterministic: output depends only on the inputs."""
-    sx = width / (window.x_max - window.x_min)
-    sy = height / (window.y_max - window.y_min)
+    sx = SVG_WIDTH / (window.x_max - window.x_min)
+    sy = SVG_HEIGHT / (window.y_max - window.y_min)
 
     def to_px(pt):
         return ((pt[0] - window.x_min) * sx, (window.y_max - pt[1]) * sy)
@@ -141,8 +143,8 @@ def svg_document(segment_groups, window: Window, width=640, height=480):
     out.write(
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n'
+        f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">\n'
     )
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
     for gi, (label, segments) in enumerate(segment_groups):
