@@ -22,6 +22,7 @@ from .errors import (
 
 DEFAULT_TOL = 1e-10
 CLUSTER_TOL = 1e-6
+REAL_TOL = 1e-12
 
 
 class CPoly:
@@ -91,10 +92,11 @@ class CPoly:
         k = np.arange(1, self.degree + 2)
         return CPoly(np.concatenate([[0.0], self.coeffs / k]))
 
-    def real_coeffs(self, tol=1e-12):
-        """Coefficients as floats; raises if any imaginary part is material."""
+    def real_coeffs(self):
+        """Coefficients as floats; raises if any imaginary part exceeds
+        REAL_TOL relative to the largest coefficient (or to 1)."""
         scale = max(1.0, float(np.max(np.abs(self.coeffs))))
-        if np.max(np.abs(self.coeffs.imag)) > tol * scale:
+        if np.max(np.abs(self.coeffs.imag)) > REAL_TOL * scale:
             raise ValueError("polynomial has non-real coefficients")
         return self.coeffs.real.copy()
 
@@ -124,12 +126,6 @@ class RootSet:
     """Roots with multiplicities; multiplicities sum to the source degree."""
 
     roots: tuple  # of (location: complex, multiplicity: int)
-
-    def total_multiplicity(self):
-        return sum(m for _, m in self.roots)
-
-    def locations(self):
-        return [z for z, _ in self.roots]
 
     def __iter__(self):
         return iter(self.roots)
@@ -263,10 +259,15 @@ def _sturm_chain(c):
 
 
 def _sign_changes(chain, x):
+    """Sign changes of the Sturm chain, descending float lists, at x.
+    The hottest loop of real_roots: it runs _eval_real's Horner loop
+    inline, which saves a call per chain member."""
     prev = 0
     count = 0
     for c in chain:
-        v = _eval_real(c, x)
+        v = 0.0
+        for ck in c:
+            v = v * x + ck
         s = 0 if v == 0.0 else (1 if v > 0 else -1)
         if s != 0:
             if prev != 0 and s != prev:
@@ -280,9 +281,13 @@ def real_roots(r: CPoly, tol=DEFAULT_TOL):
 
     Counting uses a Sturm sequence (exact distinct-root counts even in
     the presence of multiple roots), then each isolated root is refined
-    by count-preserving bisection and Newton polish. Raises
-    IdenticallyZero for the zero polynomial and NonConvergence for a
-    coefficient that is not finite.
+    by count-preserving bisection and Newton polish. The chain, the
+    polynomial and its derivative are turned into descending Python
+    float lists once per call, and every evaluation runs Horner on
+    those lists: the same IEEE double operations, in the same order, as
+    on the arrays, so no root moves. Raises IdenticallyZero for the
+    zero polynomial and NonConvergence for a coefficient that is not
+    finite.
     """
     if not all(map(cmath.isfinite, r.coeffs.tolist())):
         raise NonConvergence("real_roots needs finite coefficients")
@@ -291,13 +296,15 @@ def real_roots(r: CPoly, tol=DEFAULT_TOL):
         if c[0] == 0.0:
             raise IdenticallyZero("zero polynomial has a continuum of roots")
         return np.array([])
-    chain = _sturm_chain(c)
+    chain = [ck[::-1].tolist() for ck in _sturm_chain(c)]
     lead = c[-1]
     bound = 1.0 + float(np.max(np.abs(c[:-1] / lead)))
+    poly = c[::-1].tolist()
+    deriv = (c[1:] * np.arange(1, len(c)))[::-1].tolist()
     lo, hi = -bound, bound
     # nudge endpoints off possible roots; Sturm counts roots in (lo, hi]
     eps = 1e-12 * bound
-    while _eval_real(c, lo) == 0.0:
+    while _eval_real(poly, lo) == 0.0:
         lo -= eps
         eps *= 2
     total = _sign_changes(chain, lo) - _sign_changes(chain, hi)
@@ -308,10 +315,10 @@ def real_roots(r: CPoly, tol=DEFAULT_TOL):
         if n == 0:
             continue
         if n == 1:
-            out.append(_refine_root(c, chain, a, b, tol))
+            out.append(_refine_root(poly, deriv, chain, a, b, tol))
             continue
         mid = 0.5 * (a + b)
-        while _eval_real(c, mid) == 0.0:
+        while _eval_real(poly, mid) == 0.0:
             mid += eps
         va = _sign_changes(chain, a)
         vm = _sign_changes(chain, mid)
@@ -322,15 +329,17 @@ def real_roots(r: CPoly, tol=DEFAULT_TOL):
 
 
 def _eval_real(c, x):
-    # Python floats: the same IEEE double arithmetic as numpy scalars,
-    # at a fraction of their cost
+    """Horner on descending Python floats: the same IEEE double
+    arithmetic as numpy scalars, at a fraction of their cost."""
     v = 0.0
-    for ck in c[::-1].tolist():
+    for ck in c:
         v = v * x + ck
     return v
 
 
-def _refine_root(c, chain, a, b, tol):
+def _refine_root(poly, deriv, chain, a, b, tol):
+    """The root in (a, b] of poly, descending float lists like deriv and
+    each member of chain."""
     # bisection on the Sturm count keeps working for even-multiplicity
     # roots, where the plain sign of the polynomial does not change
     va = _sign_changes(chain, a)
@@ -345,12 +354,11 @@ def _refine_root(c, chain, a, b, tol):
             a = mid
             va = vm
     x = 0.5 * (a + b)
-    dc = c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
     for _ in range(8):
-        fx = _eval_real(c, x)
+        fx = _eval_real(poly, x)
         if abs(fx) <= tol:
             break
-        dfx = _eval_real(dc, x)
+        dfx = _eval_real(deriv, x)
         if dfx == 0.0:
             break
         step = fx / dfx
@@ -370,7 +378,7 @@ class BivarSym:
     coeffs[i, j] multiplies x1**i * x2**j and equals coeffs[j, i].
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "x2_degree")
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=float)
@@ -382,14 +390,11 @@ class BivarSym:
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+        nz = np.nonzero(np.any(c != 0.0, axis=0))[0]
+        object.__setattr__(self, "x2_degree", int(nz[-1]) if len(nz) else 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("BivarSym is immutable")
-
-    @property
-    def x2_degree(self):
-        nz = np.nonzero(np.any(self.coeffs != 0.0, axis=0))[0]
-        return int(nz[-1]) if len(nz) else 0
 
     def x2_poly(self, x1):
         """Ascending coefficients in x2 at numeric x1."""
@@ -433,15 +438,16 @@ def divided_difference(q) -> BivarSym:
     return BivarSym(c)
 
 
-def _sylvester_matrix(ap, am):
-    """Sylvester matrix for ascending coefficient rows ap (deg dp) and am."""
-    dp, dm = len(ap) - 1, len(am) - 1
-    n = dp + dm
-    s = np.zeros((n, n))
+def _sylvester_matrices(ap, am):
+    """Stacked Sylvester matrices, one per row of ap (n, dp + 1) and
+    am (n, dm + 1), each row ascending coefficients in x2."""
+    dp, dm = ap.shape[1] - 1, am.shape[1] - 1
+    size = dp + dm
+    s = np.zeros((len(ap), size, size))
     for r in range(dm):
-        s[r, r : r + dp + 1] = ap[::-1]
+        s[:, r, r : r + dp + 1] = ap[:, ::-1]
     for r in range(dp):
-        s[dm + r, r : r + dm + 1] = am[::-1]
+        s[:, dm + r, r : r + dm + 1] = am[:, ::-1]
     return s
 
 
@@ -450,9 +456,13 @@ def resultant_x2(c_plus: BivarSym, c_minus: BivarSym) -> CPoly:
     polynomial in x1.
 
     The Sylvester determinant is evaluated at Chebyshev sample points
-    (LU with partial pivoting) and the coefficients recovered by solving
-    the Vandermonde system; noise below 1e-10 of the largest coefficient
-    is trimmed.
+    (LU with partial pivoting, one ``np.linalg.det`` over the stack of
+    matrices, which factors each matrix as a call per matrix would) and
+    the coefficients recovered by solving the Vandermonde system; noise
+    below 1e-10 of the largest coefficient is trimmed. The x2
+    coefficients are computed one sample point at a time: a single
+    matmul over all points may sum in another order and move the last
+    bit.
     """
     dp, dm = c_plus.x2_degree, c_minus.x2_degree
     if dp == 0 or dm == 0:
@@ -466,10 +476,8 @@ def resultant_x2(c_plus: BivarSym, c_minus: BivarSym) -> CPoly:
     deg_bound = d1p * dm + d1m * dp
     n = deg_bound + 1
     xs = 2.0 * np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
-    vals = np.empty(n)
-    for i, x in enumerate(xs):
-        s = _sylvester_matrix(c_plus.x2_poly(x), c_minus.x2_poly(x))
-        vals[i] = np.linalg.det(s)
+    vals = np.linalg.det(_sylvester_matrices(np.array([c_plus.x2_poly(x) for x in xs]),
+                                             np.array([c_minus.x2_poly(x) for x in xs])))
     vander = np.vander(xs, n, increasing=True)
     coef = np.linalg.solve(vander, vals)
     scale = np.max(np.abs(coef))

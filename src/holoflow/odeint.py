@@ -39,6 +39,16 @@ into ``SystemSpec.scalar_field()``, which reads the coefficients when it
 is built and then runs only the Horner loop that ``CPoly.__call__``
 shares (``cpoly._horner``). So every RHS value is the float that
 ``SystemSpec.velocity`` gives, without that method's per-call overhead.
+
+A half-return looks for the landing by scanning each step's dense output
+at the fractions _THETAS. Most steps of an excursion stay far from the
+axis, and there the scan can only arm the search. So a step whose dense
+coefficients bound every sample the scan would compute beyond the arming
+level, on the excursion's side, skips the scan (``_clear_of_axis``); the
+bound covers the rounding of the samples themselves, so no landing and
+no outcome changes. A ``SystemSpec`` start where the field is tangent to
+the axis under ``SystemSpec.crossing_sign``, the rule the solvers'
+``pwcycles.crossing_transversality`` applies, does not enter.
 """
 
 from __future__ import annotations
@@ -131,15 +141,6 @@ class Trajectory:
 
     def end_point(self):
         return complex(self.samples[-1, 1], self.samples[-1, 2])
-
-    def write_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "y"])
-            for t, x, y in self.samples:
-                writer.writerow([repr(float(t)), repr(float(x)), repr(float(y))])
 
 
 def _rhs(field):
@@ -461,17 +462,45 @@ def _certificate(spec, s, cfg):
     return trapped
 
 
+def _clear_of_axis(dense, s, level):
+    """True when every sample of the step's dense output that
+    ``_Dopri5.dense`` computes at a theta of _THETAS has s * Im z > level
+    (level > 0), so the crossing scan of that step can only arm.
+
+    With dense = (y0, r2, r3, r4, r5), Im z(theta) = Im y0 + theta (Im r2
+    + (1 - theta)(Im r3 + theta (Im r4 + (1 - theta) Im r5))). A float
+    multiplies a complex as float + 0i, so a real part reaches an
+    imaginary one only as 0 * Re, and theta and 1 - theta are exact
+    reals in [0, 1]. So |Im z - Im y0| <= reach = sum |Im r_k| up to
+    about ten roundings of 2^-53 each, which the margin
+    1e-14 (|Im y0| + reach) covers together with the roundings of this
+    test; 1e-300 covers the absolute error of products that underflow.
+    The real parts must sum below 1e300, so that no 0 * Re is
+    0 * inf = NaN; so an inf or NaN anywhere makes the test false."""
+    y0, r2, r3, r4, r5 = dense
+    yi = y0.imag
+    reach = abs(r2.imag) + abs(r3.imag) + abs(r4.imag) + abs(r5.imag)
+    return (s * yi - reach > level + 1e-14 * (abs(yi) + reach) + 1e-300
+            and abs(y0.real) + abs(r2.real) + abs(r3.real) + abs(r4.real)
+            + abs(r5.real) < 1e300)
+
+
 def half_return_outcome(spec, x_start, side: Side,
                         cfg: IntegratorConfig = DEFAULT_CONFIG):
     """(Outcome, landing abscissa or None) of the orbit through
     (x_start, 0) over one excursion into the requested half-plane; the
-    core of ``half_return``, which documents the search."""
+    core of ``half_return``, which documents the search. A SystemSpec
+    start that ``SystemSpec.crossing_sign`` calls tangent does not
+    enter."""
     f = _rhs(spec)
     z0 = complex(x_start, 0.0)
     s = float(side.value)
     armed_level = 10.0 * cfg.event_tol * max(1.0, abs(x_start))
     with np.errstate(over="ignore", invalid="ignore"):
-        if f(z0).imag * s <= 0:
+        v = f(z0).imag
+        if isinstance(spec, SystemSpec):
+            v = spec.crossing_sign(x_start, v)  # 0 at a tangency
+        if v * s <= 0:
             return Outcome.NOT_ENTERING, None
         doomed = _certificate(spec, s, cfg)
         st = _Dopri5(f, 0.0, z0, 1.0, cfg)
@@ -485,26 +514,29 @@ def half_return_outcome(spec, x_start, side: Side,
                 return Outcome.UNDERFLOW, None
             if abs(st.z) > BLOWUP_RADIUS:
                 return Outcome.ESCAPED, None
-            # scan the dense output for a sign change back across the axis
-            prev_th, prev_y = 0.0, st.dense(0.0).imag
-            for th in _THETAS:
-                yv = st.dense(th).imag
-                if not armed and abs(yv) > armed_level and yv * s > 0:
-                    armed = True
-                if armed and (yv * s < 0 or yv == 0.0):
-                    lo, hi = prev_th, th
-                    ylo = prev_y
-                    for _ in range(200):
-                        mid = 0.5 * (lo + hi)
-                        ym = st.dense(mid).imag
-                        if abs(ym) <= cfg.event_tol:
-                            return Outcome.LANDED, st.dense(mid).real
-                        if ym * ylo > 0:
-                            lo, ylo = mid, ym
-                        else:
-                            hi = mid
-                    return Outcome.LANDED, st.dense(0.5 * (lo + hi)).real
-                prev_th, prev_y = th, yv
+            if _clear_of_axis(st._dense, s, armed_level):
+                armed = True  # all the scan below would do
+            else:
+                # scan the dense output for a sign change back across the axis
+                prev_th, prev_y = 0.0, st.dense(0.0).imag
+                for th in _THETAS:
+                    yv = st.dense(th).imag
+                    if not armed and abs(yv) > armed_level and yv * s > 0:
+                        armed = True
+                    if armed and (yv * s < 0 or yv == 0.0):
+                        lo, hi = prev_th, th
+                        ylo = prev_y
+                        for _ in range(200):
+                            mid = 0.5 * (lo + hi)
+                            ym = st.dense(mid).imag
+                            if abs(ym) <= cfg.event_tol:
+                                return Outcome.LANDED, st.dense(mid).real
+                            if ym * ylo > 0:
+                                lo, ylo = mid, ym
+                            else:
+                                hi = mid
+                        return Outcome.LANDED, st.dense(0.5 * (lo + hi)).real
+                    prev_th, prev_y = th, yv
             # only a step that did not land may end in a certificate
             if doomed is not None:
                 outcome = doomed(st.z)
@@ -519,7 +551,8 @@ def half_return(spec, x_start, side: Side, cfg: IntegratorConfig = DEFAULT_CONFI
     trapped, or runs out of steps, time or step size.
 
     Raises NotEntering when the field at the start does not point into
-    the half-plane. The crossing is located by bisection on the dense
+    the half-plane, or is tangent to the axis there (see
+    ``SystemSpec.crossing_sign``). The crossing is located by bisection on the dense
     output until |Im z| <= event_tol. ``half_return_outcome`` also
     returns the reason.
     """

@@ -12,6 +12,7 @@ wdot = 1.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,11 @@ import numpy as np
 from . import cpoly
 from .cpoly import CPoly
 from .errors import AtPole, ExcludedExponent, UndefinedAtOrigin, ZeroPolynomial
+
+
+# a vertical velocity within this share of the largest term p can have
+# at a point of the axis reads as a tangency
+TANGENCY_TOL = 1e-12
 
 
 class SystemKind(enum.Enum):
@@ -47,7 +53,9 @@ class SystemSpec:
         and drop it afterwards; nothing is cached on the instance."""
         coeffs = self.p.coeffs
         conj = self.kind is SystemKind.ANTI_HOLOMORPHIC
-        top, rest = coeffs[-1], tuple(coeffs[-2::-1])
+        # a 0-d array, not a numpy scalar: np.multiply runs the same
+        # complex loop on it with less conversion overhead per call
+        top, rest = np.array(coeffs[-1]), tuple(coeffs[-2::-1])
         horner = cpoly._horner
         if conj:
             return lambda z: complex(horner(top, rest, z)).conjugate()
@@ -57,6 +65,27 @@ class SystemSpec:
         """(dx/dt, dy/dt); the anti-holomorphic field is (u, -v)."""
         v = self.velocity(np.asarray(x) + 1j * np.asarray(y))
         return v.real, v.imag
+
+    def crossing_sign(self, x, v):
+        """How the field meets the axis at the real point x, given its
+        vertical velocity v there: 1 into Im z > 0, -1 into Im z < 0,
+        and 0 for a tangency.
+
+        v reads as tangent when it is not finite or |v| <= TANGENCY_TOL *
+        max|c_k| * max(1, |x|)^deg, the size of the largest term p could
+        have at x; so does any v when that scale passes float range. The
+        solvers' Filippov classification and the oracle's half-return
+        entry check share this one rule."""
+        if not math.isfinite(v):
+            return 0  # a NaN would otherwise read as -1, "crossing down"
+        try:
+            scale = (float(np.max(np.abs(self.p.coeffs)))
+                     * max(1.0, abs(float(x))) ** self.p.degree)
+        except OverflowError:
+            return 0
+        if abs(v) <= TANGENCY_TOL * max(scale, 1e-300):
+            return 0
+        return 1 if v > 0 else -1
 
 
 def holomorphic(coeffs) -> SystemSpec:

@@ -99,22 +99,13 @@ def crossing_transversality(spec: PiecewiseSpec, x: float) -> Crossing:
     with np.errstate(over="ignore", invalid="ignore"):
         v_up = spec.upper.planar(x, 0.0)[1]
         v_lo = spec.lower.planar(x, 0.0)[1]
-    s_up = _tangency_sign(spec.upper, x, v_up)
-    s_lo = _tangency_sign(spec.lower, x, v_lo)
+    s_up = spec.upper.crossing_sign(x, v_up)
+    s_lo = spec.lower.crossing_sign(x, v_lo)
     if s_up == 0 or s_lo == 0:
         return Crossing.TANGENT
     if s_up != s_lo:
         return Crossing.SLIDING
     return Crossing.CROSSING_UP if s_up > 0 else Crossing.CROSSING_DOWN
-
-
-def _tangency_sign(spec: SystemSpec, x, v):
-    if not math.isfinite(v):
-        return 0  # a NaN would otherwise read as -1, "crossing down"
-    scale = float(np.max(np.abs(spec.p.coeffs))) * max(1.0, abs(x)) ** spec.p.degree
-    if abs(v) <= 1e-12 * max(scale, 1e-300):
-        return 0
-    return 1 if v > 0 else -1
 
 
 def _confirms(pw: PiecewiseSpec, x1, x2, cfg):
@@ -412,7 +403,7 @@ def _real_quadratic_roots(c0, c1, c2):
     return sorted(set(roots))
 
 
-def _bracket_bisect(g, left, right, tol, max_iter=200):
+def _bracket_bisect(g, left, right, tol):
     gl, gr = g(left), g(right)
     if gl == 0.0:
         return left
@@ -420,7 +411,7 @@ def _bracket_bisect(g, left, right, tol, max_iter=200):
         return right
     if math.copysign(1.0, gl) == math.copysign(1.0, gr):
         return None
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (left + right)
         gm = g(mid)
         if gm == 0.0 or right - left <= max(tol, 1e-14 * max(1.0, abs(mid))):

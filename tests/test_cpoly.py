@@ -6,13 +6,15 @@ import pytest
 from holoflow.cpoly import (
     BivarSym,
     CPoly,
-    _sylvester_matrix,
+    _sylvester_matrices,
     divided_difference,
     real_roots,
     resultant_x2,
     roots,
 )
+from holoflow import pwcycles
 from holoflow.errors import DegenerateLeadingCoefficient, IdenticallyZero, NonConvergence
+from holoflow.potential import anti_holomorphic
 
 S33 = math.sqrt(33.0)
 
@@ -119,7 +121,7 @@ class TestCalculus:
 class TestRoots:
     def test_three_simple(self):
         rs = roots(CPoly([0, -1, 0, 1]))
-        locs = sorted(rs.locations(), key=lambda z: z.real)
+        locs = sorted((z for z, _ in rs), key=lambda z: z.real)
         np.testing.assert_allclose(locs, [-1, 0, 1], atol=1e-10)
         assert all(m == 1 for _, m in rs)
 
@@ -148,7 +150,7 @@ class TestRoots:
                     mults.append(int(rng.integers(1, 4)))
             p = CPoly.from_roots([z for z, m in zip(locs, mults) for _ in range(m)])
             rs = roots(p)
-            assert rs.total_multiplicity() == p.degree
+            assert sum(m for _, m in rs) == p.degree
             for z, m in zip(locs, mults):
                 match = min(rs.roots, key=lambda t: abs(t[0] - z))
                 assert match[1] == m
@@ -360,7 +362,7 @@ class TestRealRoots:
 
 class TestSylvesterShape:
     def test_matrix_layout(self):
-        s = _sylvester_matrix(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0]))
+        s, = _sylvester_matrices(np.array([[1.0, 2.0, 3.0]]), np.array([[4.0, 5.0]]))
         # deg 2 and deg 1 -> 3x3
         expected = np.array([
             [3.0, 2.0, 1.0],
@@ -368,3 +370,82 @@ class TestSylvesterShape:
             [0.0, 5.0, 4.0],
         ])
         np.testing.assert_array_equal(s, expected)
+
+
+# LU determinant and solve of one Vandermonde matrix, as recorded with
+# the LAPACK (OpenBLAS) build whose bits the resultant goldens pin; a
+# build with other rounding gives other last bits
+_LAPACK_PROBE = np.vander(np.array([0.3, -1.1, 0.7, 2.0, -0.4]), 5, increasing=True)
+recorded_lapack = pytest.mark.skipif(
+    np.linalg.det(_LAPACK_PROBE).hex() != "0x1.1dde079729fbfp+3"
+    or [v.hex() for v in np.linalg.solve(_LAPACK_PROBE, np.arange(1.0, 6.0))] != [
+        "0x1.e6e21e77663f1p+0", "-0x1.7c13ad7d70043p+2", "0x1.029b7acbf1d05p+3",
+        "0x1.c2dec7b10a52ap+2", "-0x1.2ad63408ada9fp+2"],
+    reason="resultant goldens were recorded with another LAPACK's rounding")
+
+
+def _pair(upper, lower):
+    return pwcycles.PiecewiseSpec(anti_holomorphic(upper), anti_holomorphic(lower))
+
+
+# the README's antiholo pair, and draws 22 (quadratic) and 229 (cubic) of
+# a default_rng(2718) stream drawn as criterion 4 draws (normal real and
+# imaginary parts, |Im| of each leading coefficient at least 0.05)
+GOLDEN_PAIRS = {
+    "readme": _pair([1 + 0.5j, 2 + 1.5j, 3 + 0.5j], [-3 + 1j, -1 + 1j, -4 - 2.6862j]),
+    "quadratic": _pair(
+        [-0.5156038496963609 - 0.26512120560378016j, -0.9994442548169574 + 0.6087371538527228j,
+         2.490152401152479 + 0.4376139432073824j],
+        [-0.12540783198493627 - 0.04879832270761306j, -1.3930254636344346 + 2.207797922298608j,
+         -2.1893915536269293 - 1.436037893496279j]),
+    "cubic": _pair(
+        [-1.428057329385583 - 0.2111663186707725j, 0.8322865776185968 + 0.6022390659245828j,
+         0.5923477060781868 - 0.08020012133589324j, 0.12235364974301077 - 1.374601057368633j],
+        [-0.4805025640035145 + 0.4670964452998182j, -1.6260942952401773 + 0.44878133803630343j,
+         -1.2860948735865618 - 0.262091531810823j, -0.09901919891865933 + 0.4633513805925172j]),
+}
+
+
+class TestAlgebraGolden:
+    """The algebra layer's outputs, pinned bit for bit (float.hex): the
+    Sturm isolation, the Sylvester resultant and the pair solve."""
+
+    @pytest.mark.parametrize("p, expected", [
+        (CPoly.from_roots([-2.0, 0.5, 3.0]),
+         ["-0x1.ffffffffffffap+0", "0x1.000000000000ap-1", "0x1.8000000000002p+1"]),
+        (CPoly.from_roots([1.0, 1.0, -2.0]), ["-0x1.0000000000010p+1", "0x1.ffffffbffffe0p-1"]),
+        (CPoly.from_roots([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]),
+         ["-0x1.7ffffffffffedp+1", "-0x1.fffffffffffefp+0", "-0x1.fffffffffffefp-1",
+          "0x1.fffffffffffefp-1", "0x1.fffffffffffefp+0", "0x1.7ffffffffffedp+1"]),
+        (CPoly.from_roots([-2.0, -1.0, -0.5, 0.25, 1.0, 1.5, 3.0, 2 + 1j, 2 - 1j]),
+         ["-0x1.ffffffffffffap+0", "-0x1.ffffffffffffap-1", "-0x1.0000000000010p-1",
+          "0x1.fffffffffffd5p-3", "0x1.ffffffffffffap-1", "0x1.8000000000019p+0",
+          "0x1.7fffffffffff3p+1"]),
+        (CPoly(np.array([3.0, -7.0, 0.5, 2.0, -1.0]) * 1e8),
+         ["-0x1.a17719e529be1p+0", "0x1.dd835592b2944p-2"]),
+        (CPoly(np.array([-1.0, 4.0, 0.5, -3.0, 0.0, 1.0, 0.25, -0.5]) * 1e-9),
+         ["-0x1.3051c6447b8cap+0", "0x1.040b4ddbaeeb8p-2", "0x1.54d4f1cc2a9c2p+0"]),
+    ], ids=["simple-cubic", "double-root", "degree-6", "degree-9", "scaled-up", "scaled-down"])
+    def test_real_roots(self, p, expected):
+        assert [x.hex() for x in real_roots(p)] == expected
+
+    @recorded_lapack
+    @pytest.mark.parametrize("name, resultant, pairs", [
+        ("readme", ["0x1.3db922dfd2f1fp-18", "0x1.dae7dff3dde74p-2", "0x1.23c33a629452fp-1"],
+         [("-0x1.568b5e5ba8e4ep-17", "-0x1.a0b074396737dp-1")]),
+        ("quadratic", ["-0x1.13736eb903609p-4", "-0x1.50c3797f2b801p-5", "0x1.81586b83d35d4p-4"],
+         [("0x1.177b22af7ce2bp+0", "-0x1.4f3c9ea8be4acp-1")]),
+        ("cubic", ["0x1.f4f71f779866cp-10", "-0x1.00cd92de3f52cp-8", "-0x1.b8a79c94cf598p-9",
+                   "0x1.117a84e492e7bp-9", "0x1.59a6d0ff500a8p-11", "-0x1.019f66a65e3fep-12",
+                   "0x1.30be73b8e9dcdp-15"],
+         [("0x1.d4d3ca1fc5168p+0", "-0x1.f8e431e0cafcep+0"),
+          ("0x1.90ef51ae44230p-2", "-0x1.3f02dc1af4d52p+0")]),
+    ])
+    def test_resultant_and_pairs(self, name, resultant, pairs):
+        pw = GOLDEN_PAIRS[name]
+        res = resultant_x2(pwcycles.crossing_pair_polynomial(pw.upper),
+                           pwcycles.crossing_pair_polynomial(pw.lower))
+        assert not res.coeffs.imag.any()
+        assert [c.real.hex() for c in res.coeffs] == resultant
+        found = pwcycles.solve_antiholo_pair(pw, validate=False)
+        assert [(c.x1.hex(), c.x2.hex()) for c in found] == pairs

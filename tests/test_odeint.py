@@ -1,5 +1,7 @@
 import math
+import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,17 +123,21 @@ class TestIntegrate:
         # z^2/2 = t + 1/2
         assert abs(traj.end_point() - 2.0) < 1e-8
 
-    def test_csv_round_trip(self, tmp_path):
-        traj = integrate(holomorphic([0, 1]), 1.0, 0.5)
-        path = tmp_path / "traj.csv"
-        traj.write_csv(path)
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        assert data.shape[0] == traj.samples.shape[0]
-        np.testing.assert_allclose(data["t"], traj.samples[:, 0])
-        np.testing.assert_allclose(data["x"], traj.samples[:, 1])
-
 
 class TestHalfReturn:
+    def test_near_tangent_start_ends_at_once(self):
+        # the vertical velocity at the start is 4.16e-23, about 1e-21 of
+        # the field's size there: the rule of crossing_transversality
+        # calls it tangent. The orbit circles a focus with Re lambda =
+        # -8e-22 and used to run 12-17 s to t_max.
+        spec = holomorphic([0.0025 + 4.16e-23j, -8.32e-22 + 0.05j])
+        start = time.perf_counter()
+        outcome = half_return_outcome(spec, -8.58e-164, Side.UPPER)
+        assert time.perf_counter() - start < 0.1
+        assert outcome == (Outcome.NOT_ENTERING, None)
+        with pytest.raises(NotEntering):
+            half_return(spec, -8.58e-164, Side.UPPER)
+
     def test_center_half_turn(self):
         # zdot = -i (z - 10): clockwise center at 10; from 20 the lower
         # arc lands at 0
@@ -500,11 +506,12 @@ class TestTrapCertificate:
 
         cfg = IntegratorConfig(max_steps=3000)
         spec, x, side = TRAPPING_SIDES[0]
-        landing = half_return_outcome(spec, 2.0, side, cfg)
+        # 2.5, not the equilibrium 2.0, where the field is tangent
+        landing = half_return_outcome(spec, 2.5, side, cfg)
         assert landing[0] is Outcome.LANDED
         monkeypatch.setattr(cpoly, "roots", fail)
         assert half_return_outcome(spec, x, side, cfg) == (Outcome.STEP_LIMIT, None)
-        assert half_return_outcome(spec, 2.0, side, cfg) == landing
+        assert half_return_outcome(spec, 2.5, side, cfg) == landing
 
     def test_linear_side_needs_no_eigenvalue_solve(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -816,6 +823,114 @@ class TestLevelEscape:
             assert plain[0] is certified[0]
             if plain[0] is Outcome.LANDED:
                 assert plain[1].hex() == certified[1].hex()
+
+
+def _always_scan(monkeypatch):
+    monkeypatch.setattr(odeint, "_clear_of_axis", lambda dense, s, level: False)
+
+
+# parts of a dense-output coefficient: signed zeros, unit-sized values
+# and magnitudes from 1e-150 to 1e150
+_PART = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-4.0, 4.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-150, 150)))
+
+
+def _dense_near_the_bound(data, s, level):
+    """A dense tuple (y0, r2, r3, r4, r5). Its s * Im y0 sits at, a few
+    ulps or a random share beside, one of two anchors: reach + level,
+    with reach = sum |Im r_k|, where the skip test turns; or where the
+    lowest of the samples at _THETAS is exactly level."""
+    rs = [complex(data.draw(_PART), data.draw(_PART)) for _ in range(4)]
+    if data.draw(st.booleans(), label="lowest-sample anchor"):
+        stepper = SimpleNamespace(_dense=(0j, *rs))
+        anchor = level - min(s * odeint._Dopri5.dense(stepper, th).imag
+                             for th in odeint._THETAS)
+    else:
+        anchor = sum(abs(r.imag) for r in rs) + level
+    ulps = data.draw(st.integers(-64, 64), label="ulps") * math.ulp(anchor)
+    share = data.draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0), st.floats(0.0, 1e3)),
+                      label="share")
+    y0 = complex(data.draw(_PART), s * (anchor + ulps + share * anchor))
+    return (y0, *rs)
+
+
+class TestScanSkip:
+    """A step whose dense output provably stays beyond armed_level on
+    the side of the excursion skips the crossing scan, which could only
+    arm; no outcome and no landing moves."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_no_landing_moves(self, monkeypatch, data):
+        """The half-return that scans every step ends in the same
+        Outcome, and lands exactly (float.hex) where the skipping one
+        does. Both runs share a cap of 2000 steps. Sides: holomorphic and
+        anti-holomorphic, degree 1 to 3, coefficients in [-2.5, 2.5]^2,
+        at tolerances 1e-9 and 1e-11, from a start in [-3, 3] on the side
+        the field enters."""
+        make = data.draw(st.sampled_from([holomorphic, anti_holomorphic]), label="kind")
+        degree = data.draw(st.integers(1, 3), label="degree")
+        coeff = st.floats(-2.5, 2.5)
+        spec = make([complex(data.draw(coeff), data.draw(coeff)) for _ in range(degree + 1)])
+        x = data.draw(st.floats(-3.0, 3.0), label="x")
+        side = _entering_side(spec, x)
+        tol = data.draw(st.sampled_from([1e-9, 1e-11]), label="tol")
+        cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol, max_steps=2000)
+        skipping = half_return_outcome(spec, x, side, cfg)
+        with monkeypatch.context() as m:
+            _always_scan(m)
+            scanned = half_return_outcome(spec, x, side, cfg)
+        assert scanned[0] is skipping[0]
+        if scanned[0] is Outcome.LANDED:
+            assert scanned[1].hex() == skipping[1].hex()
+        else:
+            assert scanned[1] is skipping[1] is None
+
+    def test_most_steps_of_a_landing_skip(self, monkeypatch):
+        pw = _readme_quadratic_pair()
+        cand, = pwcycles.solve_antiholo_pair(pw, validate=False)
+        clear, tests = odeint._clear_of_axis, []
+
+        def counted(*args):
+            tests.append(clear(*args))
+            return tests[-1]
+
+        monkeypatch.setattr(odeint, "_clear_of_axis", counted)
+        landing = half_return(pw.lower, cand.x1, Side.LOWER)
+        assert sum(tests) > 0.5 * len(tests)
+        _always_scan(monkeypatch)
+        assert half_return(pw.lower, cand.x1, Side.LOWER).hex() == landing.hex()
+
+    @settings(max_examples=500, deadline=None)
+    @given(s=st.sampled_from([1.0, -1.0]),
+           level=st.one_of(st.floats(1e-300, 1e10), st.sampled_from([1e-11, 1e-9])),
+           data=st.data())
+    def test_skip_implies_every_sample_beyond_the_level(self, s, level, data):
+        """Whenever the test holds, every sample that ``_Dopri5.dense``
+        computes at a theta of _THETAS has s * Im z > level."""
+        dense = _dense_near_the_bound(data, s, level)
+        if odeint._clear_of_axis(dense, s, level):
+            stepper = SimpleNamespace(_dense=dense)
+            for th in odeint._THETAS:
+                assert s * odeint._Dopri5.dense(stepper, th).imag > level
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.sampled_from([1.0, -1.0]), data=st.data(),
+           bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+           where=st.integers(0, 9))
+    def test_inf_or_nan_never_skips(self, s, data, bad, where):
+        y0, *rs = _dense_near_the_bound(data, s, 1e-9)
+        # well clear of the bound before one part turns non-finite; the
+        # tuple's own Im y0 is not used
+        parts = [y0.real, s * (4.0 * sum(abs(r.imag) for r in rs) + 1.0)]
+        assert odeint._clear_of_axis((complex(*parts), *rs), s, 1e-9)
+        parts += [v for r in rs for v in (r.real, r.imag)]
+        parts[where] = bad
+        dense = tuple(complex(parts[k], parts[k + 1]) for k in range(0, 10, 2))
+        assert not odeint._clear_of_axis(dense, s, 1e-9)
 
 
 class TestIntegratorConfig:

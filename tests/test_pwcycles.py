@@ -14,7 +14,7 @@ from holoflow.errors import (
     HypothesisViolation,
     NonConvergence,
 )
-from holoflow import pwcycles
+from holoflow import odeint, pwcycles
 from holoflow.odeint import DEFAULT_CONFIG, return_map
 from holoflow.potential import anti_holomorphic, build_potential, first_integral
 from holoflow.pwcycles import (
@@ -106,6 +106,14 @@ class TestCrossingTransversality:
             warnings.simplefilter("error", RuntimeWarning)
             crossing = crossing_transversality(non_finite_quadratic_pair(), x)
         assert crossing is Crossing.TANGENT
+
+    def test_scale_past_float_range_is_tangent(self):
+        # v = -1 is finite, but the scale max|c_k| x^2 = 1e310 is not;
+        # the Python float power used to raise OverflowError
+        side = anti_holomorphic([1j, 0, 1e-10])
+        spec = PiecewiseSpec(side, side)
+        assert crossing_transversality(spec, 1e155) is Crossing.TANGENT
+        assert odeint.return_map_outcome(spec, 1e155) == (odeint.Outcome.NOT_ENTERING, None)
 
 
 class TestMixedLinear:
