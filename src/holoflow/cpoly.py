@@ -69,10 +69,9 @@ class CPoly:
         The products go through the ``np.multiply`` ufunc, whose complex
         loop may fuse multiply-add (FMA) where plain Python complex
         arithmetic does not; the integrator oracle's results are pinned
-        to this arithmetic bit for bit. The loop is ``_horner``, which
-        ``SystemSpec.scalar_field`` shares, so the oracle's per-step
-        field computes the same float without this method's per-call
-        overhead.
+        to this arithmetic bit for bit. The loop is ``_horner``, the
+        reference that ``_scalar_horner``, the oracle's per-step field,
+        matches bit for bit.
         """
         coeffs = self.coeffs
         if len(coeffs) == 1:
@@ -111,14 +110,50 @@ class CPoly:
 
 
 def _horner(top, rest, z):
-    """The one ufunc Horner loop: top z^n + ... from the leading
-    coefficient top and the others in descending order. Each product is
-    ``np.multiply``, not ``*``: the ufunc's complex loop may fuse
-    multiply-add, and the oracle's bits are pinned to it."""
+    """The reference ufunc Horner loop of ``CPoly.__call__``: top z^n +
+    ... from the leading coefficient top and the others in descending
+    order. Each product is ``np.multiply``, not ``*``: the ufunc's
+    complex loop may fuse multiply-add, and the oracle's bits are
+    pinned to it. Each sum is a numpy complex add."""
     acc = top
     for c in rest:
         acc = np.multiply(acc, z) + c
     return acc
+
+
+def _scalar_horner(coeffs):
+    """z -> the complex p(z) for a complex scalar z, where coeffs are
+    p's ascending coefficients: the float ``CPoly.__call__`` gives, bit
+    for bit, at a fraction of its per-call cost.
+
+    It allocates three 0-d complex arrays once, the accumulator, z and
+    the product, and runs each product as ``np.multiply(acc, z,
+    out=out)``, the same complex loop as ``_horner``'s (the first takes
+    the 0-d leading coefficient as acc). ``out`` never aliases an
+    input: an in-place product takes another loop of the ufunc, which
+    rounds differently. Each ``+ c`` is a Python complex add on
+    ``out.item()``; addition is exactly rounded part by part, so it is
+    the float numpy's add gives. The buffers belong to the returned
+    function, so two functions, even of one polynomial, may be called
+    interleaved; one function is not reentrant across threads."""
+    if len(coeffs) == 1:
+        value = complex(coeffs[0])
+        return lambda z: value
+    top = np.array(coeffs[-1])
+    first, *tail = (complex(c) for c in coeffs[-2::-1])
+    acc, zbuf, out = (np.zeros((), complex) for _ in range(3))
+    multiply, item = np.multiply, out.item
+
+    def horner(z):
+        zbuf[()] = z
+        multiply(top, zbuf, out=out)
+        v = item() + first
+        for c in tail:
+            acc[()] = v
+            multiply(acc, zbuf, out=out)
+            v = item() + c
+        return v
+    return horner
 
 
 @dataclass(frozen=True)

@@ -48,18 +48,17 @@ class SystemSpec:
         """z -> velocity(z) for a complex scalar z, the same float bit
         for bit, with the coefficients read once when it is built.
 
-        It runs the ufunc Horner loop that ``CPoly.__call__`` runs, so
-        only the per-call overhead goes. Build it once per integration
-        and drop it afterwards; nothing is cached on the instance."""
-        coeffs = self.p.coeffs
-        conj = self.kind is SystemKind.ANTI_HOLOMORPHIC
-        # a 0-d array, not a numpy scalar: np.multiply runs the same
-        # complex loop on it with less conversion overhead per call
-        top, rest = np.array(coeffs[-1]), tuple(coeffs[-2::-1])
-        horner = cpoly._horner
-        if conj:
-            return lambda z: complex(horner(top, rest, z)).conjugate()
-        return lambda z: complex(horner(top, rest, z))
+        It is ``cpoly._scalar_horner``, conjugated for an
+        anti-holomorphic side: the products run the ufunc loop that
+        ``CPoly.__call__`` runs, through 0-d buffers that no product
+        aliases, and the adds are exactly rounded Python complex adds.
+        So only the per-call overhead goes. Build it once per
+        integration and drop it afterwards; nothing is cached on the
+        instance."""
+        horner = cpoly._scalar_horner(self.p.coeffs)
+        if self.kind is SystemKind.ANTI_HOLOMORPHIC:
+            return lambda z: horner(z).conjugate()
+        return horner
 
     def planar(self, x, y):
         """(dx/dt, dy/dt); the anti-holomorphic field is (u, -v)."""

@@ -330,6 +330,16 @@ class TestOracleGolden:
         assert traj.samples.shape[0] == 444
         assert traj.end_point() == _c("0x1.b1851e1b18d94p-110", "0x1.24d18bfd2067cp-29")
 
+    def test_normal_form_cubic_separatrix(self):
+        # z^3 + a1 z + a0 with complex a1, a0: the shape of the cubics
+        # whose separatrices the explore-cli benchmark traces
+        p = CPoly([1.283035459505607 + 1.0603505334481957j,
+                   -0.034133032672489294 + 0.4588600306432779j, 0.0, 1.0])
+        traj = trace_separatrix(p, infinity_equilibria(3)[1], t_span=20.0)
+        assert traj.terminal is Terminal.TIME_REACHED
+        assert traj.samples.shape[0] == 440
+        assert traj.end_point() == _c("0x1.c699e020419d0p-3", "0x1.16609e1c3adc6p+0")
+
     @pytest.mark.parametrize("make", [holomorphic, anti_holomorphic])
     def test_overflowing_stages(self, make):
         # stage values of z^12 near |z| = 1e12 overflow to inf; those
@@ -444,6 +454,52 @@ class TestScalarField:
                 fast, slow = field(z), spec.velocity(z)
                 assert type(fast) is complex
                 assert _bits(fast) == _bits(slow)
+
+    def test_seeded_sweep_is_bit_identical(self):
+        """51,200 evaluations from a fixed seed: degree 0 to 7, both
+        kinds, parts of magnitude up to 1e+-150, signed zeros, inf, NaN
+        and subnormals, through two fields of one spec called in turn.
+        A field whose product writes into one of its own inputs rounds
+        differently and fails here."""
+        rng = np.random.default_rng(20261018)
+        count = 0
+        with np.errstate(all="ignore"):
+            for degree in range(8):
+                for make in (holomorphic, anti_holomorphic):
+                    for _ in range(100):
+                        top_exp = rng.choice([0.5, 3.0, 20.0, 150.0])
+                        special = rng.choice([0.0, 0.05, 0.25])
+
+                        def draw():
+                            return complex(_sweep_part(rng, top_exp, special),
+                                           _sweep_part(rng, top_exp, special))
+
+                        spec = make([draw() for _ in range(degree + 1)])
+                        fields = (spec.scalar_field(), spec.scalar_field())
+                        for k in range(32):
+                            z = draw()
+                            fast, slow = fields[k % 2](z), spec.velocity(z)
+                            assert type(fast) is complex
+                            assert ((fast.real.hex(), fast.imag.hex())
+                                    == (slow.real.hex(), slow.imag.hex())), (spec, z)
+                            count += 1
+        assert count == 51_200
+
+
+# parts that a seeded draw picks now and then
+_SPECIAL_PARTS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                  2.2250738585072014e-308)
+
+
+def _sweep_part(rng, top_exp, special):
+    """One float part: with probability special one of _SPECIAL_PARTS,
+    else a subnormal one time in ten, else a signed value of magnitude
+    10**u, u uniform in [-top_exp, top_exp]."""
+    if rng.random() < special:
+        return _SPECIAL_PARTS[rng.integers(len(_SPECIAL_PARTS))]
+    if rng.random() < 0.1:
+        return float(rng.uniform(-1.0, 1.0)) * 2.0 ** -1022
+    return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-top_exp, top_exp))
 
 
 def _focus_side(z_e, lam, others):
@@ -680,6 +736,40 @@ class TestEscapeCertificate:
             assert plain[0] is certified[0]
             if plain[0] is Outcome.LANDED:
                 assert plain[1].hex() == certified[1].hex()
+
+
+def _counted_steps(monkeypatch):
+    """A list that gains one entry per call of ``_Dopri5.step``."""
+    calls, step = [], odeint._Dopri5.step
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(odeint._Dopri5, "step", counted)
+    return calls
+
+
+class TestStepBudget:
+    """A half-return runs at most min(cfg.max_steps, HALF_RETURN_STEPS)
+    steps and then ends STEP_LIMIT; ``integrate`` keeps cfg.max_steps."""
+
+    def test_stable_manifold_start_ends_at_the_budget(self, monkeypatch):
+        # conj(i z - i (1 + i)): the computed field is exactly 0 at the
+        # saddle 1 + i, whose stable manifold meets the axis at x = 0.
+        # The orbit creeps along it and, unbounded, runs about 300,000
+        # steps to MAX_TIME.
+        calls = _counted_steps(monkeypatch)
+        spec = anti_holomorphic([-1j * (1 + 1j), 1j])
+        assert half_return_outcome(spec, 0.0, Side.UPPER) == (Outcome.STEP_LIMIT, None)
+        assert len(calls) == odeint.HALF_RETURN_STEPS
+
+    def test_integrate_keeps_max_steps(self, monkeypatch):
+        calls = _counted_steps(monkeypatch)
+        cfg = IntegratorConfig(max_steps=odeint.HALF_RETURN_STEPS + 5)
+        traj = integrate(holomorphic([0, 1j]), 0.5, math.inf, cfg)
+        assert traj.terminal is Terminal.STEP_LIMIT
+        assert len(calls) == traj.samples.shape[0] - 1 == odeint.HALF_RETURN_STEPS + 5
 
 
 def _readme_quadratic_pair():
