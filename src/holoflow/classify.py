@@ -95,12 +95,12 @@ def _type_from_lambda(lam: complex, eps: float) -> EquilibriumType:
             else EquilibriumType.REPELLING_FOCUS)
 
 
-def classify_equilibria(p: CPoly, eps: float = DEFAULT_EPS):
+def classify_equilibria(p: CPoly):
     """One EquilibriumInfo per root of p; simple roots typed from
     lambda = p'(z0), multiple roots tagged MULTIPLE."""
     if p.degree < 1:
         raise ValueError("classification requires degree >= 1")
-    return _typed_equilibria(p, cpoly.roots(p), eps)
+    return _typed_equilibria(p, cpoly.roots(p), DEFAULT_EPS)
 
 
 def _typed_equilibria(p: CPoly, root_set, eps):
@@ -236,7 +236,7 @@ class BernoulliPortrait:
         return self.center_regions + self.alpha_omega_regions
 
 
-def bernoulli_portrait(n: int, alpha: complex, eps: float = DEFAULT_EPS) -> BernoulliPortrait:
+def bernoulli_portrait(n: int, alpha: complex) -> BernoulliPortrait:
     """Portrait of the monic centered Bernoulli system zdot = z^n - alpha z.
 
     Finite equilibria are the origin (lambda = -alpha) and n-1 points on
@@ -249,15 +249,15 @@ def bernoulli_portrait(n: int, alpha: complex, eps: float = DEFAULT_EPS) -> Bern
     alpha = complex(alpha)
     if alpha == 0:
         raise ZeroAlpha("alpha must be nonzero")
-    infos = [EquilibriumInfo(0j, 1, -alpha, _type_from_lambda(-alpha, eps))]
+    infos = [EquilibriumInfo(0j, 1, -alpha, _type_from_lambda(-alpha, DEFAULT_EPS))]
     lam_ring = (n - 1) * alpha
-    ring_type = _type_from_lambda(lam_ring, eps)
+    ring_type = _type_from_lambda(lam_ring, DEFAULT_EPS)
     radius = abs(alpha) ** (1.0 / (n - 1))
     base = np.angle(alpha) / (n - 1)
     for k in range(n - 1):
         z_k = radius * np.exp(1j * (base + 2.0 * np.pi * k / (n - 1)))
         infos.append(EquilibriumInfo(complex(z_k), 1, lam_ring, ring_type))
-    centerish = abs(alpha.real) <= eps * abs(alpha)
+    centerish = abs(alpha.real) <= DEFAULT_EPS * abs(alpha)
     if centerish:
         center_regions, ao_regions = n, 0
     else:

@@ -252,6 +252,13 @@ def _numbers(value):
         yield value
 
 
+def _is_finite(number):  # False also for a JSON integer past float range
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 def decode_system(system):
     """(PiecewiseSpec, solve, bound) of a cycles report's system record;
     solve(tol) returns the candidates. Raises ValueError on an unknown
@@ -263,7 +270,7 @@ def decode_system(system):
     keys, decode = FAMILIES[family]
     for key in keys:
         value = _field(system, key, f"{family} system")
-        if not all(map(math.isfinite, _numbers(value))):
+        if not all(map(_is_finite, _numbers(value))):
             raise ValueError(f"{family} system {key!r} holds a non-finite number")
     try:
         return decode(system)
@@ -361,8 +368,8 @@ def cmd_verify(args):
     for cand in candidates:
         verified = _field(cand, "verified", "candidate")
         x1 = _field(cand, "x1", "candidate")
-        if not isinstance(x1, (int, float)):
-            raise ValueError(f"candidate x1 must be a number, got {x1!r}")
+        if not (isinstance(x1, (int, float)) and _is_finite(x1)):
+            raise ValueError(f"candidate x1 must be a finite number, got {x1!r}")
         if verified != pwcycles.Verified.NUMERICALLY_CONFIRMED.value:
             print(f"SKIP x1={x1:.9g} ({verified})")
             continue

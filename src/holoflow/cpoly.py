@@ -30,7 +30,8 @@ class CPoly:
 
     Trailing (highest-degree) coefficients that are exactly zero are
     trimmed so that ``degree == len(coeffs) - 1`` and the leading
-    coefficient of a nonzero polynomial is nonzero.
+    coefficient of a nonzero polynomial is nonzero. An empty coefficient
+    list raises ValueError: the zero polynomial is ``CPoly([0])``.
     """
 
     __slots__ = ("coeffs",)
@@ -38,6 +39,8 @@ class CPoly:
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         n = len(c)
+        if n == 0:
+            raise ValueError("a polynomial needs at least one coefficient")
         while n > 1 and c[n - 1] == 0:
             n -= 1
         c = c[:n].copy()
@@ -48,9 +51,9 @@ class CPoly:
         raise AttributeError("CPoly is immutable")
 
     @classmethod
-    def from_roots(cls, roots, leading=1.0):
-        """Expand prod (z - r) over the given roots (with repetition)."""
-        c = np.array([complex(leading)])
+    def from_roots(cls, roots):
+        """Expand the monic prod (z - r) over the roots, with repetition."""
+        c = np.array([1 + 0j])
         for r in roots:
             c = np.convolve(c, np.array([-complex(r), 1.0]))
         return cls(c)
@@ -265,12 +268,12 @@ def _polydiv(num, den):
     return q, rem
 
 
-def _trim_real(c, rel=1e-13):
+def _trim_real(c):
     c = np.asarray(c, dtype=float)
     scale = np.max(np.abs(c)) if len(c) else 0.0
     if scale == 0.0:
         return np.zeros(1)
-    c = np.where(np.abs(c) <= rel * scale, 0.0, c)
+    c = np.where(np.abs(c) <= 1e-13 * scale, 0.0, c)
     n = len(c)
     while n > 1 and c[n - 1] == 0.0:
         n -= 1

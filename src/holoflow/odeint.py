@@ -35,12 +35,7 @@ zero result), zero tableau weights are kept, and the field's complex
 products go through the numpy ufunc (see ``CPoly.__call__``).
 
 Each integration builds its field once: ``_rhs`` turns a ``SystemSpec``
-into ``SystemSpec.scalar_field()``: ``cpoly._scalar_horner``, conjugated
-for an anti-holomorphic side. Its products run the ufunc loop of
-``CPoly.__call__`` through three 0-d buffers allocated once, the output
-never aliasing an input (an in-place product takes another loop, which
-rounds differently), and its adds are Python complex adds, exactly
-rounded and so numpy's float. So every RHS value is the float that
+into ``SystemSpec.scalar_field()``, whose every value is the float that
 ``SystemSpec.velocity`` gives, without that method's per-call overhead.
 
 An accepted step keeps its stage values, and only a half-return fits
@@ -55,9 +50,9 @@ axis, and there the scan can only arm the search. So a step whose dense
 coefficients bound every sample the scan would compute beyond the arming
 level, on the excursion's side, skips the scan (``_clear_of_axis``); the
 bound covers the rounding of the samples themselves, so no landing and
-no outcome changes. A ``SystemSpec`` start where the field is tangent to
-the axis under ``SystemSpec.crossing_sign``, the rule the solvers'
-``pwcycles.crossing_transversality`` applies, does not enter.
+no outcome changes. ``crossing_transversality`` is the one Filippov
+crossing rule, which the solvers and ``return_map_outcome`` apply, and a
+``SystemSpec`` start that its side's sign calls tangent does not enter.
 """
 
 from __future__ import annotations
@@ -83,6 +78,11 @@ MAX_TIME = 1e6
 # candidates validated), each start run at tolerances 1e-9 and 1e-11, no
 # landing took more than 1,095 steps and no other outcome more than 1,131.
 HALF_RETURN_STEPS = 20_000
+# a half-return's landing is bisected until |Im z| <= EVENT_TOL
+EVENT_TOL = 1e-12
+# a separatrix trace starts at |z| = 1 / SEPARATRIX_OFFSET for a time SEPARATRIX_SPAN
+SEPARATRIX_OFFSET = 1e-4
+SEPARATRIX_SPAN = 20.0
 
 # Dormand-Prince RK5(4)7M tableau; the fields are autonomous, so the
 # nodes c_i are not needed
@@ -123,12 +123,11 @@ class IntegratorConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-9
     max_steps: int = 1_000_000
-    event_tol: float = 1e-12
 
     def __post_init__(self):
         # the step control and the certificate margins read the
         # tolerances, so NaN and inf are rejected
-        for name in ("rel_tol", "abs_tol", "event_tol"):
+        for name in ("rel_tol", "abs_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
         # range(max_steps) needs an int: 2.5 and 1e6 are rejected here
@@ -297,6 +296,26 @@ class Outcome(enum.Enum):
     STEP_LIMIT = "step_limit"      # min(cfg.max_steps, HALF_RETURN_STEPS) steps
     T_MAX = "t_max"                # not landed by time MAX_TIME
     UNDERFLOW = "underflow"        # StepUnderflow
+
+
+class Crossing(enum.Enum):
+    CROSSING_UP = "crossing_up"
+    CROSSING_DOWN = "crossing_down"
+    TANGENT = "tangent"
+    SLIDING = "sliding"
+
+
+def crossing_transversality(spec, x) -> Crossing:
+    """Filippov classification of the point (x, 0) on Sigma = {Im z = 0}
+    for a piecewise spec (.upper/.lower SystemSpec) from each side's
+    ``SystemSpec.crossing_sign``."""
+    s_up = spec.upper.crossing_sign(x)
+    s_lo = spec.lower.crossing_sign(x)
+    if s_up == 0 or s_lo == 0:
+        return Crossing.TANGENT
+    if s_up != s_lo:
+        return Crossing.SLIDING
+    return Crossing.CROSSING_UP if s_up > 0 else Crossing.CROSSING_DOWN
 
 
 def _trap_discs(spec, s, cfg):
@@ -519,11 +538,12 @@ def half_return_outcome(spec, x_start, side: Side,
     f = _rhs(spec)
     z0 = complex(x_start, 0.0)
     s = float(side.value)
-    armed_level = 10.0 * cfg.event_tol * max(1.0, abs(x_start))
+    armed_level = 10.0 * EVENT_TOL * max(1.0, abs(x_start))
     with np.errstate(over="ignore", invalid="ignore"):
-        v = f(z0).imag
         if isinstance(spec, SystemSpec):
-            v = spec.crossing_sign(x_start, v)  # 0 at a tangency
+            v = spec.crossing_sign(x_start)  # 0 at a tangency
+        else:
+            v = f(z0).imag
         if v * s <= 0:
             return Outcome.NOT_ENTERING, None
         doomed = _certificate(spec, s, cfg)
@@ -553,7 +573,7 @@ def half_return_outcome(spec, x_start, side: Side,
                         for _ in range(200):
                             mid = 0.5 * (lo + hi)
                             ym = st.dense(mid).imag
-                            if abs(ym) <= cfg.event_tol:
+                            if abs(ym) <= EVENT_TOL:
                                 return Outcome.LANDED, st.dense(mid).real
                             if ym * ylo > 0:
                                 lo, ylo = mid, ym
@@ -575,10 +595,10 @@ def half_return(spec, x_start, side: Side, cfg: IntegratorConfig = DEFAULT_CONFI
     trapped, or runs out of steps, time or step size.
 
     Raises NotEntering when the field at the start does not point into
-    the half-plane, or is tangent to the axis there (see
-    ``SystemSpec.crossing_sign``). The crossing is located by bisection on the dense
-    output until |Im z| <= event_tol. ``half_return_outcome`` also
-    returns the reason.
+    the half-plane, or, for a SystemSpec, is tangent to the axis there
+    (see ``SystemSpec.crossing_sign``). The crossing is located by
+    bisection on the dense output until |Im z| <= EVENT_TOL.
+    ``half_return_outcome`` also returns the reason.
     """
     outcome, x = half_return_outcome(spec, x_start, side, cfg)
     if outcome is Outcome.NOT_ENTERING:
@@ -589,21 +609,17 @@ def half_return(spec, x_start, side: Side, cfg: IntegratorConfig = DEFAULT_CONFI
 
 def return_map_outcome(spec, x_start, cfg: IntegratorConfig = DEFAULT_CONFIG):
     """(Outcome, full return or None): the core of ``return_map``. The
-    outcome is NOT_ENTERING when the two fields do not cross Sigma in
-    the same direction at x_start, or either vertical velocity there is
-    not finite, else the outcome of the first half-return that did not
-    land, or of the second."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_up = spec.upper.planar(x_start, 0.0)[1]
-        v_lo = spec.lower.planar(x_start, 0.0)[1]
-    # a non-finite velocity reads as a tangency, as in
-    # pwcycles.crossing_transversality, and is never integrated
-    if not (math.isfinite(v_up) and math.isfinite(v_lo) and v_up * v_lo > 0):
-        return Outcome.NOT_ENTERING, None
-    if v_up > 0:
+    outcome is NOT_ENTERING unless ``crossing_transversality`` calls
+    (x_start, 0) a crossing, else the outcome of the first half-return,
+    into the side the crossing enters, if it did not land, or of the
+    second."""
+    crossing = crossing_transversality(spec, x_start)
+    if crossing is Crossing.CROSSING_UP:
         first, second = (spec.upper, Side.UPPER), (spec.lower, Side.LOWER)
-    else:
+    elif crossing is Crossing.CROSSING_DOWN:
         first, second = (spec.lower, Side.LOWER), (spec.upper, Side.UPPER)
+    else:
+        return Outcome.NOT_ENTERING, None
     outcome, mid = half_return_outcome(first[0], x_start, first[1], cfg)
     if mid is None:
         return outcome, None
@@ -632,20 +648,14 @@ def return_map_derivative(spec, x, cfg: IntegratorConfig = DEFAULT_CONFIG, h=Non
 
 
 def trace_separatrix(p: CPoly, inf_eq: InfinityEquilibrium,
-                     cfg: IntegratorConfig = DEFAULT_CONFIG,
-                     t_span=20.0, offset=1e-4) -> Trajectory:
+                     cfg: IntegratorConfig = DEFAULT_CONFIG) -> Trajectory:
     """Numerical rendering of the separatrix attached to an infinity
-    saddle: seed just inside the Poincare disk along the saddle angle and
-    integrate toward the finite region (figure output, not
-    classification). offset must be finite and positive, t_span finite
-    and nonzero."""
-    if not 0 < offset < math.inf:
-        raise ValueError("offset must be finite and positive")
-    if not (math.isfinite(t_span) and t_span != 0):
-        raise ValueError("t_span must be finite and nonzero")
+    saddle: seed at |z| = 1 / SEPARATRIX_OFFSET along the saddle angle and
+    integrate toward the finite region for a time SEPARATRIX_SPAN (figure
+    output, not classification)."""
     spec = SystemSpec(SystemKind.HOLOMORPHIC, p)
-    z_seed = np.exp(1j * inf_eq.angle) / offset
+    z_seed = np.exp(1j * inf_eq.angle) / SEPARATRIX_OFFSET
     v = spec.velocity(z_seed)
     radial = (np.conj(z_seed) * v).real
     direction = -1.0 if radial > 0 else 1.0
-    return integrate(spec, z_seed, direction * t_span, cfg)
+    return integrate(spec, z_seed, direction * SEPARATRIX_SPAN, cfg)

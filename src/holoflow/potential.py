@@ -46,35 +46,26 @@ class SystemSpec:
 
     def scalar_field(self):
         """z -> velocity(z) for a complex scalar z, the same float bit
-        for bit, with the coefficients read once when it is built.
-
-        It is ``cpoly._scalar_horner``, conjugated for an
-        anti-holomorphic side: the products run the ufunc loop that
-        ``CPoly.__call__`` runs, through 0-d buffers that no product
-        aliases, and the adds are exactly rounded Python complex adds.
-        So only the per-call overhead goes. Build it once per
-        integration and drop it afterwards; nothing is cached on the
-        instance."""
+        for bit, with the coefficients read once when it is built: it is
+        ``cpoly._scalar_horner``, conjugated for an anti-holomorphic
+        side. Build it once per integration and drop it afterwards;
+        nothing is cached on the instance."""
         horner = cpoly._scalar_horner(self.p.coeffs)
         if self.kind is SystemKind.ANTI_HOLOMORPHIC:
             return lambda z: horner(z).conjugate()
         return horner
 
-    def planar(self, x, y):
-        """(dx/dt, dy/dt); the anti-holomorphic field is (u, -v)."""
-        v = self.velocity(np.asarray(x) + 1j * np.asarray(y))
-        return v.real, v.imag
+    def crossing_sign(self, x):
+        """How the field meets the axis at the real point x: 1 into
+        Im z > 0, -1 into Im z < 0, and 0 for a tangency.
 
-    def crossing_sign(self, x, v):
-        """How the field meets the axis at the real point x, given its
-        vertical velocity v there: 1 into Im z > 0, -1 into Im z < 0,
-        and 0 for a tangency.
-
-        v reads as tangent when it is not finite or |v| <= TANGENCY_TOL *
-        max|c_k| * max(1, |x|)^deg, the size of the largest term p could
-        have at x; so does any v when that scale passes float range. The
-        solvers' Filippov classification and the oracle's half-return
-        entry check share this one rule."""
+        The vertical velocity v = Im velocity(x) reads as tangent when it
+        is not finite or |v| <= TANGENCY_TOL * max|c_k| * max(1, |x|)^deg,
+        the size of the largest term p could have at x; so does any v
+        when that scale passes float range. ``odeint`` builds its one
+        Filippov crossing rule and its half-return entry check on it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = self.velocity(complex(x, 0.0)).imag
         if not math.isfinite(v):
             return 0  # a NaN would otherwise read as -1, "crossing down"
         try:

@@ -34,7 +34,7 @@ from .errors import (
     IdenticallyZero,
     NonConvergence,
 )
-from .odeint import IntegratorConfig, DEFAULT_CONFIG
+from .odeint import Crossing, crossing_transversality
 from .potential import SystemKind, SystemSpec, anti_holomorphic, build_potential
 
 CONFIRM_TOL = 1e-6
@@ -85,30 +85,7 @@ class CycleCandidate:
             raise ValueError("candidates are stored with x1 > x2")
 
 
-class Crossing(enum.Enum):
-    CROSSING_UP = "crossing_up"
-    CROSSING_DOWN = "crossing_down"
-    TANGENT = "tangent"
-    SLIDING = "sliding"
-
-
-def crossing_transversality(spec: PiecewiseSpec, x: float) -> Crossing:
-    """Filippov classification of the point (x, 0) on the switching line
-    from the vertical components of the two fields; a non-finite one
-    reads as tangent."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_up = spec.upper.planar(x, 0.0)[1]
-        v_lo = spec.lower.planar(x, 0.0)[1]
-    s_up = spec.upper.crossing_sign(x, v_up)
-    s_lo = spec.lower.crossing_sign(x, v_lo)
-    if s_up == 0 or s_lo == 0:
-        return Crossing.TANGENT
-    if s_up != s_lo:
-        return Crossing.SLIDING
-    return Crossing.CROSSING_UP if s_up > 0 else Crossing.CROSSING_DOWN
-
-
-def _confirms(pw: PiecewiseSpec, x1, x2, cfg):
+def _confirms(pw: PiecewiseSpec, x1, x2):
     """odeint confirmation: transversal crossings of opposite direction
     at the pair and a closed full return. Returns (reason, miss): reason
     is None when confirmed (see CycleCandidate), and miss is
@@ -120,15 +97,15 @@ def _confirms(pw: PiecewiseSpec, x1, x2, cfg):
         return "tangent", None
     if len(crossings) == 1:
         return "same_direction", None
-    outcome, miss = _return_miss(pw, x1, cfg)
+    outcome, miss = _return_miss(pw, x1)
     if miss is None:
         return outcome.value, None
     return (None if _closes(x1, miss) else "miss"), miss
 
 
-def _return_miss(pw, x1, cfg):
+def _return_miss(pw, x1):
     """(outcome, |P(x1) - x1| or None) of the numerical return map P."""
-    outcome, ret = odeint.return_map_outcome(pw, x1, cfg)
+    outcome, ret = odeint.return_map_outcome(pw, x1)
     return outcome, (None if ret is None else abs(ret - x1))
 
 
@@ -150,14 +127,14 @@ def _add_pair(pairs, a, b):
     pairs.append((x1, x2))
 
 
-def _candidates(pw, pairs, cfg, validate):
+def _candidates(pw, pairs, validate):
     """One candidate per pair: ANALYTIC when validation is off, else
     REJECTED with its reason, or NUMERICALLY_CONFIRMED with the
     return-map derivative as its multiplier; each validated one carries
     the miss when the return map landed."""
     candidates = []
     for x1, x2 in pairs:
-        reason, miss = _confirms(pw, x1, x2, cfg) if validate else (None, None)
+        reason, miss = _confirms(pw, x1, x2) if validate else (None, None)
         multiplier, stability = None, Stability.UNKNOWN
         if not validate:
             verified = Verified.ANALYTIC
@@ -166,7 +143,7 @@ def _candidates(pw, pairs, cfg, validate):
         else:
             verified = Verified.NUMERICALLY_CONFIRMED
             try:
-                multiplier = odeint.return_map_derivative(pw, x1, cfg)
+                multiplier = odeint.return_map_derivative(pw, x1)
             except (ValueError, HoloflowError):
                 pass
             stability = _stability_from_multiplier(multiplier)
@@ -218,7 +195,7 @@ class MixedLinearSpec:
 
 def mixed_linear_pair(spec: MixedLinearSpec):
     """The unique candidate crossing pair in original coordinates, or
-    None when it degenerates.
+    None when it degenerates (bt2 = 0, a = 0, or x1 rounds to x2).
 
     In translated coordinates the two crossing abscissas are
     2*bt2 / (a2 * (exp(s * a*pi/b) - 1)) for s = +1 and s = -1; they
@@ -230,19 +207,19 @@ def mixed_linear_pair(spec: MixedLinearSpec):
     c = spec.a * math.pi / spec.b
     xs = 2.0 * bt2 / (spec.a2 * math.expm1(c))
     xm = 2.0 * bt2 / (spec.a2 * math.expm1(-c))
-    return (max(xs, xm) + spec.x0, min(xs, xm) + spec.x0)
+    x1, x2 = max(xs, xm) + spec.x0, min(xs, xm) + spec.x0
+    return (x1, x2) if x1 > x2 else None
 
 
-def solve_mixed_linear_on_sigma(spec: MixedLinearSpec,
-                                cfg: IntegratorConfig = DEFAULT_CONFIG,
-                                validate=True):
+def solve_mixed_linear_on_sigma(spec: MixedLinearSpec, validate=True):
     """At most one limit cycle; empty when the crossing pair fails the
     geometric validity checks.
 
     Raises CenterContinuum when a = 0 and the matching equations admit a
     crossing pair (period annulus: closed orbits, none isolated). The
     multiplier of a genuine cycle is exp(a*pi/|b|): stable for a < 0,
-    unstable for a > 0.
+    unstable for a > 0. Raises HypothesisViolation when the pair or the
+    multiplier passes float range.
     """
     if spec.a2 == 0.0 or spec.b == 0.0:
         raise HypothesisViolation("mixed linear solver requires a2 != 0 and b != 0")
@@ -252,28 +229,32 @@ def solve_mixed_linear_on_sigma(spec: MixedLinearSpec,
     if spec.a == 0.0:
         if abs(bt2) > 1e-12 * scale:
             return []
-        pair = _annulus_representative(pw, spec.x0, cfg)
+        pair = _annulus_representative(pw, spec.x0)
         raise CenterContinuum(
             "a = 0 with matching crossing pairs: period annulus, no limit cycle",
             pair=pair,
         )
-    pair = mixed_linear_pair(spec)
-    if pair is None:
-        return []
+    try:
+        pair = mixed_linear_pair(spec)
+        if pair is None:
+            return []
+        multiplier = math.exp(spec.a * math.pi / abs(spec.b))
+    except (OverflowError, ZeroDivisionError):
+        raise HypothesisViolation("mixed linear constants put the crossing pair or "
+                                  "exp(a*pi/|b|) past float range") from None
     x1, x2 = pair
-    multiplier = math.exp(spec.a * math.pi / abs(spec.b))
     stability = Stability.STABLE if spec.a < 0 else Stability.UNSTABLE
-    reason, miss = _confirms(pw, x1, x2, cfg) if validate else (None, None)
+    reason, miss = _confirms(pw, x1, x2) if validate else (None, None)
     if reason:
         return []
     verified = Verified.NUMERICALLY_CONFIRMED if validate else Verified.ANALYTIC
     return [CycleCandidate(x1, x2, multiplier, stability, verified, miss=miss)]
 
 
-def _annulus_representative(pw, x0, cfg):
+def _annulus_representative(pw, x0):
     """A crossing pair on a confirmed closed orbit of a period annulus."""
     for r in (max(1.0, abs(x0)), 1.0, 0.5 * max(1.0, abs(x0)), 0.1):
-        if _closes(x0 + r, _return_miss(pw, x0 + r, cfg)[1]):
+        if _closes(x0 + r, _return_miss(pw, x0 + r)[1]):
             return (x0 + r, x0 - r)
     return None
 
@@ -335,9 +316,8 @@ class MixedGeneralConstants:
         )
 
 
-def solve_mixed_general(k: MixedGeneralConstants, tol=1e-10,
-                        cfg: IntegratorConfig = DEFAULT_CONFIG,
-                        validate=True, include_winding=False):
+def solve_mixed_general(k: MixedGeneralConstants, tol=1e-10, validate=True,
+                        include_winding=False):
     """At most three limit cycles for the general mixed system.
 
     y0 = 0 reduces exactly to solve_mixed_linear_on_sigma. Otherwise the
@@ -350,19 +330,27 @@ def solve_mixed_general(k: MixedGeneralConstants, tol=1e-10,
     condition for lower arcs that wrap around an equilibrium lying
     strictly below the switching line (an extension: those arcs are
     invisible to the plain F = 0 equation).
+
+    Raises HypothesisViolation unless a2 != 0, b != 0 and, for y0 != 0,
+    1e-50 <= |y0| and |a|, |b|, |x0|, |y0|, |C| <= 1e50.
     """
     if k.a2 == 0.0 or k.b == 0.0:
         raise HypothesisViolation("mixed general solver requires a2 != 0 and b != 0")
     if k.y0 == 0.0:
         return solve_mixed_linear_on_sigma(
-            MixedLinearSpec(k.a1, k.a2, k.b1, k.b2, k.a, k.b, k.x0), cfg, validate
+            MixedLinearSpec(k.a1, k.a2, k.b1, k.b2, k.a, k.b, k.x0), validate
         )
+    # past this range F's squared distances or F' overflow, or y0^2 vanishes
+    if not (abs(k.y0) >= 1e-50
+            and max(abs(k.a), abs(k.b), abs(k.x0), abs(k.y0), abs(k.C)) <= 1e50):
+        raise HypothesisViolation("mixed general solver requires |y0| >= 1e-50 and "
+                                  "|a|, |b|, |x0|, |y0|, |C| <= 1e50")
     pw = k.as_piecewise()
     F = k.matching_function()
     q0, q1, q2 = k.fprime_quadratic()
     if q0 == 0.0 and q1 == 0.0 and q2 == 0.0:
         # F is constant; it vanishes at the L-fixed point, hence everywhere
-        pair = _annulus_representative(pw, k.x0, cfg)
+        pair = _annulus_representative(pw, k.x0)
         raise CenterContinuum(
             "matching function vanishes identically: period annulus", pair=pair
         )
@@ -379,7 +367,7 @@ def solve_mixed_general(k: MixedGeneralConstants, tol=1e-10,
             if root is not None:
                 # _add_pair drops the involution's fixed point, root == L(root)
                 _add_pair(pairs, root, k.L(root))
-    return _candidates(pw, pairs, cfg, validate)
+    return _candidates(pw, pairs, validate)
 
 
 def _real_quadratic_roots(c0, c1, c2):
@@ -442,9 +430,7 @@ def crossing_pair_polynomial(spec: SystemSpec) -> cpoly.BivarSym:
     return cpoly.divided_difference(psi_axis)
 
 
-def solve_antiholo_pair(spec: PiecewiseSpec, tol=1e-10,
-                        cfg: IntegratorConfig = DEFAULT_CONFIG,
-                        validate=True):
+def solve_antiholo_pair(spec: PiecewiseSpec, tol=1e-10, validate=True):
     """Candidate crossing cycles of a piecewise anti-holomorphic system.
 
     Builds the two divided-difference polynomials, eliminates x2 through
@@ -458,7 +444,8 @@ def solve_antiholo_pair(spec: PiecewiseSpec, tol=1e-10,
     a nonzero constant has no crossing pairs, so the result is []. Raises
     ContinuumDetected when R vanishes identically,
     DegreeUnsupported for constant sides and NonConvergence when a
-    coefficient is not finite.
+    coefficient is not finite or so large that R's scale,
+    max(1, |c|)^(deg c_up + deg c_lo) in x2, passes float range.
     """
     for side in (spec.upper, spec.lower):
         if side.kind is not SystemKind.ANTI_HOLOMORPHIC:
@@ -469,26 +456,25 @@ def solve_antiholo_pair(spec: PiecewiseSpec, tol=1e-10,
     c_lo = crossing_pair_polynomial(spec.lower)
     if any(c.x2_degree == 0 and c.coeffs[0, 0] != 0.0 for c in (c_up, c_lo)):
         return []  # a nonzero constant c never vanishes: no crossing pair
+    try:
+        scale = max(1.0, float(np.max(np.abs(c_up.coeffs))),
+                    float(np.max(np.abs(c_lo.coeffs)))) ** (c_up.x2_degree + c_lo.x2_degree)
+    except OverflowError:
+        raise NonConvergence("the resultant's scale passes float range") from None
     resultant = cpoly.resultant_x2(c_up, c_lo)
-    scale = max(1.0, float(np.max(np.abs(c_up.coeffs))),
-                float(np.max(np.abs(c_lo.coeffs)))) ** (c_up.x2_degree + c_lo.x2_degree)
     if float(np.max(np.abs(resultant.coeffs))) <= 1e-12 * scale:
         raise ContinuumDetected(
             "resultant vanishes identically: infinitely many crossing pairs, no limit cycles"
         )
-    try:
-        r_roots = cpoly.real_roots(resultant, tol=tol)
-    except IdenticallyZero:  # pragma: no cover - guarded by scale test
-        raise ContinuumDetected("resultant vanishes identically")
     pairs = []
-    for r in r_roots:
+    for r in cpoly.real_roots(resultant, tol=tol):
         up_roots = _univariate_real_roots(c_up.x2_poly(r), tol)
         lo_roots = _univariate_real_roots(c_lo.x2_poly(r), tol)
         for x2 in up_roots:
             if any(abs(x2 - y) <= 10.0 * max(tol, 1e-9) * max(1.0, abs(x2))
                    for y in lo_roots):
                 _add_pair(pairs, r, x2)
-    return _candidates(spec, pairs, cfg, validate)
+    return _candidates(spec, pairs, validate)
 
 
 def candidate_bound(spec: PiecewiseSpec):

@@ -328,6 +328,13 @@ class TestExitCodes:
         (["flowstats", "--holo", "1,1", "--circle", "0,0,0"], None),
         (["flowstats", "--holo", "1,1", "--polygon", "0,0"], None),
         (["flowstats", "--holo", "1,1", "--polygon", "0,0;1,0"], None),
+        (["verify"], {"system": {"family": "antiholo", "upper": [],
+                                 "lower": [[1.0, 0.0], [0.0, 1.0]]},
+                      "candidates": [{"x1": 0.5, "verified": "numerically_confirmed"}]}),
+        (["verify"], {"system": {"family": "mixed-linear", "params": [10 ** 400] + [1] * 6},
+                      "candidates": []}),
+        (["verify"], {"system": MIXED_LINEAR_RECORD,
+                      "candidates": [{"x1": 10 ** 400, "verified": "numerically_confirmed"}]}),
     ], ids=["antiholo-no-upper", "mixed-linear-no-params", "verify-short-params",
             "verify-empty-report", "verify-string-coefficient", "flowstats-zero-nodes",
             "verify-candidate-no-verified", "verify-candidate-no-x1",
@@ -338,7 +345,8 @@ class TestExitCodes:
             "potential-infinite-coefficient", "classify-cubic-nan", "portrait-nan-level",
             "portrait-nan-window", "flowstats-nan-circle", "flowstats-infinite-vertex",
             "flowstats-negative-radius", "flowstats-zero-radius",
-            "flowstats-one-vertex", "flowstats-two-vertices"])
+            "flowstats-one-vertex", "flowstats-two-vertices", "verify-empty-side",
+            "verify-huge-int-param", "verify-huge-int-x1"])
     def test_malformed_input(self, tmp_path, capsys, argv, report):
         if report is not None:
             path = tmp_path / "report.json"
@@ -348,6 +356,18 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["cycles", "--family", "antiholo", "--upper", "1e150,(0,1e150),(0,1e150)",
+         "--lower", "1,(0,-1),(0,1)"],
+        ["cycles", "--family", "mixed-general", "--params",
+         "1e-150,1e-150,1,1,1,1,1,1e-150"],
+    ], ids=["antiholo-resultant-scale", "mixed-general-squared-distance"])
+    def test_float_range_is_a_solver_error(self, capsys, argv):
+        # finite flags whose arithmetic passes float range: each command
+        # used to end in an OverflowError traceback
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("solver error: ")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("command", ["cycles", "verify"])

@@ -34,6 +34,13 @@ class TestEval:
         p = CPoly([1.0])
         assert p(5 + 1j) == 1.0 + 0j
 
+    @pytest.mark.parametrize("coeffs", [[], np.array([], dtype=complex)])
+    def test_no_coefficients_rejected(self, coeffs):
+        # CPoly([]) used to build a polynomial of degree -1 whose
+        # evaluation died with an IndexError
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            CPoly(coeffs)
+
     def test_cubic_minus_iz_at_i(self):
         # (i)^3 - i*(i) = -i + 1, expanded by hand
         p = CPoly([0, -1j, 0, 1])
@@ -110,7 +117,7 @@ class TestCalculus:
         # primitive of (2+i)(z - 5i) equals (2+i)(z - 5i)^2 / 2 up to a constant
         p = CPoly([(2 + 1j) * (-5j), 2 + 1j])
         prim = p.antiderivative()
-        expanded = CPoly.from_roots([5j, 5j], leading=(2 + 1j) / 2)
+        expanded = CPoly((2 + 1j) / 2 * CPoly.from_roots([5j, 5j]).coeffs)
         # a constant difference only: every other coefficient is equal
         assert np.array_equal(prim.coeffs[1:], expanded.coeffs[1:])
 

@@ -214,8 +214,8 @@ class TestReturnMap:
         pw = _reference_quadratic_pair()
         # at large x both fields point the same way? pick a sliding point:
         # upper y-velocity and lower y-velocity have opposite signs near x=2
-        up = pw.upper.planar(2.0, 0.0)[1]
-        lo = pw.lower.planar(2.0, 0.0)[1]
+        up = pw.upper.velocity(2.0).imag
+        lo = pw.lower.velocity(2.0).imag
         assert up * lo < 0
         assert return_map(pw, 2.0) is None
 
@@ -233,7 +233,7 @@ class TestReturnMap:
         # tangency, not a crossing whose orbit steps until it underflows
         pw = PiecewiseSpec(anti_holomorphic([complex(0.0, -math.inf), 1.0]),
                            anti_holomorphic([-1j, 1.0]))
-        assert pw.upper.planar(0.5, 0.0)[1] == math.inf
+        assert pw.upper.velocity(0.5).imag == math.inf
         assert return_map_outcome(pw, 0.5) == (Outcome.NOT_ENTERING, None)
 
 
@@ -242,30 +242,18 @@ class TestSeparatrices:
         p = CPoly([0, -1, 0, 1])  # z^3 - z
         eqs = infinity_equilibria(3)
         for k in (1, 3):
-            traj = trace_separatrix(p, eqs[k], t_span=20.0)
+            traj = trace_separatrix(p, eqs[k])
             assert abs(traj.end_point()) < 1e-3
 
     def test_triple_sepal_axes(self):
         p = CPoly([0, 0, 0, 1])  # z^3
         eqs = infinity_equilibria(3)
-        traj = trace_separatrix(p, eqs[1], t_span=20.0)  # vertical direction
+        traj = trace_separatrix(p, eqs[1])  # vertical direction
         # decays along the imaginary axis like 1/sqrt(2t)
         assert abs(traj.end_point()) < 0.2
         xs = traj.samples[:, 1]
         ys = np.abs(traj.samples[:, 2])
         assert np.max(np.abs(xs)) < 1e-6 * np.max(ys)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(offset=0.0), dict(offset=-1e-4), dict(offset=math.nan), dict(offset=math.inf),
-        dict(t_span=0.0), dict(t_span=math.nan), dict(t_span=math.inf),
-    ])
-    def test_bad_offset_or_span_rejected(self, kwargs):
-        # offset 0 used to seed at inf+nanj and raise StepUnderflow
-        name, = kwargs
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match=name):
-                trace_separatrix(CPoly([0, -1, 0, 1]), infinity_equilibria(3)[1], **kwargs)
 
     def test_center_case_recurrent(self):
         # in the three-center configuration the trace from e0 crosses the
@@ -273,7 +261,7 @@ class TestSeparatrices:
         # center-type region) instead of settling or blowing up
         p = CPoly([0, -1j, 0, 1])  # z^3 - iz
         eqs = infinity_equilibria(3)
-        traj = trace_separatrix(p, eqs[0], t_span=50.0)
+        traj = trace_separatrix(p, eqs[0])
         assert traj.terminal is Terminal.TIME_REACHED
         radii = np.abs(traj.points)
         inside = radii < 3.0
@@ -325,7 +313,7 @@ class TestOracleGolden:
         assert traj.end_point() == _c(*end)
 
     def test_separatrix(self):
-        traj = trace_separatrix(CPoly([0, -1, 0, 1]), infinity_equilibria(3)[1], t_span=20.0)
+        traj = trace_separatrix(CPoly([0, -1, 0, 1]), infinity_equilibria(3)[1])
         assert traj.terminal is Terminal.TIME_REACHED
         assert traj.samples.shape[0] == 444
         assert traj.end_point() == _c("0x1.b1851e1b18d94p-110", "0x1.24d18bfd2067cp-29")
@@ -335,7 +323,7 @@ class TestOracleGolden:
         # whose separatrices the explore-cli benchmark traces
         p = CPoly([1.283035459505607 + 1.0603505334481957j,
                    -0.034133032672489294 + 0.4588600306432779j, 0.0, 1.0])
-        traj = trace_separatrix(p, infinity_equilibria(3)[1], t_span=20.0)
+        traj = trace_separatrix(p, infinity_equilibria(3)[1])
         assert traj.terminal is Terminal.TIME_REACHED
         assert traj.samples.shape[0] == 440
         assert traj.end_point() == _c("0x1.c699e020419d0p-3", "0x1.16609e1c3adc6p+0")
@@ -1027,7 +1015,6 @@ class TestIntegratorConfig:
     @pytest.mark.parametrize("field, value", [
         ("rel_tol", math.nan), ("rel_tol", math.inf), ("rel_tol", 0.0),
         ("abs_tol", math.nan), ("abs_tol", math.inf), ("abs_tol", -1e-9),
-        ("event_tol", math.nan), ("event_tol", math.inf),
         ("max_steps", 0), ("max_steps", 2.5), ("max_steps", 1e6), ("max_steps", "10"),
     ])
     def test_rejects(self, field, value):

@@ -224,7 +224,8 @@ class TestHamiltonianGradientDuality:
 
             for _ in range(10):
                 x, y = rng.uniform(-2, 2, 2)
-                u, v = spec.planar(x, y)
+                w = spec.velocity(complex(x, y))
+                u, v = w.real, w.imag
                 scale = max(1.0, abs(u), abs(v))
                 gx = (phi(x + h, y) - phi(x - h, y)) / (2 * h)
                 gy = (phi(x, y + h) - phi(x, y - h)) / (2 * h)

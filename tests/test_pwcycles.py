@@ -15,7 +15,7 @@ from holoflow.errors import (
     NonConvergence,
 )
 from holoflow import odeint, pwcycles
-from holoflow.odeint import DEFAULT_CONFIG, return_map
+from holoflow.odeint import return_map
 from holoflow.potential import anti_holomorphic, build_potential, first_integral
 from holoflow.pwcycles import (
     CONFIRM_TOL,
@@ -534,7 +534,7 @@ class TestRejectionReasons:
 
     def test_sliding_pair(self):
         pw = NO_CYCLE.as_piecewise()
-        assert pwcycles._confirms(pw, *mixed_linear_pair(NO_CYCLE), DEFAULT_CONFIG) == (
+        assert pwcycles._confirms(pw, *mixed_linear_pair(NO_CYCLE)) == (
             "sliding", None)
 
     @pytest.mark.parametrize("spec", [STABLE_CYCLE, UNSTABLE_CYCLE])
