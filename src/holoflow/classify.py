@@ -76,15 +76,15 @@ REGION_TABLE = {
 }
 
 
-def _type_from_lambda(lam: complex, eps: float) -> EquilibriumType:
+def _type_from_lambda(lam: complex) -> EquilibriumType:
     mag = abs(lam)
     if mag == 0.0:
         raise UnclassifiedConfiguration("vanishing linearization at a simple equilibrium")
-    re_small = abs(lam.real) <= eps * mag
-    im_small = abs(lam.imag) <= eps * mag
+    re_small = abs(lam.real) <= DEFAULT_EPS * mag
+    im_small = abs(lam.imag) <= DEFAULT_EPS * mag
     if re_small and im_small:
         raise UnclassifiedConfiguration(
-            f"linearization {lam} is inside both tolerance bands (eps={eps:g})"
+            f"linearization {lam} is inside both tolerance bands (eps={DEFAULT_EPS:g})"
         )
     if re_small:
         return EquilibriumType.CENTER
@@ -100,18 +100,18 @@ def classify_equilibria(p: CPoly):
     lambda = p'(z0), multiple roots tagged MULTIPLE."""
     if p.degree < 1:
         raise ValueError("classification requires degree >= 1")
-    return _typed_equilibria(p, cpoly.roots(p), DEFAULT_EPS)
+    return _typed_equilibria(p)
 
 
-def _typed_equilibria(p: CPoly, root_set, eps):
+def _typed_equilibria(p: CPoly):
     dp = p.derivative()
     out = []
-    for z0, m in root_set:
+    for z0, m in cpoly.roots(p):
         if m > 1:
             out.append(EquilibriumInfo(z0, m, 0j, EquilibriumType.MULTIPLE))
         else:
             lam = dp(z0)
-            out.append(EquilibriumInfo(z0, 1, lam, _type_from_lambda(lam, eps)))
+            out.append(EquilibriumInfo(z0, 1, lam, _type_from_lambda(lam)))
     return tuple(out)
 
 
@@ -148,32 +148,11 @@ def infinity_equilibria(n: int):
     return tuple(out)
 
 
-def _cubic_root_structure(a1: complex, a0: complex):
-    """Roots of z^3 + a1 z + a0 with a discriminant cross-check on
-    multiplicity detection."""
-    p = CPoly([a0, a1, 0.0, 1.0])
-    root_set = cpoly.roots(p)
-    disc = -4.0 * a1 ** 3 - 27.0 * a0 ** 2
-    disc_scale = 4.0 * abs(a1) ** 3 + 27.0 * abs(a0) ** 2 + 1.0
-    near_multiple = abs(disc) <= 1e-12 * disc_scale
-    if near_multiple and all(m == 1 for _, m in root_set):
-        # the cluster radius missed a genuinely multiple root: merge the
-        # closest pair
-        locs = [z for z, _ in root_set]
-        pairs = [(abs(locs[i] - locs[j]), i, j)
-                 for i in range(3) for j in range(i + 1, 3)]
-        _, i, j = min(pairs)
-        keep = [k for k in range(3) if k not in (i, j)][0]
-        merged = (0.5 * (locs[i] + locs[j]), 2)
-        root_set = cpoly.RootSet((merged, (locs[keep], 1)))
-    return p, root_set
-
-
-def classify_cubic(a1: complex, a0: complex, eps: float = DEFAULT_EPS) -> PortraitClass:
+def classify_cubic(a1: complex, a0: complex) -> PortraitClass:
     """Configuration label (a)-(j) and canonical region counts for the
-    monic centered cubic zdot = z^3 + a1 z + a0."""
-    p, root_set = _cubic_root_structure(complex(a1), complex(a0))
-    infos = _typed_equilibria(p, root_set, eps)
+    monic centered cubic zdot = z^3 + a1 z + a0; the multiplicities are
+    those of ``cpoly.roots``."""
+    infos = _typed_equilibria(CPoly([complex(a0), complex(a1), 0.0, 1.0]))
     label = _cubic_label(infos)
     center, sepal, alpha_omega = REGION_TABLE[label]
     return PortraitClass(label, center, sepal, alpha_omega, infos)
@@ -249,9 +228,9 @@ def bernoulli_portrait(n: int, alpha: complex) -> BernoulliPortrait:
     alpha = complex(alpha)
     if alpha == 0:
         raise ZeroAlpha("alpha must be nonzero")
-    infos = [EquilibriumInfo(0j, 1, -alpha, _type_from_lambda(-alpha, DEFAULT_EPS))]
+    infos = [EquilibriumInfo(0j, 1, -alpha, _type_from_lambda(-alpha))]
     lam_ring = (n - 1) * alpha
-    ring_type = _type_from_lambda(lam_ring, DEFAULT_EPS)
+    ring_type = _type_from_lambda(lam_ring)
     radius = abs(alpha) ** (1.0 / (n - 1))
     base = np.angle(alpha) / (n - 1)
     for k in range(n - 1):

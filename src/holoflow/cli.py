@@ -5,8 +5,8 @@ portrait, verify. Complex scalars are written "re,im"; polynomials are
 ascending coefficient lists whose entries are bare reals or "(re,im)"
 pairs, e.g. "1,0,(0,1)" for 1 + i z^2. Exit codes: 0 success, 1 solver
 error, 2 usage error; a NaN or infinite number is a usage error.
-HOLOFLOW_TOL overrides the default tolerance of ``cycles``; it and
-``--tol`` must be finite and positive.
+Tolerances are fixed: the solvers' own (see ``pwcycles``), which
+``verify`` applies as well.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 from . import classify, flowstats, odeint, pwcycles, render
@@ -72,23 +71,6 @@ def parse_coeffs(text):
         else:
             coeffs.append(complex(parse_finite(e), 0.0))
     return coeffs
-
-
-def _tolerance(value, source):
-    """value as a float; ValueError naming source unless it is finite
-    and positive."""
-    try:
-        tol = float(value)
-    except ValueError:
-        tol = math.nan
-    if not 0 < tol < math.inf:
-        raise ValueError(f"{source} must be a finite positive number, got {value!r}")
-    return tol
-
-
-def _default_tol():
-    raw = os.environ.get("HOLOFLOW_TOL")
-    return 1e-10 if raw is None else _tolerance(raw, "HOLOFLOW_TOL")
 
 
 def _spec_from_args(args):
@@ -153,7 +135,7 @@ def _equilibria_json(infos):
 def cmd_classify_cubic(args):
     a1 = parse_complex(args.a1)
     a0 = parse_complex(args.a0)
-    portrait = classify.classify_cubic(a1, a0, eps=args.eps)
+    portrait = classify.classify_cubic(a1, a0)
     report = {
         "config_label": portrait.config_label,
         "equilibria": _equilibria_json(portrait.equilibria),
@@ -213,7 +195,7 @@ def _antiholo_system(system):
     upper, lower = (anti_holomorphic([complex(r, i) for r, i in system[side]])
                     for side in ("upper", "lower"))
     spec = pwcycles.PiecewiseSpec(upper, lower)
-    return (spec, lambda tol: pwcycles.solve_antiholo_pair(spec, tol=tol),
+    return (spec, lambda: pwcycles.solve_antiholo_pair(spec),
             pwcycles.candidate_bound(spec))
 
 
@@ -226,12 +208,12 @@ def _mixed_spec(system, cls):
 
 def _mixed_linear_system(system):
     spec = _mixed_spec(system, pwcycles.MixedLinearSpec)
-    return spec.as_piecewise(), lambda tol: pwcycles.solve_mixed_linear_on_sigma(spec), 1
+    return spec.as_piecewise(), lambda: pwcycles.solve_mixed_linear_on_sigma(spec), 1
 
 
 def _mixed_general_system(system):
     k = _mixed_spec(system, pwcycles.MixedGeneralConstants)
-    return k.as_piecewise(), lambda tol: pwcycles.solve_mixed_general(k, tol=tol), 3
+    return k.as_piecewise(), lambda: pwcycles.solve_mixed_general(k), 3
 
 
 # family -> (the system-record keys its cycles flags fill, decoder); the
@@ -261,7 +243,7 @@ def _is_finite(number):  # False also for a JSON integer past float range
 
 def decode_system(system):
     """(PiecewiseSpec, solve, bound) of a cycles report's system record;
-    solve(tol) returns the candidates. Raises ValueError on an unknown
+    solve() returns the candidates. Raises ValueError on an unknown
     family, a missing key, a non-finite number or a wrong parameter
     count."""
     family = _field(system, "family", "system")
@@ -279,7 +261,6 @@ def decode_system(system):
 
 
 def cmd_cycles(args):
-    tol = _default_tol() if args.tol is None else _tolerance(args.tol, "--tol")
     system = {"family": args.family}
     for key in FAMILIES[args.family][0]:
         text = getattr(args, key)
@@ -293,7 +274,7 @@ def cmd_cycles(args):
     # the mixed solvers raise only CenterContinuum, solve_antiholo_pair
     # only ContinuumDetected
     try:
-        candidates, continuum = solve(tol), False
+        candidates, continuum = solve(), False
     except (CenterContinuum, ContinuumDetected):
         candidates, continuum = [], True
     report = {
@@ -357,7 +338,6 @@ def cmd_portrait(args):
 
 
 def cmd_verify(args):
-    tol = 1e-6 if args.tol is None else _tolerance(args.tol, "--tol")
     with open(args.report, encoding="utf-8") as fh:
         report = json.load(fh)
     pw, _, _ = decode_system(_field(report, "system", "report"))
@@ -374,7 +354,7 @@ def cmd_verify(args):
             print(f"SKIP x1={x1:.9g} ({verified})")
             continue
         ret = odeint.return_map(pw, x1)
-        ok = ret is not None and abs(ret - x1) <= tol * max(1.0, abs(x1))
+        ok = pwcycles.closes(x1, None if ret is None else abs(ret - x1))
         print(f"{'PASS' if ok else 'FAIL'} x1={x1:.9g} return={ret}")
         if not ok:
             failures += 1
@@ -401,7 +381,6 @@ def build_parser():
     p = sub.add_parser("classify-cubic", help="configuration of zdot = z^3 + A1 z + A0")
     p.add_argument("--a1", required=True, help="A1 as re,im")
     p.add_argument("--a0", required=True, help="A0 as re,im")
-    p.add_argument("--eps", type=parse_finite, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify_cubic)
 
@@ -416,7 +395,6 @@ def build_parser():
     p.add_argument("--upper", help="antiholo: upper polynomial coefficients")
     p.add_argument("--lower", help="antiholo: lower polynomial coefficients")
     p.add_argument("--params", help="mixed families: comma-separated constants")
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_cycles)
 
@@ -447,7 +425,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="re-run odeint handshakes on a cycle report")
     p.add_argument("--report", required=True)
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -314,18 +314,18 @@ def _sign_changes(chain, x):
     return count
 
 
-def real_roots(r: CPoly, tol=DEFAULT_TOL):
+def real_roots(r: CPoly):
     """All distinct real roots of a real-coefficient polynomial, sorted.
 
     Counting uses a Sturm sequence (exact distinct-root counts even in
     the presence of multiple roots), then each isolated root is refined
-    by count-preserving bisection and Newton polish. The chain, the
-    polynomial and its derivative are turned into descending Python
-    float lists once per call, and every evaluation runs Horner on
-    those lists: the same IEEE double operations, in the same order, as
-    on the arrays, so no root moves. Raises IdenticallyZero for the
-    zero polynomial and NonConvergence for a coefficient that is not
-    finite.
+    by count-preserving bisection and Newton polish, which stops at
+    |r(x)| <= DEFAULT_TOL. The chain, the polynomial and its derivative
+    are turned into descending Python float lists once per call, and
+    every evaluation runs Horner on those lists: the same IEEE double
+    operations, in the same order, as on the arrays, so no root moves.
+    Raises IdenticallyZero for the zero polynomial and NonConvergence
+    for a coefficient that is not finite.
     """
     if not all(map(cmath.isfinite, r.coeffs.tolist())):
         raise NonConvergence("real_roots needs finite coefficients")
@@ -353,7 +353,7 @@ def real_roots(r: CPoly, tol=DEFAULT_TOL):
         if n == 0:
             continue
         if n == 1:
-            out.append(_refine_root(poly, deriv, chain, a, b, tol))
+            out.append(_refine_root(poly, deriv, chain, a, b))
             continue
         mid = 0.5 * (a + b)
         while _eval_real(poly, mid) == 0.0:
@@ -375,7 +375,7 @@ def _eval_real(c, x):
     return v
 
 
-def _refine_root(poly, deriv, chain, a, b, tol):
+def _refine_root(poly, deriv, chain, a, b):
     """The root in (a, b] of poly, descending float lists like deriv and
     each member of chain."""
     # bisection on the Sturm count keeps working for even-multiplicity
@@ -394,7 +394,7 @@ def _refine_root(poly, deriv, chain, a, b, tol):
     x = 0.5 * (a + b)
     for _ in range(8):
         fx = _eval_real(poly, x)
-        if abs(fx) <= tol:
+        if abs(fx) <= DEFAULT_TOL:
             break
         dfx = _eval_real(deriv, x)
         if dfx == 0.0:

@@ -12,6 +12,12 @@ switching line and confirmed against the numerical return map:
   two symmetric divided-difference polynomials, extracted through a
   Sylvester resultant, with degree-driven bounds 0/1/3 for
   linear/quadratic/cubic sides.
+
+Every decision uses one fixed tolerance that no caller sets: a root of
+F is bisected to BISECT_WIDTH, x2-roots of the two sides match within
+MATCH_WIDTH, a pair degenerates at 1e-9 and repeats another at 1e-8
+(_add_pair), and the return map confirms a pair within CONFIRM_TOL
+(closes, which ``holoflow verify`` applies as well).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +45,8 @@ from .odeint import Crossing, crossing_transversality
 from .potential import SystemKind, SystemSpec, anti_holomorphic, build_potential
 
 CONFIRM_TOL = 1e-6
+BISECT_WIDTH = 1e-10
+MATCH_WIDTH = 1e-8  # 10 times the 1e-9 at which _add_pair calls a pair degenerate
 
 
 @dataclass(frozen=True)
@@ -100,7 +109,7 @@ def _confirms(pw: PiecewiseSpec, x1, x2):
     outcome, miss = _return_miss(pw, x1)
     if miss is None:
         return outcome.value, None
-    return (None if _closes(x1, miss) else "miss"), miss
+    return (None if closes(x1, miss) else "miss"), miss
 
 
 def _return_miss(pw, x1):
@@ -109,8 +118,10 @@ def _return_miss(pw, x1):
     return outcome, (None if ret is None else abs(ret - x1))
 
 
-def _closes(x1, miss):
-    """True when the return map landed within CONFIRM_TOL of x1."""
+def closes(x1, miss):
+    """True when the return map landed within CONFIRM_TOL of x1: the
+    confirmation rule of every solver, given the miss |P(x1) - x1|, or
+    None when the return map did not land."""
     return miss is not None and miss <= CONFIRM_TOL * max(1.0, abs(x1))
 
 
@@ -254,7 +265,7 @@ def solve_mixed_linear_on_sigma(spec: MixedLinearSpec, validate=True):
 def _annulus_representative(pw, x0):
     """A crossing pair on a confirmed closed orbit of a period annulus."""
     for r in (max(1.0, abs(x0)), 1.0, 0.5 * max(1.0, abs(x0)), 0.1):
-        if _closes(x0 + r, _return_miss(pw, x0 + r)[1]):
+        if closes(x0 + r, _return_miss(pw, x0 + r)[1]):
             return (x0 + r, x0 - r)
     return None
 
@@ -316,15 +327,14 @@ class MixedGeneralConstants:
         )
 
 
-def solve_mixed_general(k: MixedGeneralConstants, tol=1e-10, validate=True,
-                        include_winding=False):
+def solve_mixed_general(k: MixedGeneralConstants, validate=True, include_winding=False):
     """At most three limit cycles for the general mixed system.
 
     y0 = 0 reduces exactly to solve_mixed_linear_on_sigma. Otherwise the
     real line splits into at most three monotone intervals of F (the
     critical points solve an explicit quadratic) and each sign change is
-    bisected; a root x yields the pair (x, L(x)), deduplicated and
-    confirmed by integration.
+    bisected to BISECT_WIDTH; a root x yields the pair (x, L(x)),
+    deduplicated and confirmed by integration.
 
     include_winding additionally solves F = +-2*pi*a, the matching
     condition for lower arcs that wrap around an equilibrium lying
@@ -363,7 +373,7 @@ def solve_mixed_general(k: MixedGeneralConstants, tol=1e-10, validate=True,
     pairs = []
     for target in targets:
         for left, right in zip(breakpoints[:-1], breakpoints[1:]):
-            root = _bracket_bisect(lambda x: F(x) - target, left, right, tol)
+            root = _bracket_bisect(lambda x: F(x) - target, left, right)
             if root is not None:
                 # _add_pair drops the involution's fixed point, root == L(root)
                 _add_pair(pairs, root, k.L(root))
@@ -391,7 +401,7 @@ def _real_quadratic_roots(c0, c1, c2):
     return sorted(set(roots))
 
 
-def _bracket_bisect(g, left, right, tol):
+def _bracket_bisect(g, left, right):
     gl, gr = g(left), g(right)
     if gl == 0.0:
         return left
@@ -402,7 +412,7 @@ def _bracket_bisect(g, left, right, tol):
     for _ in range(200):
         mid = 0.5 * (left + right)
         gm = g(mid)
-        if gm == 0.0 or right - left <= max(tol, 1e-14 * max(1.0, abs(mid))):
+        if gm == 0.0 or right - left <= max(BISECT_WIDTH, 1e-14 * max(1.0, abs(mid))):
             return mid
         if math.copysign(1.0, gm) == math.copysign(1.0, gl):
             left, gl = mid, gm
@@ -430,7 +440,7 @@ def crossing_pair_polynomial(spec: SystemSpec) -> cpoly.BivarSym:
     return cpoly.divided_difference(psi_axis)
 
 
-def solve_antiholo_pair(spec: PiecewiseSpec, tol=1e-10, validate=True):
+def solve_antiholo_pair(spec: PiecewiseSpec, validate=True):
     """Candidate crossing cycles of a piecewise anti-holomorphic system.
 
     Builds the two divided-difference polynomials, eliminates x2 through
@@ -442,10 +452,11 @@ def solve_antiholo_pair(spec: PiecewiseSpec, tol=1e-10, validate=True):
     one, cubic at most three. Sides of degree > 3 run the same pipeline
     but carry no proven bound (see candidate_bound). A side whose c is
     a nonzero constant has no crossing pairs, so the result is []. Raises
-    ContinuumDetected when R vanishes identically,
-    DegreeUnsupported for constant sides and NonConvergence when a
-    coefficient is not finite or so large that R's scale,
-    max(1, |c|)^(deg c_up + deg c_lo) in x2, passes float range.
+    ContinuumDetected when R vanishes identically against the Sylvester
+    determinant's own scale max|c_up|^dm * max|c_lo|^dp (dp, dm the
+    x2-degrees of c_up, c_lo), DegreeUnsupported for constant sides and
+    NonConvergence when a coefficient is not finite or that scale
+    passes float range.
     """
     for side in (spec.upper, spec.lower):
         if side.kind is not SystemKind.ANTI_HOLOMORPHIC:
@@ -456,22 +467,26 @@ def solve_antiholo_pair(spec: PiecewiseSpec, tol=1e-10, validate=True):
     c_lo = crossing_pair_polynomial(spec.lower)
     if any(c.x2_degree == 0 and c.coeffs[0, 0] != 0.0 for c in (c_up, c_lo)):
         return []  # a nonzero constant c never vanishes: no crossing pair
-    try:
-        scale = max(1.0, float(np.max(np.abs(c_up.coeffs))),
-                    float(np.max(np.abs(c_lo.coeffs)))) ** (c_up.x2_degree + c_lo.x2_degree)
-    except OverflowError:
-        raise NonConvergence("the resultant's scale passes float range") from None
+    # the scale as a mantissa and a binary exponent, so that neither
+    # power overflows or underflows on its own
+    (m_up, e_up), (m_lo, e_lo) = (math.frexp(float(np.max(np.abs(c.coeffs))))
+                                  for c in (c_up, c_lo))
+    dp, dm = c_up.x2_degree, c_lo.x2_degree
+    exponent = dm * e_up + dp * e_lo
+    if not sys.float_info.min_exp <= exponent <= sys.float_info.max_exp:
+        raise NonConvergence("the resultant's scale passes float range")
+    scale = math.ldexp(m_up ** dm * m_lo ** dp, exponent)
     resultant = cpoly.resultant_x2(c_up, c_lo)
     if float(np.max(np.abs(resultant.coeffs))) <= 1e-12 * scale:
         raise ContinuumDetected(
             "resultant vanishes identically: infinitely many crossing pairs, no limit cycles"
         )
     pairs = []
-    for r in cpoly.real_roots(resultant, tol=tol):
-        up_roots = _univariate_real_roots(c_up.x2_poly(r), tol)
-        lo_roots = _univariate_real_roots(c_lo.x2_poly(r), tol)
+    for r in cpoly.real_roots(resultant):
+        up_roots = _univariate_real_roots(c_up.x2_poly(r))
+        lo_roots = _univariate_real_roots(c_lo.x2_poly(r))
         for x2 in up_roots:
-            if any(abs(x2 - y) <= 10.0 * max(tol, 1e-9) * max(1.0, abs(x2))
+            if any(abs(x2 - y) <= MATCH_WIDTH * max(1.0, abs(x2))
                    for y in lo_roots):
                 _add_pair(pairs, r, x2)
     return _candidates(spec, pairs, validate)
@@ -484,8 +499,8 @@ def candidate_bound(spec: PiecewiseSpec):
     return DEGREE_BOUNDS.get(deg)
 
 
-def _univariate_real_roots(ascending, tol):
+def _univariate_real_roots(ascending):
     try:
-        return list(cpoly.real_roots(CPoly(ascending), tol=tol))
+        return list(cpoly.real_roots(CPoly(ascending)))
     except IdenticallyZero:
         return []

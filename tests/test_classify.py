@@ -168,6 +168,14 @@ class TestCubicGoldenTable:
         with pytest.raises(UnclassifiedConfiguration):
             _cubic_label(fake)
 
+    def test_small_cubic_three_nodes(self):
+        # z^3 - 5e-5 z has three simple real roots, 0 and +-0.00707, as
+        # z^3 - 0.5 z does; none of them is a double equilibrium
+        for a1 in (-5e-5, -0.5):
+            portrait = classify_cubic(a1, 0)
+            assert portrait.config_label == "b"
+            assert [e.multiplicity for e in portrait.equilibria] == [1, 1, 1]
+
     def test_region_table_complete(self):
         assert sorted(REGION_TABLE) == list("abcdefghij")
 

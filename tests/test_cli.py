@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from holoflow import pwcycles
 from holoflow.cli import main, parse_coeffs, parse_complex
 from holoflow.potential import anti_holomorphic, build_potential, eval_potential
 
@@ -14,6 +15,8 @@ REFERENCE_UPPER = "(1,0.5),(2,1.5),(3,0.5)"          # (2+i)/2, (4+3i)/2, (6+i)/
 # mixed-family constants with one confirmed limit cycle each
 MIXED_LINEAR_CYCLE = "1.413612,-1.064242,-1.766789,-0.874464,-0.619219,0.485750,0"
 MIXED_GENERAL_CYCLE = "1.413612,-1.064242,-1.766789,-0.874464,-0.619219,0.485750,0,0.05"
+# README's mixed-general example
+README_MIXED_GENERAL = "1.41,-1.06,-1.77,-0.87,-0.62,0.49,0,0.05"
 MIXED_LINEAR_RECORD = {"family": "mixed-linear",
                        "params": [float(v) for v in MIXED_LINEAR_CYCLE.split(",")]}
 
@@ -113,6 +116,17 @@ class TestCyclesCommand:
             printed = capsys.readouterr().out
             assert code == 0, family_args
             assert "PASS" in printed, family_args
+
+    def test_verify_applies_the_solver_rule(self, tmp_path, capsys, monkeypatch):
+        # verify confirms with pwcycles.closes: tightening the solvers'
+        # CONFIRM_TOL below the cycle's return-map miss fails it too
+        out = tmp_path / "cycles.json"
+        assert main(["cycles", "--family", "mixed-linear", "--params", MIXED_LINEAR_CYCLE,
+                     "--out", str(out)]) == 0
+        monkeypatch.setattr(pwcycles, "CONFIRM_TOL", 0.0)
+        capsys.readouterr()
+        assert main(["verify", "--report", str(out)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL ")
 
     def test_antiholo_constant_divided_difference(self, capsys):
         # p = i + z on both sides: psi(x, 0) = x admits no crossing pair
@@ -272,15 +286,18 @@ class TestReadmePortraits:
 
 
 class TestEnvOverride:
-    def test_holoflow_tol(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("HOLOFLOW_TOL", "1e-8")
-        code = main([
-            "cycles", "--family", "antiholo",
-            "--upper", REFERENCE_UPPER, "--lower", reference_lower(),
-        ])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert len(report["candidates"]) == 1
+    """Tolerances are fixed: HOLOFLOW_TOL is not read."""
+
+    def test_holoflow_tol(self, capsys, monkeypatch):
+        # 1e-3 as the solver's widths reports this genuine cycle rejected
+        argv = ["cycles", "--family", "mixed-general", "--params", README_MIXED_GENERAL]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("HOLOFLOW_TOL", "1e-3")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+        cand, = json.loads(plain)["candidates"]
+        assert cand["verified"] == "numerically_confirmed"
 
 
 class TestExitCodes:
@@ -358,7 +375,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
-        ["cycles", "--family", "antiholo", "--upper", "1e150,(0,1e150),(0,1e150)",
+        ["cycles", "--family", "antiholo", "--upper", "1e200,(0,1e200),(0,1e200)",
          "--lower", "1,(0,-1),(0,1)"],
         ["cycles", "--family", "mixed-general", "--params",
          "1e-150,1e-150,1,1,1,1,1,1e-150"],
@@ -369,25 +386,45 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("solver error: ")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-    @pytest.mark.parametrize("command", ["cycles", "verify"])
+    def test_scaled_side_is_solved(self, capsys):
+        # the upper side of the first case above at 1e150 rather than
+        # 1e200: the resultant's scale, 6e298, is in float range, and a
+        # positive factor only rescales time, so the answer is the
+        # unscaled pair's
+        answers = []
+        for scale in ("1e150", "1"):
+            assert main(["cycles", "--family", "antiholo", "--upper",
+                         f"{scale},(0,{scale}),(0,{scale})", "--lower", "1,(0,-1),(0,1)"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            answers.append((report["candidates"], report["continuum"]))
+        assert answers == [([], False)] * 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e-10"])
+    @pytest.mark.parametrize("command", ["cycles", "verify", "classify-cubic"])
     def test_bad_tol_flag(self, tmp_path, capsys, command, value):
+        # tolerances are fixed: every --tol, and classify-cubic's --eps,
+        # is an unknown argument
         report = tmp_path / "report.json"
         assert main(["cycles", "--family", "mixed-linear", "--params", MIXED_LINEAR_CYCLE,
                      "--out", str(report)]) == 0
-        argv = {"cycles": ["cycles", "--family", "antiholo", "--upper", REFERENCE_UPPER,
-                           "--lower", reference_lower()],
-                "verify": ["verify", "--report", str(report)]}[command]
+        argv, flag = {
+            "cycles": (["cycles", "--family", "antiholo", "--upper", REFERENCE_UPPER,
+                        "--lower", reference_lower()], "--tol"),
+            "verify": (["verify", "--report", str(report)], "--tol"),
+            "classify-cubic": (["classify-cubic", "--a1", "0,-1", "--a0", "0,0"], "--eps"),
+        }[command]
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            main(argv + [f"--tol={value}"])
+            main(argv + [f"{flag}={value}"])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("error: --tol ")
+        assert f"error: unrecognized arguments: {flag}={value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-8"])
     def test_bad_holoflow_tol(self, capsys, monkeypatch, value):
+        # HOLOFLOW_TOL is not read, so no value of it is an error
+        argv = ["cycles", "--family", "mixed-linear", "--params", MIXED_LINEAR_CYCLE]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
         monkeypatch.setenv("HOLOFLOW_TOL", value)
-        with pytest.raises(SystemExit) as exc:
-            main(["cycles", "--family", "mixed-linear", "--params", MIXED_LINEAR_CYCLE])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("error: HOLOFLOW_TOL ")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain

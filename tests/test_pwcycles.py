@@ -350,6 +350,19 @@ class TestAntiholoPair:
         with pytest.raises(ContinuumDetected):
             solve_antiholo_pair(PiecewiseSpec(upper, upper))
 
+    @pytest.mark.parametrize("up, lo", [(1e5, 1e-5), (1e-5, 1e5)])
+    def test_sides_of_different_scale(self, up, lo):
+        # a positive factor on a side only rescales its time, so the
+        # cycle stays; R is small only against max(1, |c|)^4, not
+        # against its own Sylvester scale
+        pw = reference_quadratic_pair()
+        scaled = PiecewiseSpec(anti_holomorphic(pw.upper.p.coeffs * up),
+                               anti_holomorphic(pw.lower.p.coeffs * lo))
+        cand, = solve_antiholo_pair(scaled)
+        assert cand.verified is Verified.NUMERICALLY_CONFIRMED
+        assert cand.x1 == pytest.approx(0.0, abs=1e-9)
+        assert cand.x2 == pytest.approx((-9 + S33) / 4, abs=1e-9)
+
     def test_linear_pairs_have_no_candidates(self):
         rng = np.random.default_rng(97)
         tried = 0

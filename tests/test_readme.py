@@ -1,9 +1,15 @@
-"""README's library example runs as documented."""
+"""README's library example runs as documented, and every CLI command
+it shows parses."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from holoflow import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +22,27 @@ def test_library_example_runs():
         exec(compile(blocks[0], str(README), "exec"), {})
     # the piecewise anti-holomorphic example prints a confirmed cycle
     assert "Verified.NUMERICALLY_CONFIRMED" in out.getvalue()
+
+
+def readme_commands():
+    """The argv of every ``holoflow`` line in README's sh blocks, with
+    backslash continuations joined and the program name dropped."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv and argv[0] == "holoflow":
+                commands.append(argv[1:])
+    return commands
+
+
+def test_cli_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 9
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:  # an unknown flag or a missing required one
+            pytest.fail(f"README command does not parse: holoflow {shlex.join(argv)}")
