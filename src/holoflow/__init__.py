@@ -4,7 +4,6 @@ cycles for planar holomorphic and anti-holomorphic polynomial systems."""
 from .cpoly import (
     BivarSym,
     CPoly,
-    RootSet,
     divided_difference,
     real_roots,
     resultant_x2,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cpoly
 from .cpoly import CPoly
-from .errors import MultipleRoot, UnclassifiedConfiguration, ZeroAlpha
+from .errors import MultipleRoot, NonConvergence, UnclassifiedConfiguration, ZeroAlpha
 
 DEFAULT_EPS = 1e-9
 
@@ -77,7 +77,12 @@ REGION_TABLE = {
 
 
 def _type_from_lambda(lam: complex) -> EquilibriumType:
-    mag = abs(lam)
+    try:
+        mag = abs(lam)
+    except OverflowError:
+        mag = math.inf
+    if not mag < math.inf:
+        raise UnclassifiedConfiguration(f"linearization {lam} passes float range")
     if mag == 0.0:
         raise UnclassifiedConfiguration("vanishing linearization at a simple equilibrium")
     re_small = abs(lam.real) <= DEFAULT_EPS * mag
@@ -106,12 +111,13 @@ def classify_equilibria(p: CPoly):
 def _typed_equilibria(p: CPoly):
     dp = p.derivative()
     out = []
-    for z0, m in cpoly.roots(p):
-        if m > 1:
-            out.append(EquilibriumInfo(z0, m, 0j, EquilibriumType.MULTIPLE))
-        else:
-            lam = dp(z0)
-            out.append(EquilibriumInfo(z0, 1, lam, _type_from_lambda(lam)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z0, m in cpoly.roots(p):
+            if m > 1:
+                out.append(EquilibriumInfo(z0, m, 0j, EquilibriumType.MULTIPLE))
+            else:
+                lam = dp(z0)
+                out.append(EquilibriumInfo(z0, 1, lam, _type_from_lambda(lam)))
     return tuple(out)
 
 
@@ -129,7 +135,9 @@ def infinity_equilibria(n: int):
 
     Angles are k*pi/(n-1); the Jacobian determinant is
     -(n-1)*(1 + tan(angle)**2)**(n-1) in the U1 chart, evaluated in the
-    U2 chart (tan -> cot) at the angles where tan is singular.
+    U2 chart (tan -> cot) at the angles where tan is singular. Raises
+    NonConvergence when a determinant passes float range, as it first
+    does at n = 1017.
     """
     if n < 2:
         raise ValueError("infinity analysis requires degree n >= 2")
@@ -143,7 +151,13 @@ def infinity_equilibria(n: int):
             slope = s / c
         else:
             slope = c / s  # U2 chart
-        det = -(n - 1) * (1.0 + slope * slope) ** (n - 1)
+        try:
+            det = -(n - 1) * (1.0 + slope * slope) ** (n - 1)
+        except OverflowError:
+            det = -math.inf
+        if det == -math.inf:
+            raise NonConvergence(f"the saddle determinant at angle {angle:g} "
+                                 "passes float range")
         out.append(InfinityEquilibrium(angle, k, det))
     return tuple(out)
 

@@ -1,7 +1,9 @@
 """Complex and real polynomial arithmetic.
 
-Dense univariate polynomials (ascending coefficients), roots as
-companion-matrix eigenvalues with multiplicity clustering,
+Dense univariate polynomials (ascending coefficients), repeated
+division by z - z0 (Horner's synthetic division, whose successive
+remainders are the Taylor coefficients at z0), roots as
+companion-matrix eigenvalues with scale-free multiplicity clustering,
 Sturm-sequence real-root isolation, symmetric divided-difference
 polynomials in two variables, and Sylvester resultants eliminating one
 of the two variables.
@@ -10,7 +12,6 @@ of the two variables.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,19 +160,6 @@ def _scalar_horner(coeffs):
     return horner
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Roots with multiplicities; multiplicities sum to the source degree."""
-
-    roots: tuple  # of (location: complex, multiplicity: int)
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __len__(self):
-        return len(self.roots)
-
-
 def _approx_roots(coeffs):
     """All roots of the ascending coefficients as companion-matrix
     eigenvalues (LAPACK's real path for real coefficients), accepted
@@ -188,11 +176,11 @@ def _approx_roots(coeffs):
     raise NonConvergence(f"companion eigenvalues do not meet tol={DEFAULT_TOL:g}")
 
 
-def _cluster(points):
+def _cluster(points, floor):
     """Greedy merge of approximate roots into multiplicity clusters.
 
     Two clusters merge when their centers lie within
-    CLUSTER_TOL**(1/m) * max(1, |center|) of each other, m being the
+    CLUSTER_TOL**(1/m) * max(floor, |center|) of each other, m being the
     combined size: multiple roots of multiplicity m are resolved by the
     eigenvalue solve only to a radius on that order.
     """
@@ -206,7 +194,7 @@ def _cluster(points):
                 zi = np.mean(ci)
                 zj = np.mean(cj)
                 m = len(ci) + len(cj)
-                radius = CLUSTER_TOL ** (1.0 / m) * max(1.0, abs(zi), abs(zj))
+                radius = CLUSTER_TOL ** (1.0 / m) * max(floor, abs(zi), abs(zj))
                 if abs(zi - zj) <= radius:
                     clusters[i] = ci + cj
                     del clusters[j]
@@ -217,36 +205,62 @@ def _cluster(points):
     return [(complex(np.mean(c)), len(c)) for c in clusters]
 
 
-def roots(p: CPoly) -> RootSet:
-    """All complex roots of p with multiplicities.
+def roots(p: CPoly) -> tuple:
+    """All complex roots of p as (location, multiplicity) pairs, sorted
+    by real then imaginary part; the multiplicities sum to the degree.
 
-    Raises NonConvergence if the eigenvalue solve fails or its roots
-    miss the residual gate.
+    Clustering and the polish acceptance are relative to
+    max(rho, |z|) with rho = min(1, max |z_i|) over the eigenvalues, so
+    distinct roots below 1 are not merged for being small. Raises
+    NonConvergence if the eigenvalue solve fails or its roots miss the
+    residual gate.
     """
     if p.degree < 1:
         raise ValueError("roots() requires degree >= 1")
-    derivatives = [p]
-    refined = []
-    for z0, m in _cluster(list(_approx_roots(p.coeffs))):
-        # an m-fold root of p is a simple root of the (m-1)-th
-        # derivative q: polish the cluster mean with Newton on q
-        while len(derivatives) <= m:
-            derivatives.append(derivatives[-1].derivative())
-        q, dq = derivatives[m - 1], derivatives[m]
-        z = z0
-        for _ in range(3):
-            dv = dq(z)
-            if dv == 0:
-                break
-            step = q(z) / dv
-            z = z - step
-            if abs(step) <= 1e-16 * (1.0 + abs(z)):
-                break
-        if abs(z - z0) < CLUSTER_TOL ** (1.0 / m) * max(1.0, abs(z0)):
-            z0 = z
-        refined.append((z0, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = list(_approx_roots(p.coeffs))
+        floor = min(1.0, max(map(abs, points)))
+        derivatives = [p]
+        refined = []
+        for z0, m in _cluster(points, floor):
+            # an m-fold root of p is a simple root of the (m-1)-th
+            # derivative q: polish the cluster mean with Newton on q
+            while len(derivatives) <= m:
+                derivatives.append(derivatives[-1].derivative())
+            q, dq = derivatives[m - 1], derivatives[m]
+            z = z0
+            for _ in range(3):
+                dv = dq(z)
+                if dv == 0:
+                    break
+                step = q(z) / dv
+                z = z - step
+                if abs(step) <= 1e-16 * (1.0 + abs(z)):
+                    break
+            if abs(z - z0) < CLUSTER_TOL ** (1.0 / m) * max(floor, abs(z0)):
+                z0 = z
+            refined.append((z0, m))
     refined.sort(key=lambda t: (t[0].real, t[0].imag))
-    return RootSet(tuple(refined))
+    return tuple(refined)
+
+
+def synthetic_division(coeffs, z0, count):
+    """Divide the polynomial p with ascending coefficients coeffs by
+    z - z0, count times over, by Horner's synthetic division (Knuth,
+    TAOCP vol. 2, 4.6.4). Returns the count remainders, which are the
+    first count Taylor coefficients of p at z0 in ascending order, and
+    the last quotient, p // (z - z0)**count; a constant's quotient is
+    [0]. With count = 1 the remainder is p(z0)."""
+    remainders = []
+    for _ in range(count):
+        quotient = np.zeros(max(len(coeffs) - 1, 1), dtype=complex)
+        acc = coeffs[-1]
+        for i in range(len(coeffs) - 2, -1, -1):
+            quotient[i] = acc
+            acc = acc * z0 + coeffs[i]
+        remainders.append(acc)
+        coeffs = quotient
+    return remainders, coeffs
 
 
 # --------------------------------------------------------------------------

@@ -353,11 +353,7 @@ def _trap_discs(spec, s, cfg):
         if not (ze.imag * s > 0 and abs(ze.real) < BLOWUP_RADIUS
                 and abs(ze.imag) < BLOWUP_RADIUS):
             continue
-        taylor, q, factorial = [], p, 1.0
-        for k in range(1, p.degree + 1):
-            q = q.derivative()
-            factorial *= k
-            taylor.append(q(ze) / factorial)
+        taylor = cpoly.synthetic_division(p.coeffs, ze, p.degree + 1)[0][1:]  # c_1..c_deg
         if not taylor[0].real < 0:
             continue
         share = -0.5 * taylor[0].real / max(p.degree - 1, 1)

@@ -4,13 +4,15 @@ For an anti-holomorphic system zdot = conj(p(z)) the potential is the
 polynomial primitive of p and its imaginary part is a global first
 integral. For a holomorphic system zdot = p(z) the potential is a
 primitive of 1/p, assembled from the partial-fraction expansion over
-the roots of p; its imaginary part is constant along trajectories away
-from poles and branch cuts, and w = Phi(z) rectifies the flow to
-wdot = 1.
+the roots of p, whose principal parts take their Taylor coefficients
+from ``cpoly.synthetic_division``; its imaginary part is constant along
+trajectories away from poles and branch cuts, and w = Phi(z) rectifies
+the flow to wdot = 1.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -19,7 +21,13 @@ import numpy as np
 
 from . import cpoly
 from .cpoly import CPoly
-from .errors import AtPole, ExcludedExponent, UndefinedAtOrigin, ZeroPolynomial
+from .errors import (
+    AtPole,
+    ExcludedExponent,
+    NonConvergence,
+    UndefinedAtOrigin,
+    ZeroPolynomial,
+)
 
 
 # a vertical velocity within this share of the largest term p can have
@@ -121,33 +129,6 @@ class PotentialRep:
         return best
 
 
-def _taylor_shift(coeffs, z0):
-    """Coefficients of p(z0 + w) in w, via repeated synthetic division."""
-    c = np.array(coeffs, dtype=complex)
-    n = len(c)
-    out = np.zeros(n, dtype=complex)
-    for k in range(n):
-        # divide by (z - z0): remainder is the next Taylor coefficient
-        rem = c[-1]
-        for i in range(len(c) - 2, -1, -1):
-            rem = rem * z0 + c[i]
-        out[k] = rem
-        c = _deflate(c, z0)
-        if len(c) == 1 and k + 1 < n and c[0] == 0:
-            break
-    return out
-
-
-def _deflate(c, z0):
-    """Synthetic division of the ascending coefficients c by (z - z0)."""
-    nc = np.zeros(max(len(c) - 1, 1), dtype=complex)
-    acc = 0j
-    for i in range(len(c) - 1, 0, -1):
-        acc = c[i] + acc * z0
-        nc[i - 1] = acc
-    return nc
-
-
 def _series_reciprocal(a, order):
     """First `order` coefficients of 1/sum(a_k w^k); requires a[0] != 0."""
     b = np.zeros(order, dtype=complex)
@@ -160,43 +141,34 @@ def _series_reciprocal(a, order):
     return b
 
 
-def _series_product(a, b, order):
-    out = np.zeros(order, dtype=complex)
-    for k in range(order):
-        s = 0j
-        for i in range(0, k + 1):
-            ai = a[i] if i < len(a) else 0.0
-            bj = b[k - i] if k - i < len(b) else 0.0
-            s += ai * bj
-        out[k] = s
-    return out
-
-
 def partial_fraction_primitive(num: CPoly, den: CPoly) -> PotentialRep:
     """Primitive of num/den (deg num < deg den) as log + rational terms.
 
-    The expansion coefficient of 1/(z - z_j)**m is read off the Taylor
-    series of num * (z - z_j)**m_j / den at z_j.
+    At a root z_j of multiplicity m, den = (z - z_j)**m q, and the
+    coefficient of 1/(z - z_j)**(m - k) is the k-th Taylor coefficient
+    of num / q at z_j, for k < m. Synthetic division gives the first m
+    Taylor coefficients of num and of q (those of den from the m-th on),
+    and the two series are divided by inverting q's and multiplying.
+    Raises NonConvergence when the roots do, or when a coefficient is
+    not finite.
     """
     if den.is_zero():
         raise ZeroPolynomial("denominator is identically zero")
     if num.degree >= den.degree:
         raise ValueError("partial fractions require deg num < deg den")
-    root_set = cpoly.roots(den)
     logs = []
     rats = []
-    for z_j, m in root_set:
-        # deflate den by (z - z_j)^m
-        q = den.coeffs
-        for _ in range(m):
-            q = _deflate(q, z_j)
-        q_shift = _taylor_shift(q, z_j)
-        num_shift = _taylor_shift(num.coeffs, z_j)
-        series = _series_product(num_shift, _series_reciprocal(q_shift, m), m)
+    for z_j, m in cpoly.roots(den):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            q_taylor = cpoly.synthetic_division(den.coeffs, z_j, 2 * m)[0][m:]
+            num_taylor = cpoly.synthetic_division(num.coeffs, z_j, m)[0]
+            series = np.convolve(num_taylor, _series_reciprocal(q_taylor, m))[:m]
         # series[k] multiplies 1/(z - z_j)**(m - k)
         for k in range(m):
             order = m - k
             d = series[k]
+            if not cmath.isfinite(d):
+                raise NonConvergence(f"principal part at {z_j} passes float range")
             if d == 0:
                 continue
             if order == 1:
@@ -239,17 +211,6 @@ def eval_potential(rep: PotentialRep, z):
         for coeff, pole, order in rep.rational_terms:
             val = val + coeff / (z - pole) ** order
     return np.where(at_pole, complex(np.nan, np.nan), val) if z.shape else complex(val)
-
-
-def potential_derivative(rep: PotentialRep, z) -> complex:
-    """Analytic derivative of the represented potential at z."""
-    z = complex(z)
-    val = rep.poly_part.derivative()(z)
-    for res, pole in rep.log_terms:
-        val += res / (z - pole)
-    for coeff, pole, order in rep.rational_terms:
-        val += -order * coeff / (z - pole) ** (order + 1)
-    return complex(val)
 
 
 def first_integral(rep: PotentialRep, x: float, y: float):

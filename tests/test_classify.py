@@ -14,7 +14,7 @@ from holoflow.classify import (
     infinity_equilibria,
 )
 from holoflow.cpoly import CPoly
-from holoflow.errors import MultipleRoot, UnclassifiedConfiguration, ZeroAlpha
+from holoflow.errors import MultipleRoot, NonConvergence, UnclassifiedConfiguration, ZeroAlpha
 
 # the ten reference cubics z^3 + A1 z + A0 and their portraits:
 # label, A1, A0, (center, sepal, alpha-omega) region counts
@@ -109,6 +109,14 @@ class TestInfinity:
         eqs = infinity_equilibria(2)
         np.testing.assert_allclose([eq.angle for eq in eqs], [0, math.pi])
 
+    def test_determinant_past_float_range_raises(self):
+        # -(n-1) (1 + slope^2)^(n-1) first passes float range at n = 1017;
+        # at n = 1028 the power itself overflows
+        assert all(math.isfinite(eq.saddle_det) for eq in infinity_equilibria(1016))
+        for n in (1017, 1028):
+            with pytest.raises(NonConvergence):
+                infinity_equilibria(n)
+
 
 class TestCubicGoldenTable:
     @pytest.mark.parametrize("label,a1,a0,regions", GOLDEN)
@@ -169,9 +177,9 @@ class TestCubicGoldenTable:
             _cubic_label(fake)
 
     def test_small_cubic_three_nodes(self):
-        # z^3 - 5e-5 z has three simple real roots, 0 and +-0.00707, as
-        # z^3 - 0.5 z does; none of them is a double equilibrium
-        for a1 in (-5e-5, -0.5):
+        # z^3 - a z, a > 0, has three simple real roots, 0 and +-sqrt(a),
+        # at every scale; none of them is a double equilibrium
+        for a1 in (-1e-7, -1e-6, -5e-5, -0.5):
             portrait = classify_cubic(a1, 0)
             assert portrait.config_label == "b"
             assert [e.multiplicity for e in portrait.equilibria] == [1, 1, 1]

@@ -82,6 +82,13 @@ class TestClassifyCommand:
         assert report["regions"] == {"center": 0, "alpha_omega": 2}
         assert len(report["equilibria"]) == 3
 
+    @pytest.mark.parametrize("n, alpha", [("1028", "1,0"), ("2", "1.7e308,1.7e308")])
+    def test_bernoulli_past_float_range(self, capsys, n, alpha):
+        # a saddle determinant or a linearization past float range is a
+        # solver error, not an OverflowError traceback
+        assert main(["bernoulli", "--n", n, "--alpha", alpha]) == 1
+        assert "passes float range" in capsys.readouterr().err
+
 
 class TestCyclesCommand:
     def test_antiholo_reference_system(self, tmp_path):

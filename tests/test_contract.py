@@ -13,11 +13,18 @@ steps, never by a wall clock: every integration gets
 period-annulus search runs return maps at the default configuration,
 run with ``odeint.HALF_RETURN_STEPS`` lowered to ``STEPS``.
 
+The root layer (``cpoly.roots``, holomorphic ``build_potential`` and
+``classify_equilibria``) gets coefficients of magnitude 1e-300 to
+1e300, leading coefficients down to subnormal, and products with
+multiple roots, up to degree 12. Each call returns finite values whose
+multiplicities sum to the degree, or raises a ``HoloflowError``.
+
 ``real_roots`` and ``solve_antiholo_pair`` are left out: Sturm isolation
 can loop without bound on a polynomial with a multiple root (ROADMAP
-item 4).
+item 8).
 """
 
+import cmath
 import math
 from unittest import mock
 
@@ -25,8 +32,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holoflow import odeint
-from holoflow.classify import infinity_equilibria
+from holoflow import cpoly, odeint
+from holoflow.classify import classify_equilibria, infinity_equilibria
 from holoflow.cli import FAMILIES, decode_system
 from holoflow.cpoly import CPoly
 from holoflow.errors import HoloflowError
@@ -42,7 +49,7 @@ from holoflow.odeint import (
     return_map_outcome,
     trace_separatrix,
 )
-from holoflow.potential import SystemKind, SystemSpec
+from holoflow.potential import SystemKind, SystemSpec, build_potential, holomorphic
 from holoflow.pwcycles import (
     CycleCandidate,
     MixedGeneralConstants,
@@ -221,3 +228,60 @@ def test_decode_system(record):
     assert isinstance(pw, PiecewiseSpec) and callable(solve)
     assert pw.upper.p.degree >= 0 and pw.lower.p.degree >= 0
     assert bound in (None, 0, 1, 3)
+
+
+# a signed float of magnitude 1e-300 to 1e300, an ordinary one, or zero
+_wide = st.one_of(
+    st.just(0.0),
+    st.floats(-3.0, 3.0),
+    st.builds(lambda m, e, s: s * m * 10.0 ** e, st.floats(1.0, 9.99),
+              st.integers(-300, 299), st.sampled_from([1.0, -1.0])),
+)
+_wide_complex = st.builds(complex, _wide, _wide)
+# a nonzero leading coefficient, on some draws below 1e-300 or subnormal
+_lead = st.one_of(
+    _wide_complex.filter(lambda c: c != 0),
+    st.builds(lambda m, e: m * 10.0 ** -e, st.floats(1.0, 9.99), st.integers(300, 323)),
+)
+_root_polys = st.one_of(
+    st.builds(lambda cs, lead: CPoly(cs + [lead]),
+              st.lists(_wide_complex, min_size=1, max_size=12), _lead),
+    # up to four distinct roots with multiplicities <= 3, scaled by
+    # 1e-20 to 1e20
+    st.builds(lambda rs, ms, e, lead: CPoly(lead * CPoly.from_roots(
+                  [r * 10.0 ** e for r, m in zip(rs, ms) for _ in range(m)]).coeffs),
+              st.lists(st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                       min_size=1, max_size=4),
+              st.lists(st.integers(1, 3), min_size=4, max_size=4),
+              st.integers(-20, 20), st.floats(0.5, 2.0)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_root_polys)
+@example(p=CPoly([1e300, 1e300, 1.0]))  # RuntimeWarnings in cpoly at the parent
+def test_roots(p):
+    out = _answer(cpoly.roots, p)
+    assert out is None or (sum(m for _, m in out) == p.degree
+                           and all(cmath.isfinite(z) for z, _ in out))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_root_polys)
+@example(p=CPoly([0.0, 0.0, 0.0, 1e-320]))  # NaN residues at the parent
+def test_build_potential(p):
+    rep = _answer(build_potential, holomorphic(p.coeffs))
+    if rep is not None:
+        terms = list(rep.log_terms) + [t[:2] for t in rep.rational_terms]
+        assert all(cmath.isfinite(a) and cmath.isfinite(b) for a, b in terms)
+        assert 1 <= len(rep.poles()) <= p.degree
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_root_polys)
+@example(p=CPoly([0.0, 0.0, 0.0, 1j, 1e-155j]))  # p' overflows at the root -1e155
+def test_classify_equilibria(p):
+    out = _answer(classify_equilibria, p)
+    assert out is None or (sum(e.multiplicity for e in out) == p.degree
+                           and all(cmath.isfinite(e.location) and cmath.isfinite(e.lam)
+                                   for e in out))

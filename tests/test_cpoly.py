@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoflow.cpoly import (
     BivarSym,
@@ -141,7 +143,7 @@ class TestRoots:
     def test_triple_root(self):
         rs = roots(CPoly([0, 0, 0, 1]))
         assert len(rs) == 1
-        z, m = rs.roots[0]
+        z, m = rs[0]
         assert m == 3 and abs(z) < 1e-5
 
     def test_expand_resolve_round_trip(self):
@@ -159,7 +161,7 @@ class TestRoots:
             rs = roots(p)
             assert sum(m for _, m in rs) == p.degree
             for z, m in zip(locs, mults):
-                match = min(rs.roots, key=lambda t: abs(t[0] - z))
+                match = min(rs, key=lambda t: abs(t[0] - z))
                 assert match[1] == m
                 assert abs(match[0] - z) <= 10 * tol ** (1.0 / m) * max(1, abs(z))
 
@@ -195,6 +197,33 @@ class TestRoots:
         assert [m for _, m in got] == [m for _, m in want]
         for (z, _), (r, _) in zip(got, want):
             assert abs(z - r) <= 1e-8 * abs(r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(draw=st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3)), min_size=1,
+                         max_size=4, unique_by=lambda t: t[0])
+           .filter(lambda d: sum(m for _, m in d) <= 9),
+           log_scale=st.floats(-8.0, 8.0))
+    def test_multiplicities_do_not_depend_on_scale(self, draw, log_scale):
+        # distinct roots from {-3, -2.25, ..., 3}, scaled by lambda
+        lam = 10.0 ** log_scale
+        want = sorted((0.75 * k * lam, m) for k, m in draw)
+        got = sorted((z.real, m) for z, m in roots(CPoly.from_roots(
+            [r for r, m in want for _ in range(m)])))
+        assert [m for _, m in got] == [m for _, m in want]
+
+    @pytest.mark.parametrize("p, want", [
+        # distinct roots below 1 stay apart (z^2 - 1e-8, z^3 - 1e-6 z)
+        (CPoly([-1e-8, 0, 1]), [(-1e-4, 1), (1e-4, 1)]),
+        (CPoly([0, -1e-6, 0, 1]), [(-1e-3, 1), (0.0, 1), (1e-3, 1)]),
+        # and multiple ones stay together
+        (CPoly([0, 0, 0, 1]), [(0.0, 3)]),
+        (CPoly.from_roots([1e-6, 1e-6]), [(1e-6, 2)]),
+    ])
+    def test_small_roots(self, p, want):
+        got = roots(p)
+        assert [m for _, m in got] == [m for _, m in want]
+        for (z, _), (r, _) in zip(got, want):
+            assert abs(z - r) <= 1e-9 * max(abs(r), 1e-6)
 
     def test_failed_residual_gate_raises(self, monkeypatch):
         monkeypatch.setattr(np, "roots", lambda c: np.full(len(c) - 1, 7.0 + 3j))

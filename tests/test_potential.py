@@ -5,7 +5,13 @@ import pytest
 
 from holoflow import odeint
 from holoflow.cpoly import CPoly
-from holoflow.errors import AtPole, ExcludedExponent, UndefinedAtOrigin, ZeroPolynomial
+from holoflow.errors import (
+    AtPole,
+    ExcludedExponent,
+    NonConvergence,
+    UndefinedAtOrigin,
+    ZeroPolynomial,
+)
 from holoflow.potential import (
     NormalFormKind,
     PotentialRep,
@@ -18,9 +24,51 @@ from holoflow.potential import (
     holomorphic,
     normal_form_potential,
     partial_fraction_primitive,
-    potential_derivative,
     rectify,
 )
+
+# holomorphic systems whose largest root is >= 1, and the float.hex of
+# each term of their potentials
+GOLDEN_POTENTIALS = [
+    (CPoly([0, -4j, 0, 1]), [
+        "log 0x0.0p+0,-0x1.ffffffffffffcp-4 -0x1.6a09e667f3bcdp+0,-0x1.6a09e667f3bcdp+0",
+        "log 0x0.0p+0,0x1.0000000000000p-2 0x0.0p+0,0x0.0p+0",
+        "log 0x0.0p+0,-0x1.ffffffffffffcp-4 0x1.6a09e667f3bcdp+0,0x1.6a09e667f3bcdp+0",
+    ]),
+    (CPoly.from_roots([-2.0, 0.5, 3.0]), [
+        "log 0x1.47ae147ae147bp-4,0x0.0p+0 -0x1.0000000000000p+1,0x0.0p+0",
+        "log -0x1.47ae147ae147bp-3,0x0.0p+0 0x1.0000000000000p-1,0x0.0p+0",
+        "log 0x1.47ae147ae147bp-4,0x0.0p+0 0x1.8000000000000p+1,0x0.0p+0",
+    ]),
+    (CPoly.from_roots([0.5, 0.5, -1.0]), [
+        "log 0x1.c71c71c71c71cp-2,0x0.0p+0 -0x1.0000000000000p+0,0x0.0p+0",
+        "log -0x1.c71c71c71c71cp-2,0x0.0p+0 0x1.0000000000000p-1,0x0.0p+0",
+        "rat -0x1.5555555555555p-1,0x0.0p+0 0x1.0000000000000p-1,0x0.0p+0 1",
+    ]),
+    (CPoly((2 - 1j) * CPoly.from_roots([1 + 1j, 1 + 1j, 1 + 1j, -2.0]).coeffs), [
+        "log -0x1.9652bd3c36114p-7,0x1.bda5119ce0760p-8 -0x1.0000000000000p+1,-0x1.2d77318fc507cp-55",
+        "log 0x1.9652bd3c36113p-7,-0x1.bda5119ce075fp-8 0x1.0000000000000p+0,0x1.0000000000000p+0",
+        "rat -0x1.1eb851eb851ebp-4,-0x1.47ae147ae147ap-7 0x1.0000000000000p+0,0x1.0000000000000p+0 2",
+        "rat 0x1.6872b020c49bap-5,-0x1.0624dd2f1a9fbp-7 0x1.0000000000000p+0,0x1.0000000000000p+0 1",
+    ]),
+    (CPoly.from_roots([-3, -2, -1 + 1j, -1 - 1j, 0.5, 1.5j, 2, 3]), [
+        "log -0x1.0a4e15852f5cep-11,0x1.0a4e15852f5dap-12 -0x1.8000000000000p+1,-0x1.399cfec1ebed2p-53",
+        "log 0x1.a36e2eb1c4326p-9,-0x1.3a92a30553268p-9 -0x1.0000000000000p+1,-0x1.57d4a4ca9006cp-52",
+        "log 0x1.2339c51c29e16p-9,0x1.2b67fa1b8439bp-10 -0x1.0000000000000p+0,-0x1.0000000000000p+0",
+        "log -0x1.a188538d0d724p-9,-0x1.4e802006d20b8p-8 -0x1.0000000000000p+0,0x1.0000000000000p+0",
+        "log -0x1.67f88e1522027p-9,0x1.348be77fd4021p-10 0x1.5853f747c9e90p-58,0x1.8000000000000p+0",
+        "log 0x1.eba3d8f5e1499p-10,0x1.70bae2b868f73p-8 0x1.0000000000000p-1,-0x1.70fe7f0abf6c4p-57",
+        "log -0x1.179ec9cbd821ep-10,-0x1.a36e2eb1c432dp-11 0x1.0000000000000p+1,-0x1.e4f73046b6888p-55",
+        "log 0x1.b69eba088a3f2p-13,0x1.b69eba088a3f2p-14 0x1.8000000000000p+1,-0x1.71e759467f67cp-54",
+    ]),
+    (CPoly.from_roots(1e3 * np.array([1.0, 1.0, -2.0, 0.5j])), [
+        "log -0x1.cbed2aaeba69ep-35,0x1.cbed2aaeba69ep-37 -0x1.f400000000000p+10,0x1.0f1972de53654p-50",
+        "log 0x1.4b25a3d9f6dbap-32,0x1.0d0e952118927p-32 0x1.1119c5df8ead2p-47,0x1.f400000000000p+8",
+        "log -0x1.11a7fe841f8e7p-32,-0x1.1b6dfe768e65cp-32 0x1.f400000000000p+9,0x1.8bf541bc99c98p-47",
+        "rat -0x1.1e54c672874dbp-22,-0x1.1e54c672874dbp-23 0x1.f400000000000p+9,0x1.8bf541bc99c98p-47 1",
+    ]),
+]
+
 
 
 class TestBuildPotential:
@@ -79,9 +127,7 @@ class TestBuildPotential:
                 z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 if min(abs(z - q) for q in rep.poles()) < 0.3:
                     continue
-                assert potential_derivative(rep, z) == pytest.approx(
-                    1.0 / p(z), rel=1e-8
-                )
+                assert _rep_derivative(rep, z) == pytest.approx(1.0 / p(z), rel=1e-8)
 
     def test_derivative_identity_antiholo(self):
         # the anti-holomorphic potential is the primitive of p itself
@@ -92,7 +138,40 @@ class TestBuildPotential:
             rep = build_potential(SystemSpec(SystemKind.ANTI_HOLOMORPHIC, p))
             for _ in range(10):
                 z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                assert potential_derivative(rep, z) == pytest.approx(p(z), rel=1e-8)
+                assert _rep_derivative(rep, z) == pytest.approx(p(z), rel=1e-8)
+
+    @pytest.mark.parametrize("p, terms", GOLDEN_POTENTIALS)
+    def test_golden(self, p, terms):
+        # pins Phi bit for bit: float.hex of every term
+        rep = build_potential(SystemSpec(SystemKind.HOLOMORPHIC, p))
+        got = [f"log {_hex(r)} {_hex(q)}" for r, q in rep.log_terms]
+        got += [f"rat {_hex(a)} {_hex(q)} {n}" for a, q, n in rep.rational_terms]
+        assert got == terms
+
+    def test_small_roots_stay_simple(self):
+        # roots +-1e-4 of z^2 - 1e-8 are two simple poles, not one
+        # double pole at 0
+        rep = build_potential(holomorphic([-1e-8, 0, 1]))
+        assert rep.rational_terms == ()
+        got = sorted((q.real, r.real) for r, q in rep.log_terms)
+        assert got == pytest.approx([(-1e-4, -5000.0), (1e-4, 5000.0)], rel=1e-12)
+
+    def test_non_finite_principal_part_raises(self):
+        # 1e-320 z^3: the residue 1e320 passes float range
+        with pytest.raises(NonConvergence):
+            build_potential(holomorphic([0, 0, 0, 1e-320]))
+
+
+def _rep_derivative(rep, z):
+    """d/dz of the represented potential, term by term."""
+    val = rep.poly_part.derivative()(z)
+    val += sum(r / (z - pole) for r, pole in rep.log_terms)
+    val += sum(-n * c / (z - pole) ** (n + 1) for c, pole, n in rep.rational_terms)
+    return val
+
+
+def _hex(z):
+    return f"{z.real.hex()},{z.imag.hex()}"
 
 
 def _scalar_reference(rep, z):
