@@ -35,7 +35,7 @@ class CPoly:
     list raises ValueError: the zero polynomial is ``CPoly([0])``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_scalar")
 
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
@@ -62,6 +62,24 @@ class CPoly:
     @property
     def degree(self):
         return len(self.coeffs) - 1
+
+    @property
+    def scalar_view(self):
+        """(descending, scale): the coefficients as Python complex,
+        leading first, and their size ``float(np.max(np.abs(coeffs)))``,
+        numpy's modulus and not Python's ``abs``, which can differ in the
+        last bit. Built on first use and kept, since the coefficients
+        never change (two threads that race build equal views). The one
+        place the scalar paths (``_scalar_horner``,
+        ``SystemSpec.crossing_sign``, the oracle's escape tests) convert
+        the coefficients."""
+        try:
+            return self._scalar
+        except AttributeError:
+            view = (tuple(complex(c) for c in self.coeffs[::-1]),
+                    float(np.max(np.abs(self.coeffs))))
+            object.__setattr__(self, "_scalar", view)
+            return view
 
     def is_zero(self):
         return self.degree == 0 and self.coeffs[0] == 0
@@ -125,10 +143,11 @@ def _horner(top, rest, z):
     return acc
 
 
-def _scalar_horner(coeffs):
-    """z -> the complex p(z) for a complex scalar z, where coeffs are
-    p's ascending coefficients: the float ``CPoly.__call__`` gives, bit
-    for bit, at a fraction of its per-call cost.
+def _scalar_horner(descending):
+    """z -> the complex p(z) for a complex scalar z, where descending
+    holds p's coefficients as Python complex, leading first (the first
+    item of ``CPoly.scalar_view``): the float ``CPoly.__call__`` gives,
+    bit for bit, at a fraction of its per-call cost.
 
     It allocates three 0-d complex arrays once, the accumulator, z and
     the product, and runs each product as ``np.multiply(acc, z,
@@ -140,11 +159,11 @@ def _scalar_horner(coeffs):
     the float numpy's add gives. The buffers belong to the returned
     function, so two functions, even of one polynomial, may be called
     interleaved; one function is not reentrant across threads."""
-    if len(coeffs) == 1:
-        value = complex(coeffs[0])
+    if len(descending) == 1:
+        value = descending[0]
         return lambda z: value
-    top = np.array(coeffs[-1])
-    first, *tail = (complex(c) for c in coeffs[-2::-1])
+    top = np.array(descending[0])
+    first, *tail = descending[1:]
     acc, zbuf, out = (np.zeros((), complex) for _ in range(3))
     multiply, item = np.multiply, out.item
 
@@ -182,27 +201,30 @@ def _cluster(points, floor):
     Two clusters merge when their centers lie within
     CLUSTER_TOL**(1/m) * max(floor, |center|) of each other, m being the
     combined size: multiple roots of multiplicity m are resolved by the
-    eigenvalue solve only to a radius on that order.
+    eigenvalue solve only to a radius on that order. ``means`` holds
+    each cluster's ``np.mean``, taken again only when the cluster merges:
+    the float a mean of the same list always gives.
     """
     clusters = [[z] for z in points]
+    means = [np.mean(c) for c in clusters]
     merged = True
     while merged:
         merged = False
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
                 ci, cj = clusters[i], clusters[j]
-                zi = np.mean(ci)
-                zj = np.mean(cj)
+                zi, zj = means[i], means[j]
                 m = len(ci) + len(cj)
                 radius = CLUSTER_TOL ** (1.0 / m) * max(floor, abs(zi), abs(zj))
                 if abs(zi - zj) <= radius:
                     clusters[i] = ci + cj
-                    del clusters[j]
+                    means[i] = np.mean(clusters[i])
+                    del clusters[j], means[j]
                     merged = True
                     break
             if merged:
                 break
-    return [(complex(np.mean(c)), len(c)) for c in clusters]
+    return [(complex(z), len(c)) for z, c in zip(means, clusters)]
 
 
 def roots(p: CPoly) -> tuple:

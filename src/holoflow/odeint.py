@@ -392,7 +392,7 @@ def _saddle_escape(spec, s, cfg):
     if not (isinstance(spec, SystemSpec) and spec.kind is SystemKind.ANTI_HOLOMORPHIC
             and spec.p.degree == 1):
         return None
-    c0, c1 = (complex(c) for c in spec.p.coeffs)
+    c1, c0 = spec.p.scalar_view[0]
     if not (cmath.isfinite(c0) and cmath.isfinite(c1)):
         return None
     ze = -c0 / c1
@@ -444,7 +444,7 @@ def _level_escape(spec, cfg):
     if not (isinstance(spec, SystemSpec) and spec.kind is SystemKind.ANTI_HOLOMORPHIC
             and spec.p.degree >= 2):
         return None
-    p = [complex(c) for c in spec.p.coeffs]
+    p = spec.p.scalar_view[0][::-1]
     if not all(cmath.isfinite(c) for c in p):
         return None
     omega = [0j] + [c / k for k, c in enumerate(p, 1)]

@@ -54,11 +54,13 @@ class SystemSpec:
 
     def scalar_field(self):
         """z -> velocity(z) for a complex scalar z, the same float bit
-        for bit, with the coefficients read once when it is built: it is
-        ``cpoly._scalar_horner``, conjugated for an anti-holomorphic
-        side. Build it once per integration and drop it afterwards;
-        nothing is cached on the instance."""
-        horner = cpoly._scalar_horner(self.p.coeffs)
+        for bit: it is ``cpoly._scalar_horner``, conjugated for an
+        anti-holomorphic side. The coefficients come from
+        ``CPoly.scalar_view``, converted once per polynomial and kept on
+        the spec's immutable ``p``; nothing is stored on the spec itself.
+        The Horner buffers are not shared: each call builds a field with
+        its own, so build one per integration and drop it afterwards."""
+        horner = cpoly._scalar_horner(self.p.scalar_view[0])
         if self.kind is SystemKind.ANTI_HOLOMORPHIC:
             return lambda z: horner(z).conjugate()
         return horner
@@ -71,14 +73,28 @@ class SystemSpec:
         is not finite or |v| <= TANGENCY_TOL * max|c_k| * max(1, |x|)^deg,
         the size of the largest term p could have at x; so does any v
         when that scale passes float range. ``odeint`` builds its one
-        Filippov crossing rule and its half-return entry check on it."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = self.velocity(complex(x, 0.0)).imag
+        Filippov crossing rule and its half-return entry check on it.
+
+        v comes from Horner in Python complex arithmetic on
+        ``CPoly.scalar_view``, and it decides as ``velocity``'s numpy
+        value would. At z = x + 0i each complex product has one exactly
+        zero partial product: numpy's fused loop forms fma(a, x, -(b*0))
+        and fma(a, 0, b*x) where Python forms a*x - b*0 and a*0 + b*x,
+        and both round to the same float, up to the sign of a zero,
+        which the tangency test reads as 0 either way; a sum is exactly
+        rounded part by part in both, and inf and NaN propagate alike.
+        max|c_k| is the view's numpy modulus, since Python's ``abs`` can
+        differ from it in the last bit."""
+        descending, size = self.p.scalar_view
+        z = complex(x, 0.0)
+        v = descending[0]
+        for c in descending[1:]:
+            v = v * z + c
+        v = -v.imag if self.kind is SystemKind.ANTI_HOLOMORPHIC else v.imag
         if not math.isfinite(v):
             return 0  # a NaN would otherwise read as -1, "crossing down"
         try:
-            scale = (float(np.max(np.abs(self.p.coeffs)))
-                     * max(1.0, abs(float(x))) ** self.p.degree)
+            scale = size * max(1.0, abs(float(x))) ** (len(descending) - 1)
         except OverflowError:
             return 0
         if abs(v) <= TANGENCY_TOL * max(scale, 1e-300):

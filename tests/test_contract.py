@@ -122,6 +122,18 @@ def test_crossing_transversality_always_classifies(start):
     assert crossing_transversality(pw, x) in Crossing
 
 
+@settings(max_examples=200, deadline=None)
+@given(start=_side_and_start(), other=st.floats())
+@example(start=(SystemSpec(SystemKind.HOLOMORPHIC, CPoly([1j, 1.0])), 0.0), other=math.inf)
+@example(start=(SystemSpec(SystemKind.ANTI_HOLOMORPHIC, CPoly([1j, 1e150, 1e150])), 1.0),
+         other=1e200)  # the scale passes float range at 1e200
+def test_crossing_sign_always_decides(start, other):
+    # at the drawn start, and at any float, infinite and NaN included
+    spec, x = start
+    for point in (x, other):
+        assert spec.crossing_sign(point) in (-1, 0, 1)
+
+
 def _check_outcome(result):
     if result is None:
         return

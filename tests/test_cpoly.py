@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holoflow import cpoly
 from holoflow.cpoly import (
     BivarSym,
     CPoly,
@@ -224,6 +225,48 @@ class TestRoots:
         assert [m for _, m in got] == [m for _, m in want]
         for (z, _), (r, _) in zip(got, want):
             assert abs(z - r) <= 1e-9 * max(abs(r), 1e-6)
+
+    def test_cluster_means_as_recomputed(self, monkeypatch):
+        # roots() with _cluster's kept means gives the floats of the loop
+        # that took np.mean of both clusters for every pair, on draws
+        # that merge (multiplicities up to 3) and on draws that do not
+        def recomputed(points, floor):
+            clusters = [[z] for z in points]
+            merged = True
+            while merged:
+                merged = False
+                for i in range(len(clusters)):
+                    for j in range(i + 1, len(clusters)):
+                        ci, cj = clusters[i], clusters[j]
+                        zi, zj = np.mean(ci), np.mean(cj)
+                        m = len(ci) + len(cj)
+                        radius = cpoly.CLUSTER_TOL ** (1.0 / m) * max(floor, abs(zi), abs(zj))
+                        if abs(zi - zj) <= radius:
+                            clusters[i] = ci + cj
+                            del clusters[j]
+                            merged = True
+                            break
+                    if merged:
+                        break
+            return [(complex(np.mean(c)), len(c)) for c in clusters]
+
+        def hexes(p):
+            return [(z.real.hex(), z.imag.hex(), m) for z, m in roots(p)]
+
+        rng = np.random.default_rng(41)
+        polys = []
+        for _ in range(60):
+            k = int(rng.integers(1, 5))
+            locs = rng.uniform(-3, 3, k) + 1j * rng.uniform(-3, 3, k)
+            polys.append(CPoly.from_roots(np.repeat(locs, rng.integers(1, 4, k))))
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            polys.append(CPoly(rng.normal(size=n) + 1j * rng.normal(size=n)))
+        kept = [hexes(p) for p in polys]
+        monkeypatch.setattr(cpoly, "_cluster", recomputed)
+        assert kept == [hexes(p) for p in polys]
+        assert any(m > 1 for got in kept[:60] for _, _, m in got)
+        assert all(m == 1 for got in kept[60:] for _, _, m in got)
 
     def test_failed_residual_gate_raises(self, monkeypatch):
         monkeypatch.setattr(np, "roots", lambda c: np.full(len(c) - 1, 7.0 + 3j))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from holoflow.errors import (
     ZeroPolynomial,
 )
 from holoflow.potential import (
+    TANGENCY_TOL,
     NormalFormKind,
     PotentialRep,
     SystemKind,
@@ -160,6 +162,95 @@ class TestBuildPotential:
         # 1e-320 z^3: the residue 1e320 passes float range
         with pytest.raises(NonConvergence):
             build_potential(holomorphic([0, 0, 0, 1e-320]))
+
+
+def _numpy_crossing_sign(spec, x):
+    """The crossing rule with p evaluated by numpy (``CPoly.__call__``)
+    and its scale reduced by numpy on every call: the reference that
+    ``SystemSpec.crossing_sign`` must decide as."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = spec.velocity(complex(x, 0.0)).imag
+    if not math.isfinite(v):
+        return 0
+    try:
+        scale = (float(np.max(np.abs(spec.p.coeffs)))
+                 * max(1.0, abs(float(x))) ** spec.p.degree)
+    except OverflowError:
+        return 0
+    if abs(v) <= TANGENCY_TOL * max(scale, 1e-300):
+        return 0
+    return 1 if v > 0 else -1
+
+
+# signed zeros, subnormals, the ends of float range, inf and NaN
+_SPECIAL_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1e-300, 1e300,
+                  -1e300, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+
+
+def _adversarial_part(rng):
+    u = rng.random()
+    if u < 0.6:
+        return rng.gauss(0.0, 1.0)
+    if u < 0.8:
+        return rng.choice(_SPECIAL_PARTS)
+    return rng.choice([1.0, -1.0]) * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-323, 307)
+
+
+def _adversarial_draw(rng):
+    """(spec, x) with degree 0-7, either kind, and parts drawn from
+    ordinary, special and float-range-wide values."""
+    kind = rng.choice(list(SystemKind))
+    coeffs = [complex(_adversarial_part(rng), _adversarial_part(rng))
+              for _ in range(rng.randint(1, 8))]
+    x = rng.uniform(-3.0, 3.0) if rng.random() < 0.5 else _adversarial_part(rng)
+    return SystemSpec(kind, CPoly(coeffs)), x
+
+
+def _threshold_draw(rng):
+    """(spec, x) whose vertical velocity at x = +-0 is the tangency
+    threshold TANGENCY_TOL * max|c_k| to the bit, or the next float
+    away from 0: the decision then rests on the last bit of the scale.
+    The largest coefficient has parts of comparable size, where
+    Python's ``abs`` and numpy's modulus can round apart."""
+    degree = rng.randint(1, 7)
+    size = 10.0 ** rng.randint(-250, 250)
+    coeffs = [complex(rng.gauss(0.0, 0.1), rng.gauss(0.0, 0.1)) * size
+              for _ in range(degree + 1)]
+    coeffs[rng.randint(1, degree)] = complex(rng.uniform(1.0, 4.0),
+                                             rng.uniform(1.0, 4.0)) * size
+    coeffs[0] = complex(coeffs[0].real, 0.0)
+    t = TANGENCY_TOL * float(np.max(np.abs(np.array(coeffs))))
+    if rng.random() < 0.5:
+        t = math.nextafter(t, math.inf)
+    coeffs[0] = complex(coeffs[0].real, rng.choice([1.0, -1.0]) * t)
+    return SystemSpec(rng.choice(list(SystemKind)), CPoly(coeffs)), rng.choice([0.0, -0.0])
+
+
+class TestCrossingSign:
+    def test_decides_as_numpy_rule(self):
+        # 60,000 seeded draws, one in four at the tangency threshold;
+        # each decision must equal the numpy reference's
+        rng = random.Random(20261019)
+        seen = {-1: 0, 0: 0, 1: 0}
+        diffs = []
+        for i in range(60_000):
+            spec, x = (_threshold_draw if i % 4 == 0 else _adversarial_draw)(rng)
+            got, want = spec.crossing_sign(x), _numpy_crossing_sign(spec, x)
+            seen[want] += 1
+            if got != want and len(diffs) < 5:
+                diffs.append((spec, x, got, want))
+        assert diffs == []
+        # every decision is drawn often, tangencies included
+        assert min(seen.values()) > 5_000
+
+    def test_scale_read_once_per_polynomial(self):
+        spec = anti_holomorphic([1 + 2j, 3 - 1j, 0.5j])
+        view = spec.p.scalar_view
+        assert view == ((0.5j, 3 - 1j, 1 + 2j), float(np.max(np.abs(spec.p.coeffs))))
+        spec.crossing_sign(0.25)
+        assert spec.p.scalar_view is view
+        # the spec itself holds nothing beyond its fields
+        assert set(vars(spec)) == {"kind", "p"}
 
 
 def _rep_derivative(rep, z):
