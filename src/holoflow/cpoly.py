@@ -76,7 +76,7 @@ class CPoly:
         try:
             return self._scalar
         except AttributeError:
-            view = (tuple(complex(c) for c in self.coeffs[::-1]),
+            view = (tuple(self.coeffs[::-1].tolist()),
                     float(np.max(np.abs(self.coeffs))))
             object.__setattr__(self, "_scalar", view)
             return view
@@ -242,14 +242,16 @@ def roots(p: CPoly) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         points = list(_approx_roots(p.coeffs))
         floor = min(1.0, max(map(abs, points)))
-        derivatives = [p]
+        # horners[k] evaluates derivatives[k], the k-th derivative of p
+        derivatives, horners = [p], [_scalar_horner(p.scalar_view[0])]
         refined = []
         for z0, m in _cluster(points, floor):
             # an m-fold root of p is a simple root of the (m-1)-th
             # derivative q: polish the cluster mean with Newton on q
             while len(derivatives) <= m:
                 derivatives.append(derivatives[-1].derivative())
-            q, dq = derivatives[m - 1], derivatives[m]
+                horners.append(_scalar_horner(derivatives[-1].scalar_view[0]))
+            q, dq = horners[m - 1], horners[m]
             z = z0
             for _ in range(3):
                 dv = dq(z)

@@ -117,11 +117,12 @@ def contour_integral(field_fn, curve, n_nodes=DEFAULT_NODES) -> ContourResult:
         f = field_fn.velocity
     else:
         f = field_fn
-    z, w = curve.nodes(n_nodes)
-    vals = np.asarray(f(z), dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        raise FieldSingularOnCurve("field overflowed on a quadrature node")
-    total = np.sum(np.conj(vals) * w)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z, w = curve.nodes(n_nodes)
+        vals = np.asarray(f(z), dtype=complex)
+        if not np.all(np.isfinite(vals)):
+            raise FieldSingularOnCurve("field overflowed on a quadrature node")
+        total = np.sum(np.conj(vals) * w)
     return ContourResult(float(total.real), float(total.imag))
 
 

@@ -34,15 +34,14 @@ starts from 0 as the builtin ``sum`` does (which decides the sign of a
 zero result), zero tableau weights are kept, and the field's complex
 products go through the numpy ufunc (see ``CPoly.__call__``).
 
-Each integration builds its field once: ``_rhs`` turns a ``SystemSpec``
-into ``SystemSpec.scalar_field()``, whose every value is the float that
-``SystemSpec.velocity`` gives, without that method's per-call overhead.
+Each integration builds its field once, as ``SystemSpec.scalar_field()``,
+whose every value is the float that ``SystemSpec.velocity`` gives,
+without that method's per-call overhead; only ``integrate`` also takes
+a plain callable.
 
 An accepted step keeps its stage values, and only a half-return fits
 the dense output from them, once per step (``_Dopri5.fit_dense``);
-``integrate``, and so ``trace_separatrix``, never does. A half-return
-also ends STEP_LIMIT after min(cfg.max_steps, HALF_RETURN_STEPS) steps,
-where ``integrate`` runs up to cfg.max_steps.
+``integrate``, and so ``trace_separatrix``, never does.
 
 A half-return looks for the landing by scanning each step's dense output
 at the fractions _THETAS. Most steps of an excursion stay far from the
@@ -52,7 +51,8 @@ level, on the excursion's side, skips the scan (``_clear_of_axis``); the
 bound covers the rounding of the samples themselves, so no landing and
 no outcome changes. ``crossing_transversality`` is the one Filippov
 crossing rule, which the solvers and ``return_map_outcome`` apply, and a
-``SystemSpec`` start that its side's sign calls tangent does not enter.
+half-return start that its side's ``SystemSpec.crossing_sign`` calls
+tangent does not enter.
 """
 
 from __future__ import annotations
@@ -72,12 +72,13 @@ from .potential import SystemKind, SystemSpec
 
 BLOWUP_RADIUS = 1e12
 MAX_TIME = 1e6
-# A half-return ends STEP_LIMIT after at most this many accepted steps
-# (or cfg.max_steps, if fewer). In a census of one pass of every
-# benchmark corpus and of acceptance criteria 2-4 (criterion 4's
+# The step budgets: a half-return, or ``integrate``, ends STEP_LIMIT
+# after at most this many accepted steps. In a census of one pass of
+# every benchmark corpus and of acceptance criteria 2-4 (criterion 4's
 # candidates validated), each start run at tolerances 1e-9 and 1e-11, no
 # landing took more than 1,095 steps and no other outcome more than 1,131.
 HALF_RETURN_STEPS = 20_000
+INTEGRATE_STEPS = 1_000_000
 # a half-return's landing is bisected until |Im z| <= EVENT_TOL
 EVENT_TOL = 1e-12
 # a separatrix trace starts at |z| = 1 / SEPARATRIX_OFFSET for a time SEPARATRIX_SPAN
@@ -122,7 +123,6 @@ class Terminal(enum.Enum):
 class IntegratorConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-9
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         # the step control and the certificate margins read the
@@ -130,9 +130,6 @@ class IntegratorConfig:
         for name in ("rel_tol", "abs_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        # range(max_steps) needs an int: 2.5 and 1e6 are rejected here
-        if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
-            raise ValueError("max_steps must be an integer of at least 1")
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -157,14 +154,6 @@ class Trajectory:
         return complex(self.samples[-1, 1], self.samples[-1, 2])
 
 
-def _rhs(field):
-    """The scalar RHS of one integration: a SystemSpec's field is built
-    here, once, and any other callable passes through unchanged."""
-    if isinstance(field, SystemSpec):
-        return field.scalar_field()
-    return field
-
-
 class _Dopri5:
     """Scalar-complex DOPRI5 stepper with FSAL; ``fit_dense`` fits the
     dense output of the last accepted step on demand."""
@@ -176,7 +165,10 @@ class _Dopri5:
         self.dir = direction
         self.cfg = cfg
         self.k1 = f(z0)
-        v = abs(self.k1)
+        try:
+            v = abs(self.k1)
+        except OverflowError:  # a finite k1 whose modulus passes 1.8e308
+            v = 1e308
         scale = cfg.abs_tol + cfg.rel_tol * abs(z0)
         h = 0.01 * scale ** 0.2 / max(v, 1e-8) ** 0.2 if v > 0 else 1e-3
         self.h = min(h, 1.0)
@@ -252,19 +244,19 @@ class _Dopri5:
 
 
 def integrate(field, z0, t_end, cfg: IntegratorConfig = DEFAULT_CONFIG) -> Trajectory:
-    """Integrate zdot = field(z) from z0 over [0, t_end] (t_end < 0
-    integrates backward; t_end may be infinite). Declares Blowup past
-    |z| = 1e12."""
+    """Integrate zdot = field(z), a SystemSpec or any callable, from z0
+    over [0, t_end] (t_end < 0 integrates backward; t_end may be
+    infinite). Declares Blowup past |z| = 1e12."""
     # a NaN t_end fails every time comparison, so no time limit applies
     if t_end == 0 or math.isnan(t_end):
         raise ValueError("t_end must be nonzero and not NaN; its sign gives the direction")
-    f = _rhs(field)
+    f = field.scalar_field() if isinstance(field, SystemSpec) else field
     direction = 1.0 if t_end > 0 else -1.0
     with np.errstate(over="ignore", invalid="ignore"):
         st = _Dopri5(f, 0.0, complex(z0), direction, cfg)
         rows = [(0.0, st.z.real, st.z.imag)]
         terminal = Terminal.TIME_REACHED
-        for _ in range(cfg.max_steps):
+        for _ in range(INTEGRATE_STEPS):
             if not st.step(t_limit=t_end):
                 break
             rows.append((st.t, st.z.real, st.z.imag))
@@ -293,7 +285,7 @@ class Outcome(enum.Enum):
     # anti-holomorphic side of any degree >= 1
     ESCAPED = "escaped"
     TRAPPED = "trapped"            # entered a certified trap disc
-    STEP_LIMIT = "step_limit"      # min(cfg.max_steps, HALF_RETURN_STEPS) steps
+    STEP_LIMIT = "step_limit"      # HALF_RETURN_STEPS steps
     T_MAX = "t_max"                # not landed by time MAX_TIME
     UNDERFLOW = "underflow"        # StepUnderflow
 
@@ -321,7 +313,7 @@ def crossing_transversality(spec, x) -> Crossing:
 def _trap_discs(spec, s, cfg):
     """Forward-invariant discs (z_e, r), clear of the axis, around the
     simple attracting equilibria of a holomorphic field on side s; ()
-    for any other field, or when the equilibria cannot be computed.
+    when a coefficient is not finite or the equilibria cannot be found.
 
     With lambda = p'(z_e), Re lambda < 0, and c_k the Taylor
     coefficients of p at z_e, V = |z - z_e|^2 satisfies
@@ -334,10 +326,8 @@ def _trap_discs(spec, s, cfg):
     orbit could cross the axis where the true one does not. Never
     raises; callers hold ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    if not (isinstance(spec, SystemSpec) and spec.kind is SystemKind.HOLOMORPHIC):
-        return ()
     p = spec.p
-    if p.degree < 1 or not np.all(np.isfinite(p.coeffs)):
+    if not np.all(np.isfinite(p.coeffs)):
         return ()
     if p.degree == 1:
         # closed form: no eigenvalue solve for the linear sides
@@ -371,8 +361,8 @@ def _trap_discs(spec, s, cfg):
 def _saddle_escape(spec, s, cfg):
     """Test z -> ESCAPED or None for an anti-holomorphic field of degree
     1 on side s: ESCAPED when the orbit through z provably never returns
-    to the axis. None instead of a test for any other field, or when the
-    coefficients or the saddle are not finite.
+    to the axis. None instead of a test when the coefficients or the
+    saddle are not finite.
 
     With c1 = |c1| e^{i phi} and z_e = -c0/c1, zeta = (z - z_e) e^{i phi/2}
     = xi + i eta obeys zeta' = |c1| conj(zeta), so with sigma = e^{|c1| t}
@@ -389,9 +379,6 @@ def _saddle_escape(spec, s, cfg):
     horizontal unstable direction gives P <= 0 and no certificate. Never
     raises.
     """
-    if not (isinstance(spec, SystemSpec) and spec.kind is SystemKind.ANTI_HOLOMORPHIC
-            and spec.p.degree == 1):
-        return None
     c1, c0 = spec.p.scalar_view[0]
     if not (cmath.isfinite(c0) and cmath.isfinite(c1)):
         return None
@@ -420,9 +407,9 @@ def _saddle_escape(spec, s, cfg):
 def _level_escape(spec, cfg):
     """Test z -> ESCAPED or None for an anti-holomorphic field of degree
     d >= 2: ESCAPED when the first integral proves that the orbit
-    through z never reaches the axis again. None instead of a test for
-    any other field, or when a coefficient is not finite or the leading
-    coefficient of Omega is real.
+    through z never reaches the axis again. None instead of a test when
+    a coefficient is not finite or the leading coefficient of Omega is
+    real.
 
     Along zdot = conj(p), Omega = int p with Omega(0) = 0 has
     dOmega/dt = p conj(p) = |p|^2 >= 0, so Im Omega is constant and
@@ -441,9 +428,6 @@ def _level_escape(spec, cfg):
     that Re Omega can still reach. The test uses Python floats only, no
     root finding, and never raises.
     """
-    if not (isinstance(spec, SystemSpec) and spec.kind is SystemKind.ANTI_HOLOMORPHIC
-            and spec.p.degree >= 2):
-        return None
     p = spec.p.scalar_view[0][::-1]
     if not all(cmath.isfinite(c) for c in p):
         return None
@@ -485,13 +469,18 @@ def _level_escape(spec, cfg):
 
 def _certificate(spec, s, cfg):
     """The one per-call test z -> Outcome or None that ends a half-return
-    on side s whose orbit provably never lands: a trap disc of a
-    holomorphic side, the saddle escape of a linear anti-holomorphic
-    side, or the level escape of an anti-holomorphic side of degree
-    >= 2. None when the field has none of them."""
+    on side s whose orbit provably never lands, chosen here alone: trap
+    discs for a holomorphic side, the saddle escape for an
+    anti-holomorphic side of degree 1, the level escape for degree >= 2.
+    None for a constant field, or when the chosen helper finds none."""
+    degree = spec.p.degree
+    if degree == 0:
+        return None
+    if spec.kind is SystemKind.ANTI_HOLOMORPHIC:
+        return _saddle_escape(spec, s, cfg) if degree == 1 else _level_escape(spec, cfg)
     discs = _trap_discs(spec, s, cfg)
     if not discs:
-        return _saddle_escape(spec, s, cfg) or _level_escape(spec, cfg)
+        return None
 
     def trapped(z):
         for ze, r in discs:
@@ -524,28 +513,21 @@ def _clear_of_axis(dense, s, level):
             + abs(r5.real) < 1e300)
 
 
-def half_return_outcome(spec, x_start, side: Side,
+def half_return_outcome(spec: SystemSpec, x_start, side: Side,
                         cfg: IntegratorConfig = DEFAULT_CONFIG):
     """(Outcome, landing abscissa or None) of the orbit through
     (x_start, 0) over one excursion into the requested half-plane; the
-    core of ``half_return``, which documents the search. A SystemSpec
-    start that ``SystemSpec.crossing_sign`` calls tangent does not
-    enter."""
-    f = _rhs(spec)
-    z0 = complex(x_start, 0.0)
+    core of ``half_return``, which documents the search. A start that
+    ``SystemSpec.crossing_sign`` calls tangent does not enter."""
     s = float(side.value)
     armed_level = 10.0 * EVENT_TOL * max(1.0, abs(x_start))
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(spec, SystemSpec):
-            v = spec.crossing_sign(x_start)  # 0 at a tangency
-        else:
-            v = f(z0).imag
-        if v * s <= 0:
+        if spec.crossing_sign(x_start) * s <= 0:  # the sign is 0 at a tangency
             return Outcome.NOT_ENTERING, None
         doomed = _certificate(spec, s, cfg)
-        st = _Dopri5(f, 0.0, z0, 1.0, cfg)
+        st = _Dopri5(spec.scalar_field(), 0.0, complex(x_start, 0.0), 1.0, cfg)
         armed = False
-        for _ in range(min(cfg.max_steps, HALF_RETURN_STEPS)):
+        for _ in range(HALF_RETURN_STEPS):
             if st.t > MAX_TIME:
                 return Outcome.T_MAX, None
             try:
@@ -585,14 +567,14 @@ def half_return_outcome(spec, x_start, side: Side,
     return Outcome.STEP_LIMIT, None
 
 
-def half_return(spec, x_start, side: Side, cfg: IntegratorConfig = DEFAULT_CONFIG):
+def half_return(spec: SystemSpec, x_start, side: Side, cfg: IntegratorConfig = DEFAULT_CONFIG):
     """Landing abscissa of the orbit through (x_start, 0) after one
     excursion into the requested half-plane, or None if it escapes, is
     trapped, or runs out of steps, time or step size.
 
     Raises NotEntering when the field at the start does not point into
-    the half-plane, or, for a SystemSpec, is tangent to the axis there
-    (see ``SystemSpec.crossing_sign``). The crossing is located by
+    the half-plane, or is tangent to the axis there (see
+    ``SystemSpec.crossing_sign``). The crossing is located by
     bisection on the dense output until |Im z| <= EVENT_TOL.
     ``half_return_outcome`` also returns the reason.
     """

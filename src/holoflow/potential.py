@@ -212,7 +212,7 @@ def eval_potential(rep: PotentialRep, z):
     elementwise on an array.
 
     Within 1e-12 * max(1, |pole|) of a pole a scalar raises AtPole and
-    an array holds NaN.
+    an array holds NaN. Values past float range are infinite or NaN.
     """
     z = np.asarray(z, dtype=complex)
     at_pole = np.zeros(z.shape, dtype=bool)
@@ -220,7 +220,7 @@ def eval_potential(rep: PotentialRep, z):
         at_pole |= np.abs(z - pole) < 1e-12 * max(1.0, abs(pole))
         if at_pole.any() and not z.shape:
             raise AtPole(f"evaluation at pole {pole}")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         val = rep.poly_part(z)
         for res, pole in rep.log_terms:
             val = val + res * np.log(z - pole)

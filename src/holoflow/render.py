@@ -3,14 +3,15 @@ and deterministic SVG output.
 
 Streamlines are level sets of the stream function psi (and
 equipotential lines of phi); contour cells with undefined values (poles
-of one piecewise side, the other half-plane of a piecewise spec) are
-skipped via NaN masking.
+of one piecewise side, the other half-plane of a piecewise spec) or
+values past float range are skipped.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,9 @@ class Window:
     y_max: float
 
     def __post_init__(self):
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ValueError("window must be nondegenerate")
+        if not (0 < self.x_max - self.x_min < math.inf
+                and 0 < self.y_max - self.y_min < math.inf):
+            raise ValueError("window must be nondegenerate and of finite size")
 
 
 def _grid(window: Window, nx: int, ny: int):
@@ -77,56 +79,63 @@ def marching_squares(xs, ys, values, level):
 
     Returns a list of ((x0, y0), (x1, y1)) segments, scanned row-major
     for determinism; saddle cells (cases 5 and 10) are disambiguated by
-    the cell-center average; cells touching NaN are skipped.
+    the cell-center average; cells touching NaN or inf are skipped.
     """
-    segments = []
-    v = values - level
-    corner_grids = (v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1])
-    cases = sum((c > 0) << bit for bit, c in enumerate(corner_grids))
-    crossed = ~np.isnan(corner_grids).any(axis=0) & (cases != 0) & (cases != 15)
-    for j, i, idx in zip(*np.nonzero(crossed), cases[crossed].tolist()):
-        corners = (v[j, i], v[j, i + 1], v[j + 1, i + 1], v[j + 1, i])
-        x0, x1 = xs[i], xs[i + 1]
-        y0, y1 = ys[j], ys[j + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        segments = []
+        v = values - level
+        corner_grids = (v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1])
+        cases = sum((c > 0) << bit for bit, c in enumerate(corner_grids))
+        crossed = np.isfinite(corner_grids).all(axis=0) & (cases != 0) & (cases != 15)
+        for j, i, idx in zip(*np.nonzero(crossed), cases[crossed].tolist()):
+            corners = (v[j, i], v[j, i + 1], v[j + 1, i + 1], v[j + 1, i])
+            x0, x1 = xs[i], xs[i + 1]
+            y0, y1 = ys[j], ys[j + 1]
 
-        def interp(a, b):
-            # linear zero crossing between corner values a and b
-            d = corners[a] - corners[b]
-            return 0.5 if d == 0 else corners[a] / d
+            def interp(a, b):
+                # linear zero crossing between corner values a and b
+                d = corners[a] - corners[b]
+                return 0.5 if d == 0 else corners[a] / d
 
-        def edge_point(e):
-            if e == 0:
-                t = interp(0, 1)
-                return (x0 + t * (x1 - x0), y0)
-            if e == 1:
-                t = interp(1, 2)
-                return (x1, y0 + t * (y1 - y0))
-            if e == 2:
-                t = interp(3, 2)
-                return (x0 + t * (x1 - x0), y1)
-            t = interp(0, 3)
-            return (x0, y0 + t * (y1 - y0))
+            def edge_point(e):
+                if e == 0:
+                    t = interp(0, 1)
+                    return (x0 + t * (x1 - x0), y0)
+                if e == 1:
+                    t = interp(1, 2)
+                    return (x1, y0 + t * (y1 - y0))
+                if e == 2:
+                    t = interp(3, 2)
+                    return (x0 + t * (x1 - x0), y1)
+                t = interp(0, 3)
+                return (x0, y0 + t * (y1 - y0))
 
-        if idx in (5, 10):
-            center = 0.25 * sum(corners)
-            if idx == 5:
-                pairs = [(3, 0), (1, 2)] if center <= 0 else [(3, 2), (1, 0)]
+            if idx in (5, 10):
+                center = 0.25 * sum(corners)
+                if idx == 5:
+                    pairs = [(3, 0), (1, 2)] if center <= 0 else [(3, 2), (1, 0)]
+                else:
+                    pairs = [(0, 1), (2, 3)] if center <= 0 else [(0, 3), (2, 1)]
             else:
-                pairs = [(0, 1), (2, 3)] if center <= 0 else [(0, 3), (2, 1)]
-        else:
-            pairs = _CASES[idx]
-        for e1, e2 in pairs:
-            segments.append((edge_point(e1), edge_point(e2)))
-    return segments
+                pairs = _CASES[idx]
+            for e1, e2 in pairs:
+                segments.append((edge_point(e1), edge_point(e2)))
+        return segments
 
 
 def default_levels(values, count):
-    """Equally spaced levels strictly between the grid extremes."""
-    lo = float(np.nanmin(values))
-    hi = float(np.nanmax(values))
-    if not np.isfinite(lo) or not np.isfinite(hi) or lo == hi:
+    """Equally spaced levels strictly between the extremes of the finite
+    values; none if there is no finite value."""
+    finite = values[np.isfinite(values)]
+    if not finite.size:
+        return []
+    lo, hi = float(finite.min()), float(finite.max())
+    if lo == hi:
         return [lo]
-    return list(np.linspace(lo, hi, count + 2)[1:-1])
+    if hi - lo < math.inf:
+        return list(np.linspace(lo, hi, count + 2)[1:-1])
+    # hi - lo passes float range: space the halves, then double them
+    return list(2.0 * np.linspace(0.5 * lo, 0.5 * hi, count + 2)[1:-1])
 
 
 def svg_document(segment_groups, window: Window):

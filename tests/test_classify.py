@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holoflow.classify import (
+    MAX_N,
     EquilibriumType,
     REGION_TABLE,
     _cubic_label,
@@ -113,9 +114,14 @@ class TestInfinity:
         # -(n-1) (1 + slope^2)^(n-1) first passes float range at n = 1017;
         # at n = 1028 the power itself overflows
         assert all(math.isfinite(eq.saddle_det) for eq in infinity_equilibria(1016))
-        for n in (1017, 1028):
+        for n in (1017, 1028, MAX_N):
             with pytest.raises(NonConvergence):
                 infinity_equilibria(n)
+
+    @pytest.mark.parametrize("call", [infinity_equilibria, lambda n: bernoulli_portrait(n, 1.0)])
+    def test_n_above_the_limit_is_refused(self, call):
+        with pytest.raises(ValueError, match=str(MAX_N)):
+            call(MAX_N + 1)
 
 
 class TestCubicGoldenTable:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from holoflow import pwcycles
+from holoflow import classify, pwcycles
 from holoflow.cli import main, parse_coeffs, parse_complex
 from holoflow.potential import anti_holomorphic, build_potential, eval_potential
 
@@ -88,6 +88,19 @@ class TestClassifyCommand:
         # solver error, not an OverflowError traceback
         assert main(["bernoulli", "--n", n, "--alpha", alpha]) == 1
         assert "passes float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, message", [
+        ("1000000000", f"n <= {classify.MAX_N}"),
+        (str(10 ** 30), f"n <= {classify.MAX_N}"),
+        ("10**30", "invalid int value"),
+    ])
+    def test_bernoulli_n_above_the_limit_is_a_usage_error(self, capsys, n, message):
+        # refused before any loop; at 10**9 the ring loop used to run
+        # without bound
+        with pytest.raises(SystemExit) as info:
+            main(["bernoulli", "--n", n, "--alpha", "1,0"])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCyclesCommand:

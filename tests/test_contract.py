@@ -8,16 +8,25 @@ Hypothesis draws starts where a side's field is tangent or nearly
 tangent to the axis, leading coefficients near 0, parts of magnitude
 1e-150 to 1e150, and malformed system records (empty, nested, bool,
 string and huge integer entries). The work is bounded by counting
-steps, never by a wall clock: every integration gets
-``IntegratorConfig(max_steps=STEPS)``, and the mixed solvers, whose
-period-annulus search runs return maps at the default configuration,
-run with ``odeint.HALF_RETURN_STEPS`` lowered to ``STEPS``.
+steps, never by a wall clock: every integration, the mixed solvers'
+period-annulus search included, runs with the module's step budgets
+``odeint.HALF_RETURN_STEPS`` and ``odeint.INTEGRATE_STEPS`` lowered to
+``STEPS``.
 
 The root layer (``cpoly.roots``, holomorphic ``build_potential`` and
 ``classify_equilibria``) gets coefficients of magnitude 1e-300 to
 1e300, leading coefficients down to subnormal, and products with
 multiple roots, up to degree 12. Each call returns finite values whose
 multiplicities sum to the degree, or raises a ``HoloflowError``.
+
+The render and flowstats layer (``render.potential_grid``,
+``render.piecewise_psi_grid``, ``default_levels`` with
+``marching_squares``, and ``flowstats.contour_integral``) gets
+coefficients of magnitude 1e-300 to 1e300 and windows and curves of any
+finite size, with every ``RuntimeWarning`` an error wherever it is
+raised. Each call returns finite levels and segment coordinates, or
+raises a ``HoloflowError``; a window or curve that its constructor
+rejects with its documented ``ValueError`` is not drawn again.
 
 ``real_roots`` and ``solve_antiholo_pair`` are left out: Sturm isolation
 can loop without bound on a polynomial with a multiple root (ROADMAP
@@ -26,20 +35,21 @@ item 8).
 
 import cmath
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holoflow import cpoly, odeint
+from holoflow import cpoly, odeint, render
 from holoflow.classify import classify_equilibria, infinity_equilibria
 from holoflow.cli import FAMILIES, decode_system
 from holoflow.cpoly import CPoly
 from holoflow.errors import HoloflowError
+from holoflow.flowstats import Circle, ContourResult, Polygon, contour_integral
 from holoflow.odeint import (
     Crossing,
-    IntegratorConfig,
     Outcome,
     Side,
     Trajectory,
@@ -60,7 +70,13 @@ from holoflow.pwcycles import (
 )
 
 STEPS = 200
-CFG = IntegratorConfig(max_steps=STEPS)
+
+
+def _bounded():
+    """A context in which every half-return and integration runs at most
+    STEPS steps."""
+    return mock.patch.multiple(odeint, HALF_RETURN_STEPS=STEPS, INTEGRATE_STEPS=STEPS)
+
 
 # a signed float of magnitude 1e-150 to 1e151, an ordinary one, or zero
 _real = st.one_of(
@@ -147,22 +163,29 @@ def _check_outcome(result):
 @given(start=_side_and_start(), side=st.sampled_from(Side))
 def test_half_return_outcome(start, side):
     spec, x = start
-    _check_outcome(_answer(half_return_outcome, spec, x, side, CFG))
+    with _bounded():
+        _check_outcome(_answer(half_return_outcome, spec, x, side))
 
 
 @settings(max_examples=100, deadline=None)
 @given(start=_piecewise_and_start())
 def test_return_map_outcome(start):
     pw, x = start
-    _check_outcome(_answer(return_map_outcome, pw, x, CFG))
+    with _bounded():
+        _check_outcome(_answer(return_map_outcome, pw, x))
 
 
 @settings(max_examples=100, deadline=None)
 @given(start=_side_and_start(), z0=_complex,
        t_end=st.one_of(_real.filter(lambda t: t != 0.0), st.sampled_from([-math.inf, math.inf])))
+# a finite start velocity whose modulus passes float range (OverflowError
+# at the parent)
+@example(start=(SystemSpec(SystemKind.HOLOMORPHIC, CPoly([0j, 0j, 0j, 2j])), 0.0),
+         z0=3e102 + 3.5e102j, t_end=1.0)
 def test_integrate(start, z0, t_end):
     spec, _ = start
-    traj = _answer(integrate, spec, z0, t_end, CFG)
+    with _bounded():
+        traj = _answer(integrate, spec, z0, t_end)
     assert traj is None or (isinstance(traj, Trajectory) and len(traj.samples) <= STEPS + 1)
 
 
@@ -170,14 +193,15 @@ def test_integrate(start, z0, t_end):
 @given(coeffs=_coeffs, n=st.integers(2, 5), k=st.integers(0, 7))
 def test_trace_separatrix(coeffs, n, k):
     inf_eq = infinity_equilibria(n)[k % (2 * (n - 1))]
-    traj = _answer(trace_separatrix, CPoly(coeffs), inf_eq, CFG)
+    with _bounded():
+        traj = _answer(trace_separatrix, CPoly(coeffs), inf_eq)
     assert traj is None or (isinstance(traj, Trajectory) and len(traj.samples) <= STEPS + 1)
 
 
 def _solve_bounded(solve, constants):
     """The solver's candidates without validation, or None for a typed
     error; return maps end STEP_LIMIT after STEPS steps."""
-    with mock.patch.object(odeint, "HALF_RETURN_STEPS", STEPS):
+    with _bounded():
         out = _answer(solve, constants, validate=False)
     assert out is None or all(isinstance(c, CycleCandidate) for c in out)
 
@@ -297,3 +321,81 @@ def test_classify_equilibria(p):
     assert out is None or (sum(e.multiplicity for e in out) == p.degree
                            and all(cmath.isfinite(e.location) and cmath.isfinite(e.lam)
                                    for e in out))
+
+
+def _strict(call, *args):
+    """call(*args) with every RuntimeWarning an error, or None when it
+    raises a HoloflowError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return _answer(call, *args)
+
+
+_wide_spec = st.builds(lambda kind, cs: SystemSpec(kind, CPoly(cs)), st.sampled_from(SystemKind),
+                       st.lists(_wide_complex, min_size=1, max_size=5))
+
+
+def _built(make, *args):
+    """make(*args), or None when it raises its documented ValueError."""
+    try:
+        return make(*args)
+    except ValueError:
+        return None
+
+
+_window = st.one_of(st.just((-2.0, 2.0, -2.0, 2.0)), st.tuples(_wide, _wide, _wide, _wide))
+_grid_size = st.tuples(st.integers(2, 6), st.integers(2, 6))
+
+
+def _check_contours(xs, ys, values):
+    for level in _strict(render.default_levels, values, 4):
+        assert math.isfinite(level)
+        segments = _strict(render.marching_squares, xs, ys, values, level)
+        assert all(math.isfinite(c) for seg in segments for pt in seg for c in pt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_wide_spec, bounds=_window, size=_grid_size)
+@example(spec=SystemSpec(SystemKind.ANTI_HOLOMORPHIC, CPoly([1e308, 1e308, 1e308])),
+         bounds=(-2.0, 2.0, -2.0, 2.0), size=(4, 4))  # overflow warnings at the parent
+def test_potential_grid_and_contours(spec, bounds, size):
+    window = _built(render.Window, *bounds)
+    rep = _strict(build_potential, spec)
+    if window is None or rep is None:
+        return
+    grid = _strict(render.potential_grid, rep, window, *size)
+    if grid is not None:
+        xs, ys, phi, psi = grid
+        _check_contours(xs, ys, phi)
+        _check_contours(xs, ys, psi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(upper=_wide_spec, lower=_wide_spec, bounds=_window, size=_grid_size)
+@example(upper=SystemSpec(SystemKind.ANTI_HOLOMORPHIC, CPoly([1e308, 1e308, 1e308])),
+         lower=SystemSpec(SystemKind.ANTI_HOLOMORPHIC, CPoly([1.0, 1e300j])),
+         bounds=(-2.0, 2.0, -2.0, 2.0), size=(4, 4))  # overflow warnings at the parent
+def test_piecewise_psi_grid_and_contours(upper, lower, bounds, size):
+    window = _built(render.Window, *bounds)
+    if window is None:
+        return
+    grid = _strict(render.piecewise_psi_grid, upper, lower, window, *size)
+    if grid is not None:
+        _check_contours(*grid)
+
+
+_curve = st.one_of(
+    st.builds(lambda c, r: (Circle, c, r), _wide_complex, _wide),
+    st.builds(lambda vs: (Polygon, tuple(vs)), st.lists(_wide_complex, min_size=3, max_size=5)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_wide_spec, curve=_curve, n_nodes=st.integers(1, 64))
+@example(spec=SystemSpec(SystemKind.HOLOMORPHIC, CPoly([1e308, 1e308])),
+         curve=(Circle, 0j, 1e300), n_nodes=64)  # an overflow warning at the parent
+def test_contour_integral(spec, curve, n_nodes):
+    curve = _built(*curve)
+    if curve is not None:
+        result = _strict(contour_integral, spec, curve, n_nodes)
+        assert result is None or isinstance(result, ContourResult)

@@ -268,6 +268,59 @@ class TestRoots:
         assert any(m > 1 for got in kept[:60] for _, _, m in got)
         assert all(m == 1 for got in kept[60:] for _, _, m in got)
 
+    def test_polish_as_through_cpoly_call(self):
+        # the Newton polish through _scalar_horner gives the floats of the
+        # loop that evaluated q and dq through CPoly.__call__
+        def through_call(p):
+            with np.errstate(over="ignore", invalid="ignore"):
+                points = list(cpoly._approx_roots(p.coeffs))
+                floor = min(1.0, max(map(abs, points)))
+                derivatives = [p]
+                refined = []
+                for z0, m in cpoly._cluster(points, floor):
+                    while len(derivatives) <= m:
+                        derivatives.append(derivatives[-1].derivative())
+                    q, dq = derivatives[m - 1], derivatives[m]
+                    z = z0
+                    for _ in range(3):
+                        dv = dq(z)
+                        if dv == 0:
+                            break
+                        step = q(z) / dv
+                        z = z - step
+                        if abs(step) <= 1e-16 * (1.0 + abs(z)):
+                            break
+                    if abs(z - z0) < cpoly.CLUSTER_TOL ** (1.0 / m) * max(floor, abs(z0)):
+                        z0 = z
+                    refined.append((z0, m))
+            refined.sort(key=lambda t: (t[0].real, t[0].imag))
+            return refined
+
+        def hexes(find, p):
+            try:
+                return [(z.real.hex(), z.imag.hex(), m) for z, m in find(p)]
+            except (NonConvergence, OverflowError) as exc:
+                return type(exc)
+
+        # degrees 1-12 at scales 1e+-150, leading coefficients down to
+        # 1e-300, and up to four roots of multiplicity <= 3 scaled by
+        # 10**U(-8, 8)
+        rng = np.random.default_rng(20261019)
+        polys = []
+        for _ in range(150):
+            n = int(rng.integers(2, 14))
+            c = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-150, 150)
+            if rng.random() < 0.3:
+                c[-1] = 10.0 ** -rng.uniform(0, 300)
+            polys.append(CPoly(c))
+        for _ in range(150):
+            k = int(rng.integers(1, 5))
+            locs = (rng.uniform(-3, 3, k) + 1j * rng.uniform(-3, 3, k)) * 10.0 ** rng.uniform(-8, 8)
+            polys.append(CPoly.from_roots(np.repeat(locs, rng.integers(1, 4, k))))
+        got = [hexes(roots, p) for p in polys]
+        assert got == [hexes(through_call, p) for p in polys]
+        assert any(m > 1 for out in got[150:] if isinstance(out, list) for _, _, m in out)
+
     def test_failed_residual_gate_raises(self, monkeypatch):
         monkeypatch.setattr(np, "roots", lambda c: np.full(len(c) - 1, 7.0 + 3j))
         with pytest.raises(NonConvergence):

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import time
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,6 +58,12 @@ def _reference_quadratic_pair():
     return PiecewiseSpec(upper, lower)
 
 
+def _budget(steps, name="HALF_RETURN_STEPS"):
+    """A context in which a half-return (or, with name INTEGRATE_STEPS,
+    ``integrate``) runs at most steps steps."""
+    return mock.patch.object(odeint, name, steps)
+
+
 def _non_finite_quadratic_pair():
     """A quadratic pair whose upper side has an infinite coefficient."""
     upper = anti_holomorphic([0.1, 0.2j, complex(0.5, math.inf)])
@@ -98,8 +106,8 @@ class TestIntegrate:
         assert abs(traj.end_point()) > 1e12
 
     def test_step_limit(self):
-        cfg = IntegratorConfig(max_steps=5)
-        traj = integrate(holomorphic([0, 1]), 1.0, 100.0, cfg)
+        with _budget(5, "INTEGRATE_STEPS"):
+            traj = integrate(holomorphic([0, 1]), 1.0, 100.0)
         assert traj.terminal is Terminal.STEP_LIMIT
 
     def test_zero_time_rejected(self):
@@ -113,7 +121,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("t_end", [math.inf, -math.inf])
     def test_infinite_time_allowed(self, t_end):
-        traj = integrate(holomorphic([0, 1j]), 0.5, t_end, IntegratorConfig(max_steps=20))
+        with _budget(20, "INTEGRATE_STEPS"):
+            traj = integrate(holomorphic([0, 1j]), 0.5, t_end)
         assert traj.terminal is Terminal.STEP_LIMIT
         assert traj.samples.shape[0] == 21
         assert np.sign(traj.times[-1]) == np.sign(t_end)
@@ -384,11 +393,16 @@ class TestStepper:
         assert traj.terminal is Terminal.BLOWUP
         assert traj.times[-1] == pytest.approx(0.1)
 
-    def test_half_return_underflow_is_none(self):
-        # enters the upper half-plane, then the field is NaN off the axis
-        field = lambda z: 1j if z.imag == 0 else complex("nan")  # noqa: E731
-        assert half_return(field, 0.0, Side.UPPER) is None
-        assert half_return_outcome(field, 0.0, Side.UPPER) == (Outcome.UNDERFLOW, None)
+    def test_half_return_underflow_is_none(self, monkeypatch):
+        # the side enters the upper half-plane, and its first step's size
+        # underflows
+        def underflow(self, t_limit=None):
+            raise StepUnderflow(f"step size underflow at t={self.t}, z={self.z}")
+
+        monkeypatch.setattr(odeint._Dopri5, "step", underflow)
+        spec = holomorphic([1j, 1.0])
+        assert half_return(spec, 0.0, Side.UPPER) is None
+        assert half_return_outcome(spec, 0.0, Side.UPPER) == (Outcome.UNDERFLOW, None)
 
 
 def _bits(v):
@@ -521,8 +535,8 @@ class TestTrapCertificate:
     @pytest.mark.parametrize("spec, x, side", TRAPPING_SIDES, ids=["degree-2", "degree-3"])
     def test_uncertified_orbit_runs_to_its_limit(self, monkeypatch, spec, x, side):
         _uncertified(monkeypatch)
-        cfg = IntegratorConfig(max_steps=3000)
-        assert half_return_outcome(spec, x, side, cfg) == (Outcome.STEP_LIMIT, None)
+        with _budget(3000):
+            assert half_return_outcome(spec, x, side) == (Outcome.STEP_LIMIT, None)
 
     def test_focus_on_the_other_side_gives_no_disc(self):
         spec, _, _ = TRAPPING_SIDES[0]
@@ -548,14 +562,14 @@ class TestTrapCertificate:
         def fail(*args, **kwargs):
             raise NonConvergence("companion eigenvalues failed")
 
-        cfg = IntegratorConfig(max_steps=3000)
+        monkeypatch.setattr(odeint, "HALF_RETURN_STEPS", 3000)
         spec, x, side = TRAPPING_SIDES[0]
         # 2.5, not the equilibrium 2.0, where the field is tangent
-        landing = half_return_outcome(spec, 2.5, side, cfg)
+        landing = half_return_outcome(spec, 2.5, side)
         assert landing[0] is Outcome.LANDED
         monkeypatch.setattr(cpoly, "roots", fail)
-        assert half_return_outcome(spec, x, side, cfg) == (Outcome.STEP_LIMIT, None)
-        assert half_return_outcome(spec, 2.5, side, cfg) == landing
+        assert half_return_outcome(spec, x, side) == (Outcome.STEP_LIMIT, None)
+        assert half_return_outcome(spec, 2.5, side) == landing
 
     def test_linear_side_needs_no_eigenvalue_solve(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -592,11 +606,11 @@ class TestTrapCertificate:
                                 for _ in range(degree + 1)])
         x = data.draw(st.floats(-3.0, 3.0), label="x")
         side = Side.UPPER if spec.velocity(complex(x, 0.0)).imag > 0 else Side.LOWER
-        cfg = IntegratorConfig(max_steps=2000)
-        certified = half_return_outcome(spec, x, side, cfg)
-        with monkeypatch.context() as m:
-            _uncertified(m)
-            plain = half_return_outcome(spec, x, side, cfg)
+        with _budget(2000):
+            certified = half_return_outcome(spec, x, side)
+            with monkeypatch.context() as m:
+                _uncertified(m)
+                plain = half_return_outcome(spec, x, side)
         if certified[0] is Outcome.TRAPPED:
             assert plain[0] is not Outcome.LANDED
         else:
@@ -617,11 +631,12 @@ class TestEscapeCertificate:
 
     def test_quick_escape(self, monkeypatch):
         spec = _mixed_piecewise(**CYCLE_PARAMS).upper
-        cfg = IntegratorConfig(max_steps=3)
-        assert half_return_outcome(spec, 2.0, Side.UPPER, cfg) == (Outcome.ESCAPED, None)
+        with _budget(3):
+            assert half_return_outcome(spec, 2.0, Side.UPPER) == (Outcome.ESCAPED, None)
         assert half_return(spec, 2.0, Side.UPPER) is None
         _uncertified(monkeypatch)
-        assert half_return_outcome(spec, 2.0, Side.UPPER, cfg) == (Outcome.STEP_LIMIT, None)
+        with _budget(3):
+            assert half_return_outcome(spec, 2.0, Side.UPPER) == (Outcome.STEP_LIMIT, None)
         assert half_return_outcome(spec, 2.0, Side.UPPER) == (Outcome.ESCAPED, None)
 
     def test_stable_manifold_start_gets_no_certificate(self, monkeypatch):
@@ -649,8 +664,8 @@ class TestEscapeCertificate:
         assert all(escaped(complex(x, y)) is None
                    for x in (-1e6, -1.0, 3.0, 1e9) for y in (0.25, 0.5, 2.0))
         assert half_return_outcome(spec, 1.0, Side.UPPER) == (Outcome.ESCAPED, None)
-        cfg = IntegratorConfig(max_steps=100)
-        assert half_return_outcome(spec, 1.0, Side.UPPER, cfg) == (Outcome.STEP_LIMIT, None)
+        with _budget(100):
+            assert half_return_outcome(spec, 1.0, Side.UPPER) == (Outcome.STEP_LIMIT, None)
 
     @pytest.mark.parametrize("coeffs", [[complex("nan"), 1j], [1.0 - 1j, complex("nan")],
                                         [1.0 - 1j, complex(0.0, math.inf)]])
@@ -668,9 +683,13 @@ class TestEscapeCertificate:
         anti_holomorphic([1.0 - 1j, 2j, 1.0]),
         anti_holomorphic([1.0 - 1j, 2j, 1.0, 0.5j]),
     ], ids=["holo-1", "holo-2", "antiholo-0", "antiholo-2", "antiholo-3"])
-    def test_other_sides_make_no_saddle_check(self, spec):
+    def test_other_sides_make_no_saddle_check(self, monkeypatch, spec):
+        def fail(*args):
+            raise AssertionError("saddle escape chosen for a side of another kind or degree")
+
+        monkeypatch.setattr(odeint, "_saddle_escape", fail)
         for s in (1.0, -1.0):
-            assert odeint._saddle_escape(spec, s, odeint.DEFAULT_CONFIG) is None
+            odeint._certificate(spec, s, odeint.DEFAULT_CONFIG)
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -713,11 +732,12 @@ class TestEscapeCertificate:
                                      for _ in range(2)])
         side = Side.UPPER if spec.velocity(complex(x, 0.0)).imag > 0 else Side.LOWER
         tol = data.draw(st.sampled_from([1e-9, 1e-11]), label="tol")
-        cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol, max_steps=2000)
-        certified = half_return_outcome(spec, x, side, cfg)
-        with monkeypatch.context() as m:
-            _uncertified(m)
-            plain = half_return_outcome(spec, x, side, cfg)
+        cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol)
+        with _budget(2000):
+            certified = half_return_outcome(spec, x, side, cfg)
+            with monkeypatch.context() as m:
+                _uncertified(m)
+                plain = half_return_outcome(spec, x, side, cfg)
         if certified[0] is Outcome.ESCAPED:
             assert plain[0] is not Outcome.LANDED
         else:
@@ -739,8 +759,8 @@ def _counted_steps(monkeypatch):
 
 
 class TestStepBudget:
-    """A half-return runs at most min(cfg.max_steps, HALF_RETURN_STEPS)
-    steps and then ends STEP_LIMIT; ``integrate`` keeps cfg.max_steps."""
+    """A half-return runs at most HALF_RETURN_STEPS steps and then ends
+    STEP_LIMIT; ``integrate`` keeps its own budget, INTEGRATE_STEPS."""
 
     def test_stable_manifold_start_ends_at_the_budget(self, monkeypatch):
         # conj(i z - i (1 + i)): the computed field is exactly 0 at the
@@ -754,10 +774,36 @@ class TestStepBudget:
 
     def test_integrate_keeps_max_steps(self, monkeypatch):
         calls = _counted_steps(monkeypatch)
-        cfg = IntegratorConfig(max_steps=odeint.HALF_RETURN_STEPS + 5)
-        traj = integrate(holomorphic([0, 1j]), 0.5, math.inf, cfg)
+        monkeypatch.setattr(odeint, "INTEGRATE_STEPS", odeint.HALF_RETURN_STEPS + 5)
+        traj = integrate(holomorphic([0, 1j]), 0.5, math.inf)
         assert traj.terminal is Terminal.STEP_LIMIT
         assert len(calls) == traj.samples.shape[0] - 1 == odeint.HALF_RETURN_STEPS + 5
+
+
+class TestCertificateChoice:
+    """``_certificate`` alone chooses a side's certificate, from its kind
+    and degree: trap discs for a holomorphic side, the saddle escape for
+    an anti-holomorphic one of degree 1, the level escape for degree
+    >= 2, and none for a constant field."""
+
+    @pytest.mark.parametrize("spec, chosen", [
+        (holomorphic([1.0 - 1j, 2j]), "_trap_discs"),
+        (holomorphic([1.0 - 1j, 2j, 1.0]), "_trap_discs"),
+        (anti_holomorphic([1.0 - 1j, 2j]), "_saddle_escape"),
+        (anti_holomorphic([1.0 - 1j, 2j, 1.0]), "_level_escape"),
+        (anti_holomorphic([1.0 - 1j, 2j, 1.0, 0.5j]), "_level_escape"),
+        (holomorphic([1.0 - 1j]), None),
+        (anti_holomorphic([1.0 - 1j]), None),
+    ], ids=["holo-1", "holo-2", "antiholo-1", "antiholo-2", "antiholo-3", "holo-0",
+            "antiholo-0"])
+    def test_one_helper_per_side(self, monkeypatch, spec, chosen):
+        calls = []
+        for name in ("_trap_discs", "_saddle_escape", "_level_escape"):
+            # each stand-in finds no certificate
+            monkeypatch.setattr(odeint, name, lambda *args, name=name: calls.append(name))
+        for s in (1.0, -1.0):
+            assert odeint._certificate(spec, s, odeint.DEFAULT_CONFIG) is None
+        assert calls == ([chosen] * 2 if chosen else [])
 
 
 def _readme_quadratic_pair():
@@ -778,10 +824,10 @@ class TestLevelEscape:
     SIDE = anti_holomorphic([1.0 - 1j, 2j, 1.0, 0.5j])
 
     def test_degree_3_escape_within_100_steps(self, monkeypatch):
-        cfg = IntegratorConfig(max_steps=100)
-        assert half_return_outcome(self.SIDE, 0.5, Side.LOWER, cfg) == (Outcome.ESCAPED, None)
-        _uncertified(monkeypatch)
-        assert half_return_outcome(self.SIDE, 0.5, Side.LOWER, cfg) == (Outcome.STEP_LIMIT, None)
+        with _budget(100):
+            assert half_return_outcome(self.SIDE, 0.5, Side.LOWER) == (Outcome.ESCAPED, None)
+            _uncertified(monkeypatch)
+            assert half_return_outcome(self.SIDE, 0.5, Side.LOWER) == (Outcome.STEP_LIMIT, None)
         assert half_return_outcome(self.SIDE, 0.5, Side.LOWER) == (Outcome.ESCAPED, None)
 
     def test_readme_pair_cycle_lands_bit_identical(self, monkeypatch):
@@ -813,10 +859,10 @@ class TestLevelEscape:
         spec = anti_holomorphic(coeffs)
         assert odeint._level_escape(spec, odeint.DEFAULT_CONFIG) is None
         assert odeint._certificate(spec, 1.0, odeint.DEFAULT_CONFIG) is None
-        cfg = IntegratorConfig(max_steps=2000)
-        certified = [half_return_outcome(spec, 0.5, side, cfg) for side in Side]
+        monkeypatch.setattr(odeint, "HALF_RETURN_STEPS", 2000)
+        certified = [half_return_outcome(spec, 0.5, side) for side in Side]
         _uncertified(monkeypatch)
-        assert [half_return_outcome(spec, 0.5, side, cfg) for side in Side] == certified
+        assert [half_return_outcome(spec, 0.5, side) for side in Side] == certified
 
     @pytest.mark.parametrize("spec", [
         holomorphic([1.0 - 1j, 2j]),
@@ -824,10 +870,14 @@ class TestLevelEscape:
         holomorphic([1.0 - 1j, 2j, 1.0, 0.5j]),
         anti_holomorphic([1.0 - 1j]),
         anti_holomorphic([1.0 - 1j, 2j]),
-        lambda z: 1j * z * z,
-    ], ids=["holo-1", "holo-2", "holo-3", "antiholo-0", "antiholo-1", "callable"])
-    def test_other_fields_make_no_level_check(self, spec):
-        assert odeint._level_escape(spec, odeint.DEFAULT_CONFIG) is None
+    ], ids=["holo-1", "holo-2", "holo-3", "antiholo-0", "antiholo-1"])
+    def test_other_fields_make_no_level_check(self, monkeypatch, spec):
+        def fail(*args):
+            raise AssertionError("level escape chosen for a side of another kind or degree")
+
+        monkeypatch.setattr(odeint, "_level_escape", fail)
+        for s in (1.0, -1.0):
+            odeint._certificate(spec, s, odeint.DEFAULT_CONFIG)
 
     def test_no_root_finding(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -835,10 +885,10 @@ class TestLevelEscape:
 
         monkeypatch.setattr(np, "roots", fail)
         monkeypatch.setattr(cpoly, "roots", fail)
-        cfg = IntegratorConfig(max_steps=100)
-        assert half_return_outcome(self.SIDE, 0.5, Side.LOWER, cfg) == (Outcome.ESCAPED, None)
+        monkeypatch.setattr(odeint, "HALF_RETURN_STEPS", 100)
+        assert half_return_outcome(self.SIDE, 0.5, Side.LOWER) == (Outcome.ESCAPED, None)
         spec = anti_holomorphic([0.5j, 1.0, -1j])
-        assert half_return_outcome(spec, 1.0, _entering_side(spec, 1.0), cfg) == (
+        assert half_return_outcome(spec, 1.0, _entering_side(spec, 1.0)) == (
             Outcome.ESCAPED, None)
 
     @settings(max_examples=40, deadline=None)
@@ -853,7 +903,8 @@ class TestLevelEscape:
         spec = anti_holomorphic(coeffs)
         escaped = odeint._level_escape(spec, odeint.DEFAULT_CONFIG)
         x = data.draw(unit, label="x")
-        traj = integrate(spec, x, -20.0, IntegratorConfig(max_steps=500))
+        with _budget(500, "INTEGRATE_STEPS"):
+            traj = integrate(spec, x, -20.0)
         assert all(escaped(complex(z)) is None for z in traj.points)
 
     @settings(max_examples=80, deadline=None,
@@ -890,11 +941,12 @@ class TestLevelEscape:
         assume(spec.velocity(complex(x, 0.0)).imag != 0)
         side = _entering_side(spec, x)
         tol = data.draw(st.sampled_from([1e-9, 1e-11]), label="tol")
-        cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol, max_steps=2000)
-        certified = half_return_outcome(spec, x, side, cfg)
-        with monkeypatch.context() as m:
-            _uncertified(m)
-            plain = half_return_outcome(spec, x, side, cfg)
+        cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol)
+        with _budget(2000):
+            certified = half_return_outcome(spec, x, side, cfg)
+            with monkeypatch.context() as m:
+                _uncertified(m)
+                plain = half_return_outcome(spec, x, side, cfg)
         if certified[0] is Outcome.ESCAPED:
             assert plain[0] is not Outcome.LANDED
         else:
@@ -956,11 +1008,12 @@ class TestScanSkip:
         x = data.draw(st.floats(-3.0, 3.0), label="x")
         side = _entering_side(spec, x)
         tol = data.draw(st.sampled_from([1e-9, 1e-11]), label="tol")
-        cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol, max_steps=2000)
-        skipping = half_return_outcome(spec, x, side, cfg)
-        with monkeypatch.context() as m:
-            _always_scan(m)
-            scanned = half_return_outcome(spec, x, side, cfg)
+        cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol)
+        with _budget(2000):
+            skipping = half_return_outcome(spec, x, side, cfg)
+            with monkeypatch.context() as m:
+                _always_scan(m)
+                scanned = half_return_outcome(spec, x, side, cfg)
         assert scanned[0] is skipping[0]
         if scanned[0] is Outcome.LANDED:
             assert scanned[1].hex() == skipping[1].hex()
@@ -1018,14 +1071,11 @@ class TestIntegratorConfig:
         ("max_steps", 0), ("max_steps", 2.5), ("max_steps", 1e6), ("max_steps", "10"),
     ])
     def test_rejects(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        # the step budgets are module constants, so max_steps is no field
+        # and any value of it is a TypeError
+        error = TypeError if field == "max_steps" else ValueError
+        with pytest.raises(error, match=field):
             IntegratorConfig(**{field: value})
 
-    def test_one_step_allowed(self):
-        assert IntegratorConfig(max_steps=1).max_steps == 1
-
-    def test_numpy_integer_max_steps_allowed(self):
-        cfg = IntegratorConfig(max_steps=np.int64(5))
-        traj = integrate(holomorphic([0, 1]), 1.0, 100.0, cfg)
-        assert traj.terminal is Terminal.STEP_LIMIT
-        assert traj.samples.shape[0] == 6
+    def test_fields_are_the_tolerances(self):
+        assert [f.name for f in dataclasses.fields(IntegratorConfig)] == ["rel_tol", "abs_tol"]

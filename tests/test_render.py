@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holoflow.render import _CASES, Window, marching_squares, potential_grid
+from holoflow.render import _CASES, Window, default_levels, marching_squares, potential_grid
 from holoflow.potential import build_potential, holomorphic
 
 
@@ -14,7 +14,7 @@ def reference_marching_squares(xs, ys, values, level):
     for j in range(ny - 1):
         for i in range(nx - 1):
             corners = (v[j, i], v[j, i + 1], v[j + 1, i + 1], v[j + 1, i])
-            if any(np.isnan(c) for c in corners):
+            if not all(np.isfinite(c) for c in corners):
                 continue
             idx = 0
             for bit, c in enumerate(corners):
@@ -76,7 +76,8 @@ class TestMarchingSquares:
         ys = np.sort(rng.uniform(-2, 2, 17))
         values = rng.normal(size=(17, 23))
         values[rng.random(values.shape) < 0.1] = np.nan
-        # corners exactly on the level, and infinities of both signs
+        # corners exactly on the level, and infinities of both signs,
+        # whose cells are skipped as NaN's are
         values[rng.random(values.shape) < 0.1] = 0.25
         values[3, 4], values[3, 5] = np.inf, -np.inf
         with np.errstate(invalid="ignore"):
@@ -106,3 +107,16 @@ class TestMarchingSquares:
         rep = build_potential(holomorphic([0, 1]))
         with pytest.raises(ValueError):
             potential_grid(rep, Window(-1, 1, -1, 1), 1, 5)
+
+
+class TestDefaultLevels:
+    def test_levels_come_from_finite_values(self):
+        values = np.array([[-np.inf, 1.0, np.nan], [2.0, 4.0, np.inf]])
+        assert default_levels(values, 2) == [2.0, 3.0]
+
+    def test_range_past_float_range_gives_finite_levels(self):
+        levels = default_levels(np.array([[-1.5e308, 1.5e308]]), 3)
+        assert levels == [-0.75e308, 0.0, 0.75e308]
+
+    def test_no_finite_value_gives_no_level(self):
+        assert default_levels(np.array([[np.nan, np.inf], [-np.inf, np.nan]]), 4) == []
