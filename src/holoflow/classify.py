@@ -246,6 +246,8 @@ def bernoulli_portrait(n: int, alpha: complex) -> BernoulliPortrait:
     alpha = complex(alpha)
     if alpha == 0:
         raise ZeroAlpha("alpha must be nonzero")
+    # raises NonConvergence from n = 1017 on, before the ring is built
+    infinity = infinity_equilibria(n)
     infos = [EquilibriumInfo(0j, 1, -alpha, _type_from_lambda(-alpha))]
     lam_ring = (n - 1) * alpha
     ring_type = _type_from_lambda(lam_ring)
@@ -260,5 +262,5 @@ def bernoulli_portrait(n: int, alpha: complex) -> BernoulliPortrait:
     else:
         center_regions, ao_regions = 0, n - 1
     return BernoulliPortrait(
-        n, alpha, tuple(infos), center_regions, ao_regions, infinity_equilibria(n)
+        n, alpha, tuple(infos), center_regions, ao_regions, infinity
     )

@@ -319,7 +319,10 @@ def cmd_portrait(args):
         rep = build_potential(spec)
         xs, ys, phi, psi = render.potential_grid(rep, window, nx, ny)
     if args.levels_at:
-        levels = [parse_finite(v) for v in args.levels_at.split(",")]
+        texts = args.levels_at.split(",")
+        if len(texts) > render.MAX_LEVELS:
+            raise ValueError(f"--levels-at takes at most {render.MAX_LEVELS} levels")
+        levels = [parse_finite(v) for v in texts]
     else:
         levels = render.default_levels(psi, args.levels)
     contours = [("psi", psi, levels)]

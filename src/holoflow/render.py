@@ -9,7 +9,6 @@ values past float range are skipped.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -19,6 +18,12 @@ import numpy as np
 from .potential import PotentialRep, SystemSpec, build_potential, eval_potential
 
 SVG_WIDTH, SVG_HEIGHT = 640, 480
+# sizes at which the slowest command using each takes about 1 s on 2
+# shared vCPUs: `portrait --out-csv` on a 400 x 400 grid, whose time is
+# float repr, and a 128 x 128 anti-holomorphic portrait with 600 psi and
+# 600 phi levels
+MAX_GRID_NODES = 160_000
+MAX_LEVELS = 600
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,8 @@ def _grid(window: Window, nx: int, ny: int):
     signed zeros included (1j * ys would turn -0.0 into 0.0)."""
     if nx < 2 or ny < 2:
         raise ValueError("grid dimensions must be >= 2")
+    if nx * ny > MAX_GRID_NODES:
+        raise ValueError(f"grid nodes nx * ny must be <= {MAX_GRID_NODES}")
     xs = np.linspace(window.x_min, window.x_max, nx)
     ys = np.linspace(window.y_min, window.y_max, ny)
     z = np.empty((ny, nx), dtype=complex)
@@ -63,69 +70,68 @@ def piecewise_psi_grid(upper: SystemSpec, lower: SystemSpec, window: Window,
     return xs, ys, np.where(ys[:, None] >= 0, psi_up, psi_lo)
 
 
-# marching-squares edge pairs per 4-bit cell index; corners are numbered
-# 0:(0,0) 1:(1,0) 2:(1,1) 3:(0,1) in cell coordinates, edges 0..3 are
-# bottom, right, top, left
-_CASES = {
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)],
-    9: [(2, 0)], 11: [(2, 1)], 12: [(1, 3)],
-    13: [(1, 0)], 14: [(0, 3)],
-}
+# marching-squares edge pairs per [cell center above the level, 4-bit
+# cell index]: a cell draws one segment per edge pair, and (-1, -1) pads
+# the cells that draw one segment. Corners are numbered 0:(0,0) 1:(1,0)
+# 2:(1,1) 3:(0,1) in cell coordinates, edges 0..3 are bottom, right,
+# top, left. Only the saddle cases 5 and 10 depend on the cell center.
+_NONE = (-1, -1)
+_EDGE_TABLE = np.array(2 * [[
+    [_NONE, _NONE], [(3, 0), _NONE], [(0, 1), _NONE], [(3, 1), _NONE],
+    [(1, 2), _NONE], [(3, 0), (1, 2)], [(0, 2), _NONE], [(3, 2), _NONE],
+    [(2, 3), _NONE], [(2, 0), _NONE], [(0, 1), (2, 3)], [(2, 1), _NONE],
+    [(1, 3), _NONE], [(1, 0), _NONE], [(0, 3), _NONE], [_NONE, _NONE],
+]])
+_EDGE_TABLE[1, 5] = [(3, 2), (1, 0)]
+_EDGE_TABLE[1, 10] = [(0, 3), (2, 1)]
 
 
 def marching_squares(xs, ys, values, level):
     """Line segments approximating the contour values == level.
 
-    Returns a list of ((x0, y0), (x1, y1)) segments, scanned row-major
-    for determinism; saddle cells (cases 5 and 10) are disambiguated by
-    the cell-center average; cells touching NaN or inf are skipped.
+    Returns an (n, 2, 2) float array of segments ((x0, y0), (x1, y1)),
+    scanned row-major for determinism, a saddle cell's two segments in
+    turn; saddle cells (cases 5 and 10) are disambiguated by the
+    cell-center average; cells touching NaN or inf are skipped.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        segments = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v = values - level
         corner_grids = (v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1])
         cases = sum((c > 0) << bit for bit, c in enumerate(corner_grids))
         crossed = np.isfinite(corner_grids).all(axis=0) & (cases != 0) & (cases != 15)
-        for j, i, idx in zip(*np.nonzero(crossed), cases[crossed].tolist()):
-            corners = (v[j, i], v[j, i + 1], v[j + 1, i + 1], v[j + 1, i])
-            x0, x1 = xs[i], xs[i + 1]
-            y0, y1 = ys[j], ys[j + 1]
+        j, i = np.nonzero(crossed)
+        c0, c1, c2, c3 = (c[crossed] for c in corner_grids)
+        x0, x1 = xs[i], xs[i + 1]
+        y0, y1 = ys[j], ys[j + 1]
 
-            def interp(a, b):
-                # linear zero crossing between corner values a and b
-                d = corners[a] - corners[b]
-                return 0.5 if d == 0 else corners[a] / d
+        def interp(a, b):
+            # linear zero crossing between corner values a and b
+            d = a - b
+            return np.where(d == 0, 0.5, a / d)
 
-            def edge_point(e):
-                if e == 0:
-                    t = interp(0, 1)
-                    return (x0 + t * (x1 - x0), y0)
-                if e == 1:
-                    t = interp(1, 2)
-                    return (x1, y0 + t * (y1 - y0))
-                if e == 2:
-                    t = interp(3, 2)
-                    return (x0 + t * (x1 - x0), y1)
-                t = interp(0, 3)
-                return (x0, y0 + t * (y1 - y0))
-
-            if idx in (5, 10):
-                center = 0.25 * sum(corners)
-                if idx == 5:
-                    pairs = [(3, 0), (1, 2)] if center <= 0 else [(3, 2), (1, 0)]
-                else:
-                    pairs = [(0, 1), (2, 3)] if center <= 0 else [(0, 3), (2, 1)]
-            else:
-                pairs = _CASES[idx]
-            for e1, e2 in pairs:
-                segments.append((edge_point(e1), edge_point(e2)))
-        return segments
+        # the crossing point on each edge of each crossed cell
+        points = np.empty((len(i), 4, 2))
+        points[:, 0, 0] = x0 + interp(c0, c1) * (x1 - x0)
+        points[:, 0, 1] = y0
+        points[:, 1, 0] = x1
+        points[:, 1, 1] = y0 + interp(c1, c2) * (y1 - y0)
+        points[:, 2, 0] = x0 + interp(c3, c2) * (x1 - x0)
+        points[:, 2, 1] = y1
+        points[:, 3, 0] = x0
+        points[:, 3, 1] = y0 + interp(c0, c3) * (y1 - y0)
+        center = 0.25 * (((c0 + c1) + c2) + c3)
+        edges = _EDGE_TABLE[np.where(center <= 0, 0, 1), cases[crossed]].reshape(-1, 2)
+        drawn = edges[:, 0] >= 0
+        cell = np.repeat(np.arange(len(i)), 2)[drawn]
+        return points[cell[:, None], edges[drawn]]
 
 
 def default_levels(values, count):
     """Equally spaced levels strictly between the extremes of the finite
-    values; none if there is no finite value."""
+    values; none if there is no finite value. Raises ValueError for a
+    count outside 1..MAX_LEVELS."""
+    if not 1 <= count <= MAX_LEVELS:
+        raise ValueError(f"level count must be between 1 and {MAX_LEVELS}")
     finite = values[np.isfinite(values)]
     if not finite.size:
         return []
@@ -144,10 +150,6 @@ def svg_document(segment_groups, window: Window):
     Deterministic: output depends only on the inputs."""
     sx = SVG_WIDTH / (window.x_max - window.x_min)
     sy = SVG_HEIGHT / (window.y_max - window.y_min)
-
-    def to_px(pt):
-        return ((pt[0] - window.x_min) * sx, (window.y_max - pt[1]) * sy)
-
     out = io.StringIO()
     out.write(
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -156,14 +158,13 @@ def svg_document(segment_groups, window: Window):
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">\n'
     )
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
+    polyline = '    <polyline points="%.3f,%.3f %.3f,%.3f"/>\n'
     for gi, (label, segments) in enumerate(segment_groups):
         color = palette[gi % len(palette)]
         out.write(f'  <g id="{label}" stroke="{color}" stroke-width="1" fill="none">\n')
-        for (p1, p2) in segments:
-            (ax, ay), (bx, by) = to_px(p1), to_px(p2)
-            out.write(
-                f'    <polyline points="{ax:.3f},{ay:.3f} {bx:.3f},{by:.3f}"/>\n'
-            )
+        pts = np.asarray(segments, dtype=float).reshape(-1, 2)
+        px = np.column_stack(((pts[:, 0] - window.x_min) * sx, (window.y_max - pts[:, 1]) * sy))
+        out.write(polyline * (len(pts) // 2) % tuple(px.ravel().tolist()))
         out.write("  </g>\n")
     out.write("</svg>\n")
     return out.getvalue()
@@ -171,12 +172,11 @@ def svg_document(segment_groups, window: Window):
 
 def write_grid_csv(path, xs, ys, psi, phi=None):
     """RFC 4180 CSV of the sampled grid, row-major: x, y, phi (when
-    given) and psi."""
-    columns = [psi] if phi is None else [phi, psi]
+    given) and psi. Float reprs need no quoting."""
+    header = ["x", "y"] + (["psi"] if phi is None else ["phi", "psi"])
+    columns = [np.tile(xs, len(ys)), np.repeat(ys, len(xs))]
+    columns += [psi] if phi is None else [phi, psi]
+    cells = [map(repr, np.asarray(col, dtype=float).ravel().tolist()) for col in columns]
+    rows = map(",".join, zip(*cells))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"] + (["psi"] if phi is None else ["phi", "psi"]))
-        for j, y in enumerate(ys):
-            for i, x in enumerate(xs):
-                writer.writerow([repr(float(x)), repr(float(y))]
-                                + [repr(float(col[j, i])) for col in columns])
+        fh.write("\r\n".join([",".join(header), *rows, ""]))

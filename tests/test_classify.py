@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from holoflow import classify
 from holoflow.classify import (
     MAX_N,
     EquilibriumType,
@@ -237,6 +239,16 @@ class TestBernoulli:
     def test_zero_alpha(self):
         with pytest.raises(ZeroAlpha):
             bernoulli_portrait(3, 0.0)
+
+    @pytest.mark.parametrize("n", [1017, MAX_N])
+    def test_ring_not_built_past_float_range(self, n):
+        # the infinity saddles raise NonConvergence from n = 1017 on, so
+        # no ring equilibrium is built; a zero alpha is still reported first
+        with mock.patch.object(classify, "EquilibriumInfo", side_effect=AssertionError):
+            with pytest.raises(ZeroAlpha):
+                bernoulli_portrait(n, 0.0)
+            with pytest.raises(NonConvergence):
+                bernoulli_portrait(n, 1.0)
 
     def test_infinity_attached(self):
         portrait = bernoulli_portrait(5, 2.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from holoflow import classify, pwcycles
+from holoflow import classify, flowstats, pwcycles, render
 from holoflow.cli import main, parse_coeffs, parse_complex
 from holoflow.potential import anti_holomorphic, build_potential, eval_potential
 
@@ -189,6 +189,52 @@ class TestFlowstatsCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["circulation"] == pytest.approx(2 * math.pi, abs=1e-8)
         assert report["net_flow"] == pytest.approx(2 * math.pi, abs=1e-8)
+
+    def test_sum_past_float_range_is_a_solver_error(self, capsys):
+        # every node value is finite, but their weighted sum is not: this
+        # printed "circulation": NaN, which is not JSON, and exited 0
+        assert main(["flowstats", "--holo", "1e300", "--circle", "0,0,1e10"]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("solver error: ")
+
+
+class TestSizeLimits:
+    """Each size is refused with exit 2 before the work it would scale."""
+
+    GRID = f"nx * ny must be <= {render.MAX_GRID_NODES}"
+    LEVELS = f"level count must be between 1 and {render.MAX_LEVELS}"
+    PORTRAIT = ["portrait", "--holo", "0,1", "--out-svg", "{tmp}/p.svg"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (PORTRAIT + ["--grid", "100000,100000"], GRID),
+        (["potential", "--holo", "0,1", "--out", "{tmp}/p.json", "--grid-csv", "{tmp}/grid.csv",
+          "--grid", "100000,100000"], GRID),
+        (PORTRAIT + ["--levels", "1000000000"], LEVELS),
+        # no level drew an empty portrait, and a count below -1 ended in
+        # numpy's linspace message
+        (PORTRAIT + ["--levels", "0"], LEVELS),
+        (PORTRAIT + ["--levels=-5"], LEVELS),
+        (PORTRAIT + ["--levels-at=" + ",".join(["0"] * (render.MAX_LEVELS + 1))],
+         f"at most {render.MAX_LEVELS} levels"),
+        (["flowstats", "--holo", "0,1", "--circle", "0,0,1", "--nodes", str(10 ** 12)],
+         f"between 1 and {flowstats.MAX_NODES}"),
+    ], ids=["portrait-grid", "potential-grid", "portrait-levels", "portrait-no-level",
+            "portrait-negative-levels", "portrait-levels-at", "flowstats-nodes"])
+    def test_past_the_limit(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, levels", [
+        (f"{math.isqrt(render.MAX_GRID_NODES)},{math.isqrt(render.MAX_GRID_NODES)}", 1),
+        ("9,9", render.MAX_LEVELS),
+    ], ids=["grid", "levels"])
+    def test_at_the_limit(self, tmp_path, grid, levels):
+        assert main(["portrait", "--antiholo", "0,0,1", "--grid", grid,
+                     "--levels-at=" + ",".join(["0.5"] * levels),
+                     "--out-svg", str(tmp_path / "p.svg")]) == 0
 
 
 class TestPortraitCommand:

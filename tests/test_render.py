@@ -1,8 +1,33 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
-from holoflow.render import _CASES, Window, default_levels, marching_squares, potential_grid
+from holoflow.render import (
+    SVG_HEIGHT,
+    SVG_WIDTH,
+    Window,
+    default_levels,
+    marching_squares,
+    potential_grid,
+    svg_document,
+    write_grid_csv,
+)
 from holoflow.potential import build_potential, holomorphic
+
+# the references below are the per-cell and per-segment loops that the
+# whole-array render code replaced; its output must match them exactly
+
+# marching-squares edge pairs per 4-bit cell index; corners are numbered
+# 0:(0,0) 1:(1,0) 2:(1,1) 3:(0,1) in cell coordinates, edges 0..3 are
+# bottom, right, top, left
+_CASES = {
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
+    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)],
+    9: [(2, 0)], 11: [(2, 1)], 12: [(1, 3)],
+    13: [(1, 0)], 14: [(0, 3)],
+}
 
 
 def reference_marching_squares(xs, ys, values, level):
@@ -55,10 +80,52 @@ def reference_marching_squares(xs, ys, values, level):
     return segments
 
 
+def reference_svg_document(segment_groups, window):
+    sx = SVG_WIDTH / (window.x_max - window.x_min)
+    sy = SVG_HEIGHT / (window.y_max - window.y_min)
+
+    def to_px(pt):
+        return ((pt[0] - window.x_min) * sx, (window.y_max - pt[1]) * sy)
+
+    out = io.StringIO()
+    out.write(
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">\n'
+    )
+    palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
+    for gi, (label, segments) in enumerate(segment_groups):
+        color = palette[gi % len(palette)]
+        out.write(f'  <g id="{label}" stroke="{color}" stroke-width="1" fill="none">\n')
+        for (p1, p2) in segments:
+            (ax, ay), (bx, by) = to_px(p1), to_px(p2)
+            out.write(
+                f'    <polyline points="{ax:.3f},{ay:.3f} {bx:.3f},{by:.3f}"/>\n'
+            )
+        out.write("  </g>\n")
+    out.write("</svg>\n")
+    return out.getvalue()
+
+
+def reference_write_grid_csv(path, xs, ys, psi, phi=None):
+    columns = [psi] if phi is None else [phi, psi]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y"] + (["psi"] if phi is None else ["phi", "psi"]))
+        for j, y in enumerate(ys):
+            for i, x in enumerate(xs):
+                writer.writerow([repr(float(x)), repr(float(y))]
+                                + [repr(float(col[j, i])) for col in columns])
+
+
 def assert_same_segments(xs, ys, values, level):
-    # repr is exact for floats and tells -0.0 and NaN apart
+    # float.hex is exact and tells -0.0 and NaN apart
     got = marching_squares(xs, ys, values, level)
-    assert repr(got) == repr(reference_marching_squares(xs, ys, values, level))
+    want = reference_marching_squares(xs, ys, values, level)
+    assert np.shape(got) == (len(want), 2, 2)
+    assert ([float(c).hex() for seg in got for pt in seg for c in pt]
+            == [float(c).hex() for seg in want for pt in seg for c in pt])
     return got
 
 
@@ -66,6 +133,44 @@ def _cases(values, level):
     v = values - level
     corners = (v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1])
     return sum((c > 0) << bit for bit, c in enumerate(corners))
+
+
+def _adversarial_grid(seed):
+    """(xs, ys, values) with saddle cells, NaN, infinite and -0.0
+    values, and corners on the level 0.25."""
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(-2, 2, 23))
+    ys = np.linspace(-2, 2, 17)
+    ys[8] = -0.0
+    values = rng.normal(size=(17, 23))
+    values[rng.random(values.shape) < 0.1] = np.nan
+    values[rng.random(values.shape) < 0.1] = 0.25
+    values[rng.random(values.shape) < 0.05] = -0.0
+    values[3, 4], values[3, 5] = np.inf, -np.inf
+    assert {5, 10} <= set(_cases(values, 0.0).ravel().tolist())
+    return xs, ys, values
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_svg_matches_reference(self, seed):
+        xs, ys, values = _adversarial_grid(seed)
+        window = Window(xs[0], xs[-1], ys[0], ys[-1])
+        levels = (0.25, 0.0, -0.0, -0.7, 1e3)  # the last crosses no cell
+        with np.errstate(invalid="ignore"):
+            got, want = ([(f"psi-level-{li}", contour(xs, ys, values, level))
+                          for li, level in enumerate(levels)]
+                         for contour in (marching_squares, reference_marching_squares))
+        assert not len(got[-1][1])
+        assert svg_document(got, window).encode() == reference_svg_document(want, window).encode()
+
+    @pytest.mark.parametrize("with_phi", [False, True])
+    def test_grid_csv_matches_reference(self, tmp_path, with_phi):
+        xs, ys, psi = _adversarial_grid(3)
+        phi = -psi[::-1] if with_phi else None
+        write_grid_csv(tmp_path / "got.csv", xs, ys, psi, phi)
+        reference_write_grid_csv(tmp_path / "want.csv", xs, ys, psi, phi)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestMarchingSquares:
@@ -82,7 +187,7 @@ class TestMarchingSquares:
         values[3, 4], values[3, 5] = np.inf, -np.inf
         with np.errstate(invalid="ignore"):
             for level in (0.25, 0.0, -0.7):
-                assert assert_same_segments(xs, ys, values, level)
+                assert len(assert_same_segments(xs, ys, values, level))
 
     def test_saddle_cases(self):
         xs = np.arange(6.0)
