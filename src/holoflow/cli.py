@@ -73,6 +73,19 @@ def parse_coeffs(text):
     return coeffs
 
 
+def parse_fields(text, flag, fields, parse=parse_finite):
+    """One value per name in fields from the comma list text, each read
+    by parse; a wrong count or a bad value raises ValueError naming the
+    flag and its fields."""
+    parts = text.split(",")
+    try:
+        if len(parts) != len(fields):
+            raise ValueError(f"expected {len(fields)} values")
+        return [parse(v) for v in parts]
+    except ValueError as exc:
+        raise ValueError(f"{flag} takes {','.join(fields)}, got {text!r}: {exc}") from None
+
+
 def _spec_from_args(args):
     if getattr(args, "holo", None) is not None:
         return holomorphic(parse_coeffs(args.holo))
@@ -83,11 +96,9 @@ def _spec_from_args(args):
 
 def _grid_from_args(args):
     """(Window, nx, ny) from --window and --grid."""
-    vals = [parse_finite(v) for v in args.window.split(",")]
-    if len(vals) != 4:
-        raise ValueError("window must be x_min,x_max,y_min,y_max")
-    nx, ny = (int(v) for v in args.grid.split(","))
-    return render.Window(*vals), nx, ny
+    window = parse_fields(args.window, "--window", ("x_min", "x_max", "y_min", "y_max"))
+    nx, ny = parse_fields(args.grid, "--grid", ("nx", "ny"), int)
+    return render.Window(*window), nx, ny
 
 
 def _rep_to_json(rep):
@@ -291,7 +302,7 @@ def cmd_cycles(args):
 def cmd_flowstats(args):
     field = _spec_from_args(args)
     if args.circle:
-        cx, cy, r = (parse_finite(v) for v in args.circle.split(","))
+        cx, cy, r = parse_fields(args.circle, "--circle", ("cx", "cy", "radius"))
         curve = flowstats.Circle(complex(cx, cy), r)
     elif args.polygon:
         verts = [parse_complex(v) for v in args.polygon.split(";")]

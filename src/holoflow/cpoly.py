@@ -24,6 +24,11 @@ from .errors import (
 DEFAULT_TOL = 1e-10
 CLUSTER_TOL = 1e-6
 REAL_TOL = 1e-12
+# the largest degree roots() and potential.build_potential accept: the
+# slowest input found at this degree, z^200 - 1e-200, took about 1 s
+# through ``holoflow potential --holo`` (2 shared vCPUs; random
+# coefficients took 0.3 s)
+MAX_DEGREE = 200
 
 
 class CPoly:
@@ -143,6 +148,19 @@ def _horner(top, rest, z):
     return acc
 
 
+def horner(descending, x):
+    """p(x) by Horner's rule in plain Python arithmetic, descending
+    holding p's coefficients leading first (Python floats or complex,
+    such as the first item of ``CPoly.scalar_view``); x is a Python
+    float or complex. The one scalar Horner loop that needs no numpy
+    bits: for finite x and a nonzero leading coefficient it gives the
+    float a loop from ``0.0 * x + c_n`` gives."""
+    v = descending[0]
+    for c in descending[1:]:
+        v = v * x + c
+    return v
+
+
 def _scalar_horner(descending):
     """z -> the complex p(z) for a complex scalar z, where descending
     holds p's coefficients as Python complex, leading first (the first
@@ -235,10 +253,10 @@ def roots(p: CPoly) -> tuple:
     max(rho, |z|) with rho = min(1, max |z_i|) over the eigenvalues, so
     distinct roots below 1 are not merged for being small. Raises
     NonConvergence if the eigenvalue solve fails or its roots miss the
-    residual gate.
+    residual gate, and ValueError for a degree outside 1 to MAX_DEGREE.
     """
-    if p.degree < 1:
-        raise ValueError("roots() requires degree >= 1")
+    if not 1 <= p.degree <= MAX_DEGREE:
+        raise ValueError(f"roots() requires degree 1 to {MAX_DEGREE}, got {p.degree}")
     with np.errstate(over="ignore", invalid="ignore"):
         points = list(_approx_roots(p.coeffs))
         floor = min(1.0, max(map(abs, points)))
@@ -336,8 +354,8 @@ def _sturm_chain(c):
 
 def _sign_changes(chain, x):
     """Sign changes of the Sturm chain, descending float lists, at x.
-    The hottest loop of real_roots: it runs _eval_real's Horner loop
-    inline, which saves a call per chain member."""
+    The hottest loop of real_roots: it runs horner's loop inline, which
+    saves a call per chain member."""
     prev = 0
     count = 0
     for c in chain:
@@ -360,7 +378,8 @@ def real_roots(r: CPoly):
     by count-preserving bisection and Newton polish, which stops at
     |r(x)| <= DEFAULT_TOL. The chain, the polynomial and its derivative
     are turned into descending Python float lists once per call, and
-    every evaluation runs Horner on those lists: the same IEEE double
+    every evaluation runs Horner (``horner``, or its loop inlined in
+    ``_sign_changes``) on those lists: the same IEEE double
     operations, in the same order, as on the arrays, so no root moves.
     Raises IdenticallyZero for the zero polynomial and NonConvergence
     for a coefficient that is not finite.
@@ -380,7 +399,7 @@ def real_roots(r: CPoly):
     lo, hi = -bound, bound
     # nudge endpoints off possible roots; Sturm counts roots in (lo, hi]
     eps = 1e-12 * bound
-    while _eval_real(poly, lo) == 0.0:
+    while horner(poly, lo) == 0.0:
         lo -= eps
         eps *= 2
     total = _sign_changes(chain, lo) - _sign_changes(chain, hi)
@@ -394,7 +413,7 @@ def real_roots(r: CPoly):
             out.append(_refine_root(poly, deriv, chain, a, b))
             continue
         mid = 0.5 * (a + b)
-        while _eval_real(poly, mid) == 0.0:
+        while horner(poly, mid) == 0.0:
             mid += eps
         va = _sign_changes(chain, a)
         vm = _sign_changes(chain, mid)
@@ -402,15 +421,6 @@ def real_roots(r: CPoly):
         stack.append((a, mid, va - vm))
         stack.append((mid, b, vm - vb))
     return np.array(sorted(out))
-
-
-def _eval_real(c, x):
-    """Horner on descending Python floats: the same IEEE double
-    arithmetic as numpy scalars, at a fraction of their cost."""
-    v = 0.0
-    for ck in c:
-        v = v * x + ck
-    return v
 
 
 def _refine_root(poly, deriv, chain, a, b):
@@ -431,10 +441,10 @@ def _refine_root(poly, deriv, chain, a, b):
             va = vm
     x = 0.5 * (a + b)
     for _ in range(8):
-        fx = _eval_real(poly, x)
+        fx = horner(poly, x)
         if abs(fx) <= DEFAULT_TOL:
             break
-        dfx = _eval_real(deriv, x)
+        dfx = horner(deriv, x)
         if dfx == 0.0:
             break
         step = fx / dfx

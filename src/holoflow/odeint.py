@@ -335,7 +335,7 @@ def _trap_discs(spec, s, cfg):
     else:
         try:
             equilibria = [z for z, m in cpoly.roots(p) if m == 1]
-        except NonConvergence:
+        except (NonConvergence, ValueError):  # ValueError: past cpoly.MAX_DEGREE
             return ()
     discs = []
     for ze in equilibria:
@@ -443,7 +443,7 @@ def _level_escape(spec, cfg):
     rev_re = [abs(c.real) for c in rev]
     rev_mag = [math.hypot(c.real, c.imag) for c in rev]
     k_abs, k_rel = 1e4 * cfg.abs_tol, 1e4 * cfg.rel_tol
-    horner = 8 * n * 2.0 ** -53
+    rounding = 8 * n * 2.0 ** -53
 
     def escaped(z):
         # w = Omega(z) and v = Omega'(z) = p(z) in one Horner pass
@@ -452,18 +452,13 @@ def _level_escape(spec, cfg):
             v = v * z + w
             w = w * z + c
         r = abs(z)
-        size = 0.0
-        for m in rev_mag:
-            size = size * r + m
-        eps = (k_abs + k_rel * r) * math.hypot(v.real, v.imag) + horner * size
+        eps = ((k_abs + k_rel * r) * math.hypot(v.real, v.imag)
+               + rounding * cpoly.horner(rev_mag, r))
         level = ((abs(w.imag) + eps) / (2.0 * lead)) ** (1.0 / n)
         # a NaN level propagates through max's first argument and fails
         # the test below
         radius = 2.0 * max(level, root_bound)
-        bound = 0.0
-        for a in rev_re:
-            bound = bound * radius + a
-        return Outcome.ESCAPED if w.real - eps > bound else None
+        return Outcome.ESCAPED if w.real - eps > cpoly.horner(rev_re, radius) else None
     return escaped
 
 
@@ -615,7 +610,9 @@ def return_map(spec, x_start, cfg: IntegratorConfig = DEFAULT_CONFIG):
 
 
 def return_map_derivative(spec, x, cfg: IntegratorConfig = DEFAULT_CONFIG, h=None):
-    """Central finite difference of the return map at x."""
+    """Central finite difference of the return map at x: the oracle for
+    the first-integral multipliers of the ``pwcycles`` solvers, which do
+    not call it."""
     if h is None:
         h = 1e-5 * max(1.0, abs(x))
     plus = return_map(spec, x + h, cfg)

@@ -75,7 +75,7 @@ class SystemSpec:
         when that scale passes float range. ``odeint`` builds its one
         Filippov crossing rule and its half-return entry check on it.
 
-        v comes from Horner in Python complex arithmetic on
+        v comes from ``cpoly.horner`` in Python complex arithmetic on
         ``CPoly.scalar_view``, and it decides as ``velocity``'s numpy
         value would. At z = x + 0i each complex product has one exactly
         zero partial product: numpy's fused loop forms fma(a, x, -(b*0))
@@ -86,10 +86,7 @@ class SystemSpec:
         max|c_k| is the view's numpy modulus, since Python's ``abs`` can
         differ from it in the last bit."""
         descending, size = self.p.scalar_view
-        z = complex(x, 0.0)
-        v = descending[0]
-        for c in descending[1:]:
-            v = v * z + c
+        v = cpoly.horner(descending, complex(x, 0.0))
         v = -v.imag if self.kind is SystemKind.ANTI_HOLOMORPHIC else v.imag
         if not math.isfinite(v):
             return 0  # a NaN would otherwise read as -1, "crossing down"
@@ -197,7 +194,10 @@ def partial_fraction_primitive(num: CPoly, den: CPoly) -> PotentialRep:
 def build_potential(spec: SystemSpec) -> PotentialRep:
     """Potential of the system: primitive of p (anti-holomorphic case,
     purely polynomial) or of 1/p (holomorphic case, partial fractions).
+    Raises ValueError for a degree above ``cpoly.MAX_DEGREE``.
     """
+    if spec.p.degree > cpoly.MAX_DEGREE:
+        raise ValueError(f"degree {spec.p.degree} is above the limit {cpoly.MAX_DEGREE}")
     if spec.p.is_zero():
         raise ZeroPolynomial("system polynomial is identically zero")
     if spec.kind is SystemKind.ANTI_HOLOMORPHIC:

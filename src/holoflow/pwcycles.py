@@ -13,6 +13,10 @@ switching line and confirmed against the numerical return map:
   Sylvester resultant, with degree-driven bounds 0/1/3 for
   linear/quadratic/cubic sides.
 
+All three build their candidates through ``_candidates``, and a
+confirmed one takes its multiplier from the first integrals in closed
+form (``_multiplier``), not from differences of return maps.
+
 Every decision uses one fixed tolerance that no caller sets: a root of
 F is bisected to BISECT_WIDTH, x2-roots of the two sides match within
 MATCH_WIDTH, a pair degenerates at 1e-9 and repeats another at 1e-8
@@ -36,7 +40,6 @@ from .errors import (
     CenterContinuum,
     ContinuumDetected,
     DegreeUnsupported,
-    HoloflowError,
     HypothesisViolation,
     IdenticallyZero,
     NonConvergence,
@@ -74,8 +77,13 @@ class Verified(enum.Enum):
 class CycleCandidate:
     """Crossing pair stored with x1 > x2.
 
-    A validated candidate carries ``miss`` = |P(x1) - x1| whenever the
-    return map P landed, and a REJECTED one carries the ``reason``: the
+    A NUMERICALLY_CONFIRMED candidate carries the ``multiplier`` P'(x1)
+    of the return map P, in closed form from the first integrals (see
+    ``_multiplier``), and its ``stability``: STABLE or UNSTABLE when
+    |P'(x1)| is below or above 1 by more than 1e-6, else NON_HYPERBOLIC.
+    ANALYTIC and REJECTED candidates carry None and UNKNOWN. A validated
+    candidate carries ``miss`` = |P(x1) - x1| whenever the return map P
+    landed, and a REJECTED one carries the ``reason``: the
     ``odeint.Outcome`` value of the half-return that did not land, or
     "sliding", "tangent" or "same_direction" (the crossings at x1 and
     x2) or "miss" (P(x1) landed beyond CONFIRM_TOL).
@@ -139,10 +147,12 @@ def _add_pair(pairs, a, b):
 
 
 def _candidates(pw, pairs, validate):
-    """One candidate per pair: ANALYTIC when validation is off, else
-    REJECTED with its reason, or NUMERICALLY_CONFIRMED with the
-    return-map derivative as its multiplier; each validated one carries
-    the miss when the return map landed."""
+    """One candidate per pair, the one place every solver builds them:
+    ANALYTIC when validation is off, else REJECTED with its reason, or
+    NUMERICALLY_CONFIRMED with the first-integral multiplier
+    (``_multiplier``) and its stability; each validated one carries the
+    miss when the return map landed. Analytic and rejected candidates
+    carry no multiplier and UNKNOWN stability."""
     candidates = []
     for x1, x2 in pairs:
         reason, miss = _confirms(pw, x1, x2) if validate else (None, None)
@@ -153,14 +163,38 @@ def _candidates(pw, pairs, validate):
             verified = Verified.REJECTED
         else:
             verified = Verified.NUMERICALLY_CONFIRMED
-            try:
-                multiplier = odeint.return_map_derivative(pw, x1)
-            except (ValueError, HoloflowError):
-                pass
+            multiplier = _multiplier(pw, x1, x2)
             stability = _stability_from_multiplier(multiplier)
         candidates.append(CycleCandidate(x1, x2, multiplier, stability, verified,
                                          reason, miss))
     return candidates
+
+
+def _psi_slope(side: SystemSpec, x):
+    """psi'(x) on the axis for the side's first integral psi: Im p(x)
+    for psi = Im Omega on an anti-holomorphic side, Im 1/p(x) for
+    psi = Im Phi on a holomorphic one."""
+    v = cpoly.horner(side.p.scalar_view[0], x)
+    return v.imag if side.kind is SystemKind.ANTI_HOLOMORPHIC else (1.0 / v).imag
+
+
+def _multiplier(pw: PiecewiseSpec, x1, x2):
+    """The derivative of the return map at x1 for the cycle through the
+    crossing pair (x1, x2), from the first integrals alone.
+
+    A half return x -> x' on side s keeps psi_s, so psi_s(x') =
+    psi_s(x) and dx'/dx = psi_s'(x) / psi_s'(x'). The cycle leaves x1
+    into the side that ``crossing_transversality`` says it enters, runs
+    to x2 there and back to x1 on the other side, so the multiplier is
+    the product of the two ratios. The ratio is local, with no branch of
+    Phi to choose, and well defined exactly when both crossings are
+    transversal, as ``_confirms`` has checked."""
+    if crossing_transversality(pw, x1) is Crossing.CROSSING_UP:
+        first, second = pw.upper, pw.lower
+    else:
+        first, second = pw.lower, pw.upper
+    return (_psi_slope(first, x1) / _psi_slope(first, x2)
+            * (_psi_slope(second, x2) / _psi_slope(second, x1)))
 
 
 def _mixed_piecewise(k, z0) -> PiecewiseSpec:
@@ -223,14 +257,15 @@ def mixed_linear_pair(spec: MixedLinearSpec):
 
 
 def solve_mixed_linear_on_sigma(spec: MixedLinearSpec, validate=True):
-    """At most one limit cycle; empty when the crossing pair fails the
-    geometric validity checks.
+    """At most one limit cycle: the closed-form pair of
+    ``mixed_linear_pair`` as a candidate, dropped when validation
+    rejects it.
 
     Raises CenterContinuum when a = 0 and the matching equations admit a
     crossing pair (period annulus: closed orbits, none isolated). The
-    multiplier of a genuine cycle is exp(a*pi/|b|): stable for a < 0,
-    unstable for a > 0. Raises HypothesisViolation when the pair or the
-    multiplier passes float range.
+    first-integral multiplier of a confirmed cycle equals exp(a*pi/|b|)
+    up to rounding. Raises
+    HypothesisViolation when the pair passes float range.
     """
     if spec.a2 == 0.0 or spec.b == 0.0:
         raise HypothesisViolation("mixed linear solver requires a2 != 0 and b != 0")
@@ -247,19 +282,13 @@ def solve_mixed_linear_on_sigma(spec: MixedLinearSpec, validate=True):
         )
     try:
         pair = mixed_linear_pair(spec)
-        if pair is None:
-            return []
-        multiplier = math.exp(spec.a * math.pi / abs(spec.b))
     except (OverflowError, ZeroDivisionError):
-        raise HypothesisViolation("mixed linear constants put the crossing pair or "
-                                  "exp(a*pi/|b|) past float range") from None
-    x1, x2 = pair
-    stability = Stability.STABLE if spec.a < 0 else Stability.UNSTABLE
-    reason, miss = _confirms(pw, x1, x2) if validate else (None, None)
-    if reason:
+        raise HypothesisViolation("mixed linear constants put the crossing pair "
+                                  "past float range") from None
+    if pair is None:
         return []
-    verified = Verified.NUMERICALLY_CONFIRMED if validate else Verified.ANALYTIC
-    return [CycleCandidate(x1, x2, multiplier, stability, verified, miss=miss)]
+    return [c for c in _candidates(pw, [pair], validate)
+            if c.verified is not Verified.REJECTED]
 
 
 def _annulus_representative(pw, x0):
@@ -426,6 +455,12 @@ def _bracket_bisect(g, left, right):
 # --------------------------------------------------------------------------
 
 DEGREE_BOUNDS = {1: 0, 2: 1, 3: 3}
+# the largest side degree solve_antiholo_pair accepts, below
+# cpoly.MAX_DEGREE: the resultant stacks 2 d^2 + 1 Sylvester matrices of
+# size 2d, 64 d^4 bytes (100 GB at d = 200). At this degree ``holoflow
+# cycles --family antiholo`` took about 0.8 s on random sides (2 shared
+# vCPUs), and the resultant is past float range from about d = 24 on.
+MAX_PAIR_DEGREE = 36
 
 
 def crossing_pair_polynomial(spec: SystemSpec) -> cpoly.BivarSym:
@@ -454,7 +489,8 @@ def solve_antiholo_pair(spec: PiecewiseSpec, validate=True):
     a nonzero constant has no crossing pairs, so the result is []. Raises
     ContinuumDetected when R vanishes identically against the Sylvester
     determinant's own scale max|c_up|^dm * max|c_lo|^dp (dp, dm the
-    x2-degrees of c_up, c_lo), DegreeUnsupported for constant sides and
+    x2-degrees of c_up, c_lo), DegreeUnsupported for constant sides,
+    ValueError for a side degree above MAX_PAIR_DEGREE and
     NonConvergence when a coefficient is not finite or that scale
     passes float range.
     """
@@ -463,6 +499,8 @@ def solve_antiholo_pair(spec: PiecewiseSpec, validate=True):
             raise ValueError("solve_antiholo_pair requires anti-holomorphic sides")
         if side.p.degree < 1:
             raise DegreeUnsupported("sides must have degree >= 1")
+        if side.p.degree > MAX_PAIR_DEGREE:
+            raise ValueError(f"side degree {side.p.degree} is above the limit {MAX_PAIR_DEGREE}")
     c_up = crossing_pair_polynomial(spec.upper)
     c_lo = crossing_pair_polynomial(spec.lower)
     if any(c.x2_degree == 0 and c.coeffs[0, 0] != 0.0 for c in (c_up, c_lo)):

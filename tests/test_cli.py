@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from holoflow import classify, flowstats, pwcycles, render
+from holoflow import classify, cpoly, flowstats, pwcycles, render
 from holoflow.cli import main, parse_coeffs, parse_complex
 from holoflow.potential import anti_holomorphic, build_potential, eval_potential
 
@@ -219,8 +219,18 @@ class TestSizeLimits:
          f"at most {render.MAX_LEVELS} levels"),
         (["flowstats", "--holo", "0,1", "--circle", "0,0,1", "--nodes", str(10 ** 12)],
          f"between 1 and {flowstats.MAX_NODES}"),
+        (["potential", "--holo", ",".join(["1"] * (cpoly.MAX_DEGREE + 2)),
+          "--out", "{tmp}/p.json"], f"above the limit {cpoly.MAX_DEGREE}"),
+        (["potential", "--antiholo", ",".join(["1"] * (cpoly.MAX_DEGREE + 2)),
+          "--out", "{tmp}/p.json"], f"above the limit {cpoly.MAX_DEGREE}"),
+        (PORTRAIT[:1] + ["--antiholo", ",".join(["1"] * (cpoly.MAX_DEGREE + 2))] + PORTRAIT[3:],
+         f"above the limit {cpoly.MAX_DEGREE}"),
+        (["cycles", "--family", "antiholo", "--upper", ",".join(["1"] * (pwcycles.MAX_PAIR_DEGREE + 1))
+          + ",(0,1)", "--lower", REFERENCE_UPPER], f"above the limit {pwcycles.MAX_PAIR_DEGREE}"),
     ], ids=["portrait-grid", "potential-grid", "portrait-levels", "portrait-no-level",
-            "portrait-negative-levels", "portrait-levels-at", "flowstats-nodes"])
+            "portrait-negative-levels", "portrait-levels-at", "flowstats-nodes",
+            "potential-holo-degree", "potential-antiholo-degree", "portrait-degree",
+            "cycles-degree"])
     def test_past_the_limit(self, tmp_path, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main([a.replace("{tmp}", str(tmp_path)) for a in argv])
@@ -235,6 +245,40 @@ class TestSizeLimits:
         assert main(["portrait", "--antiholo", "0,0,1", "--grid", grid,
                      "--levels-at=" + ",".join(["0.5"] * levels),
                      "--out-svg", str(tmp_path / "p.svg")]) == 0
+
+    def test_degree_at_the_limit(self, tmp_path):
+        # z^200 + 1: 200 simple poles of 1/p
+        coeffs = ",".join(["1"] + ["0"] * (cpoly.MAX_DEGREE - 1) + ["1"])
+        assert main(["potential", "--holo", coeffs, "--out", str(tmp_path / "p.json")]) == 0
+        with open(tmp_path / "p.json", encoding="utf-8") as fh:
+            assert len(json.load(fh)["potential"]["log_terms"]) == cpoly.MAX_DEGREE
+
+
+class TestCommaLists:
+    """A comma list of the wrong length or with a bad value exits 2 with
+    a message naming the flag and its fields."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["portrait", "--holo", "0,1", "--grid", "5"], "--grid takes nx,ny, got '5'"),
+        (["portrait", "--holo", "0,1", "--grid", "2,abc"], "--grid takes nx,ny, got '2,abc'"),
+        (["potential", "--holo", "0,1", "--out", "{tmp}/p.json", "--grid-csv", "{tmp}/g.csv",
+          "--grid", "1,2,3"], "--grid takes nx,ny"),
+        (["portrait", "--holo", "0,1", "--window=1,2,3"],
+         "--window takes x_min,x_max,y_min,y_max, got '1,2,3'"),
+        (["portrait", "--holo", "0,1", "--window=-1,1,-1,nan"], "--window takes"),
+        (["flowstats", "--holo", "0,1", "--circle", "0,0"],
+         "--circle takes cx,cy,radius, got '0,0'"),
+        (["flowstats", "--holo", "0,1", "--circle", "0,0,one"], "--circle takes cx,cy,radius"),
+    ], ids=["grid-short", "grid-not-int", "grid-long", "window-short", "window-nan",
+            "circle-short", "circle-not-number"])
+    def test_usage_error(self, tmp_path, capsys, argv, message):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--out-svg", str(tmp_path / "p.svg")] if argv[0] == "portrait" else []))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "unpack" not in err
 
 
 class TestPortraitCommand:

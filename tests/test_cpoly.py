@@ -101,6 +101,50 @@ class TestEvalBitExact:
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def _zero_start_horner(descending, x):
+    """The scalar Horner loops ``horner`` replaced, which start from
+    ``0.0 * x + c_n`` (``real_roots``' float evaluator and the level
+    escape's size and bound sums)."""
+    v = 0.0
+    for c in descending:
+        v = v * x + c
+    return v
+
+
+def _float_part(rng):
+    """Ordinary, huge, tiny and special float values."""
+    u = rng.random()
+    if u < 0.6:
+        return float(rng.normal())
+    if u < 0.8:
+        return float(rng.choice([0.0, -0.0, 5e-324, 1e-300, -1e300, 1.7e308,
+                                 math.inf, -math.inf, math.nan]))
+    return float(rng.choice([1.0, -1.0]) * 10.0 ** rng.integers(-300, 300))
+
+
+class TestHorner:
+    def test_same_floats_as_zero_start_loop(self):
+        # seeded draws: descending float lists of length 1-9 with a
+        # nonzero leading coefficient, at finite x; every value must be
+        # the zero-start loop's float to the bit (or NaN where it is NaN)
+        rng = np.random.default_rng(20)
+        for _ in range(20_000):
+            c = [_float_part(rng) for _ in range(rng.integers(1, 10))]
+            if c[0] == 0.0 or math.isnan(c[0]):
+                continue
+            x = _float_part(rng)
+            if not math.isfinite(x):
+                continue
+            got, want = cpoly.horner(c, x), _zero_start_horner(c, x)
+            assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
+
+    def test_complex_values(self):
+        descending = (0.5j, 3 - 1j, 1 + 2j)
+        z = 0.25 - 1.5j
+        assert cpoly.horner(descending, z) == (0.5j * z + (3 - 1j)) * z + (1 + 2j)
+        assert cpoly.horner((2.0,), z) == 2.0
+
+
 class TestCalculus:
     def test_antiderivative_z_squared(self):
         q = CPoly([0, 0, 1]).antiderivative()
@@ -332,6 +376,16 @@ class TestRoots:
         monkeypatch.setattr(np, "roots", fail)
         with pytest.raises(NonConvergence):
             roots(CPoly([2, -3, 0, 1]))
+
+
+class TestDegreeLimit:
+    def test_past_the_limit_raises_before_any_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("eigenvalues computed past the degree limit")
+
+        monkeypatch.setattr(np, "roots", fail)
+        with pytest.raises(ValueError, match=f"degree 1 to {cpoly.MAX_DEGREE}, got 201"):
+            roots(CPoly([1.0] + [0.0] * cpoly.MAX_DEGREE + [1.0]))
 
 
 class TestDividedDifference:

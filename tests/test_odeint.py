@@ -812,6 +812,33 @@ def _readme_quadratic_pair():
                          anti_holomorphic([-3 + 1j, -1 + 1j, -4 - 2.6862j]))
 
 
+def _zero_start_escape(spec, cfg, z):
+    """The level escape test at z as it stood with its size and bound
+    sums as zero-start loops: the reference for ``cpoly.horner`` there."""
+    p = spec.p.scalar_view[0][::-1]
+    omega = [0j] + [c / k for k, c in enumerate(p, 1)]
+    n = len(omega) - 1
+    lead = abs(omega[n].imag)
+    root_bound = max((abs(omega[j].imag) / lead) ** (1.0 / (n - j)) for j in range(1, n))
+    rev = omega[::-1]
+    w, v = rev[0], 0j
+    for c in rev[1:]:
+        v = v * z + w
+        w = w * z + c
+    r = abs(z)
+    size = 0.0
+    for m in [math.hypot(c.real, c.imag) for c in rev]:
+        size = size * r + m
+    eps = ((1e4 * cfg.abs_tol + 1e4 * cfg.rel_tol * r) * math.hypot(v.real, v.imag)
+           + 8 * n * 2.0 ** -53 * size)
+    level = ((abs(w.imag) + eps) / (2.0 * lead)) ** (1.0 / n)
+    radius = 2.0 * max(level, root_bound)
+    bound = 0.0
+    for a in [abs(c.real) for c in rev]:
+        bound = bound * radius + a
+    return Outcome.ESCAPED if w.real - eps > bound else None
+
+
 def _entering_side(spec, x):
     return Side.UPPER if spec.velocity(complex(x, 0.0)).imag > 0 else Side.LOWER
 
@@ -890,6 +917,28 @@ class TestLevelEscape:
         spec = anti_holomorphic([0.5j, 1.0, -1j])
         assert half_return_outcome(spec, 1.0, _entering_side(spec, 1.0)) == (
             Outcome.ESCAPED, None)
+
+    def test_decides_as_zero_start_loops(self):
+        """``_level_escape`` sums its size and bound with ``cpoly.horner``;
+        over seeded sides and points, finite or not, every decision is
+        the one the loops it replaced give (``_zero_start_escape``)."""
+        rng = np.random.default_rng(19)
+        specials = [0.0, -0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]
+        seen = {Outcome.ESCAPED: 0, None: 0}
+        for _ in range(400):
+            degree = int(rng.integers(2, 6))
+            coeffs = rng.normal(size=degree + 1) * 3 + 3j * rng.normal(size=degree + 1)
+            spec = anti_holomorphic(coeffs)
+            escaped = odeint._level_escape(spec, odeint.DEFAULT_CONFIG)
+            for _ in range(50):
+                scale = 10.0 ** rng.integers(-2, 8)
+                parts = [float(rng.normal() * scale) if rng.random() < 0.9
+                         else float(rng.choice(specials)) for _ in range(2)]
+                z = complex(*parts)
+                want = _zero_start_escape(spec, odeint.DEFAULT_CONFIG, z)
+                assert escaped(z) is want
+                seen[want] += 1
+        assert min(seen.values()) > 500
 
     @settings(max_examples=40, deadline=None)
     @given(degree=st.integers(2, 3), data=st.data())

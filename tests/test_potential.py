@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from holoflow import odeint
+from holoflow import cpoly, odeint
 from holoflow.cpoly import CPoly
 from holoflow.errors import (
     AtPole,
@@ -74,6 +74,13 @@ GOLDEN_POTENTIALS = [
 
 
 class TestBuildPotential:
+    @pytest.mark.parametrize("make", [holomorphic, anti_holomorphic])
+    def test_degree_limit(self, make):
+        at = make([1.0] + [0.0] * (cpoly.MAX_DEGREE - 1) + [1.0])
+        assert build_potential(at) is not None
+        with pytest.raises(ValueError, match=f"above the limit {cpoly.MAX_DEGREE}"):
+            build_potential(make([1.0] + [0.0] * cpoly.MAX_DEGREE + [1.0]))
+
     def test_log_for_linear_field(self):
         rep = build_potential(holomorphic([0, 1]))  # zdot = z
         assert rep.poly_part.is_zero()

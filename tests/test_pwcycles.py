@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,6 +477,18 @@ class TestAntiholoPair:
         with pytest.raises(DegreeUnsupported):
             solve_antiholo_pair(spec)
 
+    def test_degree_limit(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("resultant built past the degree limit")
+
+        monkeypatch.setattr(pwcycles.cpoly, "resultant_x2", fail)
+        wide = anti_holomorphic([0.5] * pwcycles.MAX_PAIR_DEGREE + [1j, 1j])
+        for spec in (PiecewiseSpec(wide, anti_holomorphic([0, 1j, 1j])),
+                     PiecewiseSpec(anti_holomorphic([0, 1j, 1j]), wide)):
+            with pytest.raises(ValueError, match=f"above the limit {pwcycles.MAX_PAIR_DEGREE}"):
+                solve_antiholo_pair(spec)
+        assert pwcycles.MAX_PAIR_DEGREE < pwcycles.cpoly.MAX_DEGREE
+
     @pytest.mark.parametrize("side, k, bad", [
         ("upper", 0, complex(math.nan, 0.0)), ("upper", 2, complex(0.5, math.nan)),
         ("lower", 1, complex(math.inf, 1.0)), ("lower", 2, complex(-4.0, -math.inf)),
@@ -514,6 +527,120 @@ class TestAntiholoPair:
         spec = PiecewiseSpec(holomorphic([0, 1]), anti_holomorphic([0, 1j, 1j]))
         with pytest.raises(ValueError):
             solve_antiholo_pair(spec)
+
+
+def readme_quadratic_pair():
+    """The README's `holoflow cycles --family antiholo` example."""
+    return PiecewiseSpec(anti_holomorphic([1 + 0.5j, 2 + 1.5j, 3 + 0.5j]),
+                         anti_holomorphic([-3 + 1j, -1 + 1j, -4 - 2.6862j]))
+
+
+def _richardson_derivative(pw, x):
+    """The oracle's return-map derivative at x: central differences at
+    tolerances 1e-12 with h = 1e-4 max(1, |x|) and h / 2, Richardson
+    extrapolated. A single central difference carries a truncation error
+    of order h^2 times the third derivative of the map, which reached
+    3.7e-5 relative on a seeded mixed-general cycle with multiplier 76;
+    extrapolation removes it."""
+    tight = odeint.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
+    h = 1e-4 * max(1.0, abs(x))
+    wide = odeint.return_map_derivative(pw, x, tight, h=h)
+    narrow = odeint.return_map_derivative(pw, x, tight, h=h / 2)
+    return (4.0 * narrow - wide) / 3.0
+
+
+class TestFirstIntegralMultiplier:
+    """A confirmed candidate's multiplier is the product of
+    psi_s'(x) / psi_s'(x_next) over its two half returns
+    (``pwcycles._multiplier``)."""
+
+    @pytest.mark.parametrize("x0_range", [(0.0, 0.0), (-2.0, 2.0)], ids=["x0=0", "x0"])
+    def test_mixed_linear_is_the_closed_form(self, x0_range):
+        # criterion 3's draws; with x0 != 0 the constant b2 is set so that
+        # the translated b2 + a2 x0 has criterion 3's range and sign
+        rng = np.random.default_rng(2024)
+        confirmed = tried = 0
+        worst = 0.0
+        while confirmed < 100:
+            tried += 1
+            assert tried < 20000, "valid-draw sampling exhausted"
+            a1, a2, b1 = rng.uniform(-2, 2, 3)
+            a = rng.uniform(-1.2, 1.2)
+            b = rng.uniform(0.2, 1.5) * rng.choice([-1.0, 1.0])
+            x0 = rng.uniform(*x0_range)
+            if abs(a2) < 0.1 or abs(a) < 0.05 or abs(a * math.pi / b) > 4.0:
+                continue
+            b2 = math.copysign(rng.uniform(0.2, 2.0), a) - a2 * x0
+            out = solve_mixed_linear_on_sigma(MixedLinearSpec(a1, a2, b1, b2, a, b, x0))
+            if not out:
+                continue
+            cand, = out
+            assert cand.verified is Verified.NUMERICALLY_CONFIRMED
+            expected = math.exp(a * math.pi / abs(b))
+            worst = max(worst, abs(cand.multiplier - expected) / expected)
+            assert cand.stability is (Stability.STABLE if a < 0 else Stability.UNSTABLE)
+            confirmed += 1
+        assert worst <= 1e-12
+
+    def test_readme_pair_value(self):
+        cand, = solve_antiholo_pair(readme_quadratic_pair())
+        assert cand.multiplier == pytest.approx(0.48913353682, abs=1e-11)
+        assert cand.stability is Stability.STABLE
+
+    def test_matches_the_oracle(self):
+        # the README and reference quadratic pairs, and the first twelve
+        # confirmed candidates of seeded criterion-4 mixed-general draws
+        cases = [(pw, c) for pw in (readme_quadratic_pair(), reference_quadratic_pair())
+                 for c in solve_antiholo_pair(pw)]
+        assert len(cases) == 2
+        rng = np.random.default_rng(1)
+        while len(cases) < 14:
+            a1, a2, b1, b2 = rng.uniform(-3, 3, 4)
+            a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
+            x0, y0 = rng.uniform(-2, 2), rng.uniform(-2, 2)
+            if abs(a2) < 0.05 or abs(b) < 0.05 or y0 == 0.0:
+                continue
+            k = MixedGeneralConstants(a1, a2, b1, b2, a, b, x0, y0)
+            try:
+                out = solve_mixed_general(k)
+            except CenterContinuum:
+                continue
+            cases += [(k.as_piecewise(), c) for c in out
+                      if c.verified is Verified.NUMERICALLY_CONFIRMED]
+        for pw, cand in cases:
+            assert cand.verified is Verified.NUMERICALLY_CONFIRMED
+            want = _richardson_derivative(pw, cand.x1)
+            assert abs(cand.multiplier - want) <= 1e-6 * max(1.0, abs(want))
+
+    def test_analytic_and_rejected_carry_none(self):
+        analytic = (solve_mixed_linear_on_sigma(STABLE_CYCLE, validate=False)
+                    + solve_mixed_general(NAMED_HANG, validate=False)
+                    + solve_antiholo_pair(reference_quadratic_pair(), validate=False))
+        assert {c.verified for c in analytic} == {Verified.ANALYTIC}
+        rejected = solve_mixed_general(NAMED_HANG)
+        assert {c.verified for c in rejected} == {Verified.REJECTED}
+        for cand in analytic + rejected:
+            assert (cand.multiplier, cand.stability) == (None, Stability.UNKNOWN)
+
+    @pytest.mark.parametrize("multiplier, stability", [
+        (1.0 - 2e-6, Stability.STABLE), (-1.0 + 2e-6, Stability.STABLE),
+        (1.0 + 2e-6, Stability.UNSTABLE), (-1.0 - 2e-6, Stability.UNSTABLE),
+        (1.0 + 5e-7, Stability.NON_HYPERBOLIC), (-1.0, Stability.NON_HYPERBOLIC),
+    ])
+    def test_stability_band(self, multiplier, stability):
+        assert pwcycles._stability_from_multiplier(multiplier) is stability
+
+    def test_one_candidate_path_and_no_oracle_in_the_solvers(self):
+        src = Path(pwcycles.__file__).parent
+        naming = {f.name for f in src.glob("*.py")
+                  if "return_map_derivative" in f.read_text(encoding="utf-8")}
+        # the package re-exports the oracle and calls it nowhere
+        assert naming == {"odeint.py", "__init__.py"}
+        assert "return_map_derivative(" not in (src / "__init__.py").read_text(encoding="utf-8")
+        text = Path(pwcycles.__file__).read_text(encoding="utf-8")
+        # one constructor call, in _candidates
+        assert text.count("CycleCandidate(") == 1
+        assert "candidates.append(CycleCandidate(" in text
 
 
 class TestRejectionReasons:
