@@ -12,6 +12,7 @@ of the two variables.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -98,7 +99,10 @@ class CPoly:
         arithmetic does not; the integrator oracle's results are pinned
         to this arithmetic bit for bit. The loop is ``_horner``, the
         reference that ``_scalar_horner``, the oracle's per-step field,
-        matches bit for bit.
+        matches bit for bit. For a lead of exactly ``1+0j`` that field
+        forms the first product in Python: every partial product of
+        (1+0i)z is exact, so any multiply formula, fused or not, rounds
+        it to the same float.
         """
         coeffs = self.coeffs
         if len(coeffs) == 1:
@@ -168,30 +172,56 @@ def _scalar_horner(descending):
     bit for bit, at a fraction of its per-call cost.
 
     It allocates three 0-d complex arrays once, the accumulator, z and
-    the product, and runs each product as ``np.multiply(acc, z,
-    out=out)``, the same complex loop as ``_horner``'s (the first takes
-    the 0-d leading coefficient as acc). ``out`` never aliases an
-    input: an in-place product takes another loop of the ufunc, which
-    rounds differently. Each ``+ c`` is a Python complex add on
+    the product, and runs each product as ``np.multiply(acc, z, out)``,
+    the same complex loop as ``_horner``'s (the first takes the 0-d
+    leading coefficient as acc; ``out`` goes by position, which skips
+    the keyword parsing). ``out`` never aliases an input: an in-place
+    product takes another loop of the ufunc, which rounds differently.
+    Each ``+ c`` is a Python complex add on
     ``out.item()``; addition is exactly rounded part by part, so it is
     the float numpy's add gives. The buffers belong to the returned
     function, so two functions, even of one polynomial, may be called
-    interleaved; one function is not reentrant across threads."""
+    interleaved; one function is not reentrant across threads.
+
+    A leading coefficient of exactly ``1+0j`` (a monic p, such as the
+    normal-form cubics) takes its product in Python, as
+    ``complex(x - 0.0*y, y + 0.0*x)`` for z = x + iy, and a monic linear
+    p makes no numpy call. Every partial product of (1+0i)(x+iy) is
+    exact (1*x = x, 1*y = y, and 0*x, 0*y are a signed zero or NaN), so
+    each part of the product is one rounded sum of two exact terms: the
+    same float, signed zeros, inf and NaN bytes included, whether the
+    ufunc's loop fuses multiply-add, does not, or Python forms it. The
+    next coefficient is added part by part in the same expression, as
+    the complex add would."""
     if len(descending) == 1:
         value = descending[0]
         return lambda z: value
-    top = np.array(descending[0])
-    first, *tail = descending[1:]
+    top, first, *tail = descending
     acc, zbuf, out = (np.zeros((), complex) for _ in range(3))
     multiply, item = np.multiply, out.item
+    if top == 1 and math.copysign(1.0, top.imag) == 1.0:
+        fr, fi = first.real, first.imag
+
+        def monic(z):
+            x, y = z.real, z.imag
+            v = complex(x - 0.0 * y + fr, y + 0.0 * x + fi)
+            if tail:
+                zbuf[()] = z
+                for c in tail:
+                    acc[()] = v
+                    multiply(acc, zbuf, out)
+                    v = item() + c
+            return v
+        return monic
+    top = np.array(top)
 
     def horner(z):
         zbuf[()] = z
-        multiply(top, zbuf, out=out)
+        multiply(top, zbuf, out)
         v = item() + first
         for c in tail:
             acc[()] = v
-            multiply(acc, zbuf, out=out)
+            multiply(acc, zbuf, out)
             v = item() + c
         return v
     return horner
@@ -548,7 +578,10 @@ def resultant_x2(c_plus: BivarSym, c_minus: BivarSym) -> CPoly:
     below 1e-10 of the largest coefficient is trimmed. The x2
     coefficients are computed one sample point at a time: a single
     matmul over all points may sum in another order and move the last
-    bit.
+    bit. The stack, the determinants and the solve run with overflow and
+    invalid operations ignored: past float range the Vandermonde powers
+    or a determinant turn inf and the solve NaN, and a coefficient that
+    is not finite raises NonConvergence.
     """
     dp, dm = c_plus.x2_degree, c_minus.x2_degree
     if dp == 0 or dm == 0:
@@ -562,10 +595,13 @@ def resultant_x2(c_plus: BivarSym, c_minus: BivarSym) -> CPoly:
     deg_bound = d1p * dm + d1m * dp
     n = deg_bound + 1
     xs = 2.0 * np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
-    vals = np.linalg.det(_sylvester_matrices(np.array([c_plus.x2_poly(x) for x in xs]),
-                                             np.array([c_minus.x2_poly(x) for x in xs])))
-    vander = np.vander(xs, n, increasing=True)
-    coef = np.linalg.solve(vander, vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.linalg.det(_sylvester_matrices(np.array([c_plus.x2_poly(x) for x in xs]),
+                                                 np.array([c_minus.x2_poly(x) for x in xs])))
+        vander = np.vander(xs, n, increasing=True)
+        coef = np.linalg.solve(vander, vals)
+    if not np.all(np.isfinite(coef)):
+        raise NonConvergence("a resultant coefficient is not finite")
     scale = np.max(np.abs(coef))
     if scale > 0:
         coef = np.where(np.abs(coef) <= 1e-10 * scale, 0.0, coef)

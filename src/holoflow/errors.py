@@ -74,7 +74,10 @@ class ContinuumDetected(HoloflowError):
 
 
 class DegreeUnsupported(HoloflowError):
-    """Piecewise solver requires polynomial degree >= 1 on both sides."""
+    """A polynomial's degree is outside what the method handles: the
+    piecewise solvers need degree >= 1 on both sides, and a contour
+    quadrature integrates a side exactly only up to a degree set by its
+    node count (``flowstats.exact_degree``)."""
 
 
 # --- integration / quadrature layer ---------------------------------------

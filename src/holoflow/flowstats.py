@@ -2,10 +2,11 @@
 
 The contour integral of conj(f) along a closed curve packs the
 circulation (real part) and net flow (imaginary part) of the planar
-field f. Closed curves are integrated with the periodic trapezoid rule
-(spectrally accurate for analytic integrands); polygons fall back to
-per-edge Gauss-Legendre panels since corners break the periodic
-spectral accuracy.
+field f. Circles are integrated with the periodic trapezoid rule and
+polygons with per-edge Gauss-Legendre panels, since corners break the
+periodic rule's accuracy. For a polynomial side both rules are exact up
+to a degree set by the node count (``exact_degree``); past it they
+alias, and ``contour_integral`` raises rather than return a wrong value.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpoly import CPoly
-from .errors import AtPole, DomainViolation, FieldSingularOnCurve
+from .errors import AtPole, DegreeUnsupported, DomainViolation, FieldSingularOnCurve
 from .odeint import IntegratorConfig, DEFAULT_CONFIG, integrate
 from .potential import PotentialRep, SystemKind, SystemSpec, eval_potential
 
@@ -85,11 +86,14 @@ class Polygon:
         if not all(cmath.isfinite(complex(v)) for v in self.vertices):
             raise ValueError("polygon vertices must be finite")
 
+    def per_edge(self, n):
+        """The Gauss-Legendre nodes on each edge of an n-node rule."""
+        return max(n // len(self.vertices), 16)
+
     def nodes(self, n):
         verts = [complex(v) for v in self.vertices]
         m = len(verts)
-        per_edge = max(n // m, 16)
-        xg, wg = _gauss_legendre(per_edge)
+        xg, wg = _gauss_legendre(self.per_edge(n))
         zs, ws = [], []
         for i in range(m):
             z1, z2 = verts[i], verts[(i + 1) % m]
@@ -113,15 +117,44 @@ class ParametricCurve:
         return z, w
 
 
+def exact_degree(kind, curve, n_nodes):
+    """The largest degree of a side of this kind whose contour integral
+    the n_nodes rule on curve gives exactly (-1: none), or None for a
+    ParametricCurve, which has no such bound.
+
+    On a circle z = c + r e^(it) the integrand conj(f(z)) z'(t) is a
+    trigonometric polynomial in t, with frequencies 1-d..1 for a
+    holomorphic side of degree d and 1..d+1 for an anti-holomorphic one.
+    The n-point periodic trapezoid rule integrates e^(ikt) exactly unless
+    k is a nonzero multiple of n: so d <= n with n >= 2, and d <= n - 2.
+    On a polygon edge the integrand is a polynomial of degree d in the
+    edge parameter, and k Gauss-Legendre nodes are exact to degree 2k - 1.
+    """
+    if isinstance(curve, Circle):
+        if kind is SystemKind.HOLOMORPHIC:
+            return n_nodes if n_nodes >= 2 else -1
+        return n_nodes - 2
+    if isinstance(curve, Polygon):
+        return 2 * curve.per_edge(n_nodes) - 1
+    return None
+
+
 def contour_integral(field_fn, curve, n_nodes=DEFAULT_NODES) -> ContourResult:
     """Quadrature of the closed contour integral of conj(f(z)) dz.
 
-    Raises ValueError for n_nodes outside 1..MAX_NODES, and
-    FieldSingularOnCurve when a node value or the sum passes float
-    range."""
+    For a SystemSpec on a Circle or Polygon the result is exact up to
+    rounding; a side whose degree the rule cannot integrate exactly
+    (``exact_degree``) raises DegreeUnsupported. Also raises ValueError
+    for n_nodes outside 1..MAX_NODES, and FieldSingularOnCurve when a
+    node value or the sum passes float range."""
     if not 1 <= n_nodes <= MAX_NODES:
         raise ValueError(f"n_nodes must be between 1 and {MAX_NODES}")
     if isinstance(field_fn, SystemSpec):
+        limit = exact_degree(field_fn.kind, curve, n_nodes)
+        if limit is not None and field_fn.p.degree > limit:
+            raise DegreeUnsupported(
+                f"{n_nodes} nodes on this curve integrate {field_fn.kind.value} sides "
+                f"exactly only up to degree {limit}, got degree {field_fn.p.degree}")
         f = field_fn.velocity
     else:
         f = field_fn

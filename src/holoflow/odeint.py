@@ -32,7 +32,11 @@ central difference that magnifies a last-bit change in a return value
 about 1e5-fold. So the order of every stage sum is fixed, each sum
 starts from 0 as the builtin ``sum`` does (which decides the sign of a
 zero result), zero tableau weights are kept, and the field's complex
-products go through the numpy ufunc (see ``CPoly.__call__``).
+products go through the numpy ufunc (see ``CPoly.__call__``). The one
+exception is the product by a leading coefficient of exactly 1+0i, as in
+the monic normal forms, which the field forms in Python: each of its
+partial products is exact, so the ufunc's fused loop, its unfused loop
+and Python all round it to the same float (see ``cpoly._scalar_horner``).
 
 Each integration builds its field once, as ``SystemSpec.scalar_field()``,
 whose every value is the float that ``SystemSpec.velocity`` gives,

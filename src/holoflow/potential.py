@@ -58,6 +58,10 @@ class SystemSpec:
         anti-holomorphic side. The coefficients come from
         ``CPoly.scalar_view``, converted once per polynomial and kept on
         the spec's immutable ``p``; nothing is stored on the spec itself.
+        A monic p (lead exactly ``1+0j``) takes its first Horner product
+        in Python, with one numpy call fewer per evaluation, and a monic
+        linear p none: each partial product of (1+0i)z is exact, so the
+        float is the ufunc's, fused or not.
         The Horner buffers are not shared: each call builds a field with
         its own, so build one per integration and drop it afterwards."""
         horner = cpoly._scalar_horner(self.p.scalar_view[0])

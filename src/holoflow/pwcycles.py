@@ -491,8 +491,10 @@ def solve_antiholo_pair(spec: PiecewiseSpec, validate=True):
     determinant's own scale max|c_up|^dm * max|c_lo|^dp (dp, dm the
     x2-degrees of c_up, c_lo), DegreeUnsupported for constant sides,
     ValueError for a side degree above MAX_PAIR_DEGREE and
-    NonConvergence when a coefficient is not finite or that scale
-    passes float range.
+    NonConvergence when a coefficient is not finite, when that scale
+    passes float range, or when a coefficient of R does (as for any two
+    sides of degree 23 or more: the 2d^2 + 1 sample points in (-2, 2)
+    have Vandermonde powers past float range).
     """
     for side in (spec.upper, spec.lower):
         if side.kind is not SystemKind.ANTI_HOLOMORPHIC:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from holoflow import flowstats
-from holoflow.errors import AtPole, DomainViolation, FieldSingularOnCurve
+from holoflow.cli import main
+from holoflow.errors import AtPole, DegreeUnsupported, DomainViolation, FieldSingularOnCurve
 from holoflow.flowstats import (
     Circle,
     ClosedFormFlow,
@@ -16,7 +17,7 @@ from holoflow.flowstats import (
     contour_integral,
 )
 from holoflow.odeint import integrate
-from holoflow.potential import build_potential, holomorphic
+from holoflow.potential import anti_holomorphic, build_potential, holomorphic
 
 
 class TestContourIntegrals:
@@ -146,6 +147,68 @@ class TestContourIntegrals:
     def test_degenerate_polygon_rejected(self, vertices, match):
         with pytest.raises(ValueError, match=match):
             Polygon(vertices)
+
+
+def _side(make, degree, seed):
+    rng = np.random.default_rng(seed)
+    return make(rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1))
+
+
+class TestExactDegree:
+    """A polynomial side on a circle or polygon is integrated exactly up
+    to ``exact_degree``; past it the rule aliases, and contour_integral
+    raises DegreeUnsupported instead of returning the aliased value."""
+
+    CIRCLE = Circle(0.3 - 0.2j, 1.3)
+
+    @pytest.mark.parametrize("make", [holomorphic, anti_holomorphic])
+    def test_circle_limit_is_sharp(self, make):
+        kind = make([1.0]).kind
+        for n in range(1, 9):
+            limit = flowstats.exact_degree(kind, self.CIRCLE, n)
+            assert limit == ((n if n >= 2 else -1) if make is holomorphic else n - 2)
+            for degree in range(12):
+                spec = _side(make, degree, 100 * n + degree)
+                exact = contour_integral(spec.velocity, self.CIRCLE, 4096).as_complex()
+                unchecked = contour_integral(spec.velocity, self.CIRCLE, n).as_complex()
+                if degree <= limit:
+                    assert contour_integral(spec, self.CIRCLE, n).as_complex() == unchecked
+                    assert unchecked == pytest.approx(exact, abs=1e-12 * 1.3 ** 12)
+                else:
+                    with pytest.raises(DegreeUnsupported):
+                        contour_integral(spec, self.CIRCLE, n)
+                    assert abs(unchecked - exact) > 1e-3
+
+    @pytest.mark.parametrize("argv", [
+        ["--holo", "0,1,0,1", "--nodes", "2"],
+        ["--antiholo", "0,1,0,1", "--nodes", "4"],
+    ])
+    def test_aliased_cli_call_is_a_solver_error(self, capsys, argv):
+        # these printed net_flow 12.566 (exact 2 pi) and 6.283 (exact 0)
+        assert main(["flowstats", "--circle", "0,0,1"] + argv) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("solver error: ")
+
+    @pytest.mark.parametrize("make", [holomorphic, anti_holomorphic])
+    @pytest.mark.parametrize("n_nodes", [6, 48, 300])
+    def test_polygon_limit(self, make, n_nodes):
+        triangle = Polygon((0.8, -0.4 + 0.6j, -0.5 - 0.5j))
+        per_edge = max(n_nodes // 3, 16)
+        limit = flowstats.exact_degree(make([1.0]).kind, triangle, n_nodes)
+        assert limit == 2 * per_edge - 1
+        spec = _side(make, limit, limit)
+        exact = contour_integral(spec.velocity, triangle, 3 * 400).as_complex()
+        value = contour_integral(spec, triangle, n_nodes).as_complex()
+        assert value == pytest.approx(exact, abs=1e-12)
+        with pytest.raises(DegreeUnsupported):
+            contour_integral(_side(make, limit + 1, 0), triangle, n_nodes)
+
+    def test_parametric_curve_has_no_limit(self):
+        curve = ParametricCurve(lambda t: np.exp(2j * np.pi * t),
+                                lambda t: 2j * np.pi * np.exp(2j * np.pi * t))
+        assert flowstats.exact_degree(holomorphic([1.0]).kind, curve, 2) is None
+        contour_integral(holomorphic([0, 0, 0, 1]), curve, 2)
 
 
 class TestClosedFormFlows:

@@ -448,6 +448,12 @@ class TestScalarField:
     # degree 0 goes through the same loop with no products
     @example(coeffs=[0.5 - 2j], points=[1j], make=holomorphic)
     @example(coeffs=[complex(-0.0, 0.0)], points=[1j], make=anti_holomorphic)
+    # a lead of exactly 1+0j takes its product in Python
+    @example(coeffs=[0.5 - 2j, 1 + 0j], points=[1j, -0.25 + 3j], make=holomorphic)
+    @example(coeffs=[complex(-0.0, 1.5), -1 - 1j, 0j, 1 + 0j], points=[0.5 - 0.5j],
+             make=anti_holomorphic)
+    @example(coeffs=[2 - 1j, complex(-0.0, -0.0), 1 + 0j], points=[complex(0.0, -0.0)],
+             make=holomorphic)
     def test_field_matches_velocity(self, coeffs, points, make):
         spec = make(coeffs)
         field = spec.scalar_field()
@@ -486,6 +492,63 @@ class TestScalarField:
                                     == (slow.real.hex(), slow.imag.hex())), (spec, z)
                             count += 1
         assert count == 51_200
+
+    def test_seeded_monic_sweep_is_bit_identical(self):
+        """67,200 evaluations of fields whose lead is exactly 1+0j, the
+        product ``_scalar_horner`` forms in Python: degree 1 to 7, both
+        kinds, the second coefficient a signed zero half the time, and
+        parts drawn as in the sweep above, special values included."""
+        rng = np.random.default_rng(20261019)
+        count = 0
+        with np.errstate(all="ignore"):
+            for degree in range(1, 8):
+                for make in (holomorphic, anti_holomorphic):
+                    for _ in range(150):
+                        top_exp = rng.choice([0.5, 3.0, 20.0, 150.0])
+                        special = rng.choice([0.05, 0.25, 0.5])
+
+                        def draw():
+                            return complex(_sweep_part(rng, top_exp, special),
+                                           _sweep_part(rng, top_exp, special))
+
+                        coeffs = [draw() for _ in range(degree - 1)]
+                        if rng.random() < 0.5:
+                            second = complex(*rng.choice([0.0, -0.0], size=2))
+                        else:
+                            second = draw()
+                        spec = make(coeffs + [second, 1 + 0j])
+                        fields = (spec.scalar_field(), spec.scalar_field())
+                        for k in range(32):
+                            z = draw()
+                            fast, slow = fields[k % 2](z), spec.velocity(z)
+                            assert type(fast) is complex
+                            assert _bits(fast) == _bits(slow), (spec, z)
+                            count += 1
+        assert count == 67_200
+
+    @pytest.mark.parametrize("coeffs, products", [
+        ([0.5 - 2j, 1 + 0j], 0),
+        ([1j, -1.0, 0j, 1 + 0j], 2),
+        # a lead of 1-0j, 2 or 1+1e-300j goes through the ufunc
+        ([0.5 - 2j, complex(1.0, -0.0)], 1),
+        ([1j, -1.0, 0j, 2 + 0j], 3),
+        ([1j, complex(1.0, 1e-300)], 1),
+    ])
+    def test_unit_lead_skips_the_ufunc(self, coeffs, products):
+        """A field counts its ``np.multiply`` calls per evaluation: one
+        fewer than the degree for a lead of exactly 1+0j."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return multiply(*args, **kwargs)
+
+        multiply = np.multiply
+        spec = holomorphic(coeffs)
+        with mock.patch.object(np, "multiply", counting):
+            field = spec.scalar_field()
+        assert _bits(field(0.25 - 1.5j)) == _bits(spec.velocity(0.25 - 1.5j))
+        assert len(calls) == products
 
 
 # parts that a seeded draw picks now and then

@@ -489,6 +489,19 @@ class TestAntiholoPair:
                 solve_antiholo_pair(spec)
         assert pwcycles.MAX_PAIR_DEGREE < pwcycles.cpoly.MAX_DEGREE
 
+    @pytest.mark.parametrize("degree", [23, 24, 36])
+    def test_resultant_past_float_range_raises(self, degree):
+        # the Vandermonde powers of 2d^2 + 1 sample points in (-2, 2)
+        # overflow: numpy warned "overflow encountered in accumulate",
+        # and the NaN coefficients ended in real_roots' NonConvergence
+        rng = np.random.default_rng(5)
+        upper, lower = (anti_holomorphic(rng.normal(size=degree + 1)
+                                         + 1j * rng.normal(size=degree + 1)) for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonConvergence, match="resultant coefficient is not finite"):
+                solve_antiholo_pair(PiecewiseSpec(upper, lower))
+
     @pytest.mark.parametrize("side, k, bad", [
         ("upper", 0, complex(math.nan, 0.0)), ("upper", 2, complex(0.5, math.nan)),
         ("lower", 1, complex(math.inf, 1.0)), ("lower", 2, complex(-4.0, -math.inf)),
