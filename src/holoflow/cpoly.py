@@ -230,7 +230,9 @@ def _scalar_horner(descending):
 def _approx_roots(coeffs):
     """All roots of the ascending coefficients as companion-matrix
     eigenvalues (LAPACK's real path for real coefficients), accepted
-    only if every scaled residual meets DEFAULT_TOL."""
+    only if every scaled residual meets DEFAULT_TOL. The residuals are
+    ``CPoly.__call__``'s loop, ``_horner``, on the coefficients as given:
+    coeffs is trimmed, so a CPoly built from it would hold the same."""
     n = len(coeffs) - 1
     c = coeffs.real if not coeffs.imag.any() else coeffs
     try:
@@ -238,7 +240,8 @@ def _approx_roots(coeffs):
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"companion eigenvalues failed: {exc}") from None
     scale = float(np.max(np.abs(coeffs))) * np.maximum(1.0, np.abs(x)) ** n
-    if len(x) == n and np.all(np.abs(CPoly(coeffs)(x)) <= DEFAULT_TOL * scale):
+    if len(x) == n and np.all(np.abs(_horner(coeffs[-1], coeffs[-2::-1], x))
+                              <= DEFAULT_TOL * scale):
         return x
     raise NonConvergence(f"companion eigenvalues do not meet tol={DEFAULT_TOL:g}")
 
@@ -340,46 +343,70 @@ def synthetic_division(coeffs, z0, count):
 # --------------------------------------------------------------------------
 
 def _polydiv(num, den):
-    """Quotient/remainder for ascending float coefficient arrays."""
-    num = np.array(num, dtype=float)
-    den = np.asarray(den, dtype=float)
+    """Quotient and remainder of ascending float lists; den's leading
+    entry is nonzero. Each step subtracts the rounded products q_k den_j
+    from num, as an array update would; the top entry of each step,
+    which no later step reads, is not updated."""
+    num = list(num)
     dn, dd = len(num) - 1, len(den) - 1
     if dn < dd:
-        return np.zeros(1), num
-    q = np.zeros(dn - dd + 1)
+        return [0.0], num
+    lead = den[dd]
+    q = [0.0] * (dn - dd + 1)
     for k in range(dn - dd, -1, -1):
-        q[k] = num[dd + k] / den[dd]
-        num[k : dd + k + 1] -= q[k] * den
-    rem = num[:dd] if dd > 0 else np.zeros(1)
-    return q, rem
+        qk = q[k] = num[dd + k] / lead
+        for j in range(dd):
+            num[k + j] -= qk * den[j]
+    return q, (num[:dd] if dd > 0 else [0.0])
 
 
 def _trim_real(c):
-    c = np.asarray(c, dtype=float)
-    scale = np.max(np.abs(c)) if len(c) else 0.0
+    """The ascending floats c as a list with every entry of modulus at or
+    below 1e-13 of the largest set to 0.0 and trailing zeros dropped;
+    [0.0] when that largest modulus is 0. A NaN entry makes the largest
+    modulus NaN, as numpy's max would (Python's skips a NaN past the
+    first entry), and then no entry is zeroed; an inf entry without one
+    zeroes every entry."""
+    mags = list(map(abs, c))
+    scale = max(mags, default=0.0)
+    if math.isnan(sum(mags)):
+        scale = math.nan
     if scale == 0.0:
-        return np.zeros(1)
-    c = np.where(np.abs(c) <= 1e-13 * scale, 0.0, c)
+        return [0.0]
+    tol = 1e-13 * scale
+    c = [0.0 if m <= tol else x for x, m in zip(c, mags)]
     n = len(c)
     while n > 1 and c[n - 1] == 0.0:
         n -= 1
     return c[:n]
 
 
+def _derivative(c):
+    """The derivative of the ascending floats c, ascending, as a list."""
+    return [c[k] * k for k in range(1, len(c))]
+
+
 def _sturm_chain(c):
-    """Canonical Sturm chain; terminates at the (approximate) gcd."""
+    """Canonical Sturm chain of the ascending floats c, as ascending
+    lists; terminates at the (approximate) gcd."""
     chain = [_trim_real(c)]
     d = chain[0]
     if len(d) > 1:
-        deriv = d[1:] * np.arange(1, len(d))
-        chain.append(_trim_real(deriv))
+        chain.append(_trim_real(_derivative(d)))
         while len(chain[-1]) > 1:
             _, rem = _polydiv(chain[-2], chain[-1])
             rem = _trim_real(rem)
             if len(rem) == 1 and rem[0] == 0.0:
                 break
-            chain.append(-rem)
+            chain.append([-x for x in rem])
     return chain
+
+
+def _root_bound(c):
+    """Cauchy's bound 1 + max |c_k / c_n| on the moduli of the roots of
+    the ascending finite floats c, whose leading entry is nonzero."""
+    lead = c[-1]
+    return 1.0 + max(abs(x / lead) for x in c[:-1])
 
 
 def _sign_changes(chain, x):
@@ -406,59 +433,61 @@ def real_roots(r: CPoly):
     Counting uses a Sturm sequence (exact distinct-root counts even in
     the presence of multiple roots), then each isolated root is refined
     by count-preserving bisection and Newton polish, which stops at
-    |r(x)| <= DEFAULT_TOL. The chain, the polynomial and its derivative
-    are turned into descending Python float lists once per call, and
-    every evaluation runs Horner (``horner``, or its loop inlined in
-    ``_sign_changes``) on those lists: the same IEEE double
-    operations, in the same order, as on the arrays, so no root moves.
+    |r(x)| <= DEFAULT_TOL. The trimmed polynomial, its derivative, the
+    root bound and the chain are built on Python float lists, with the
+    IEEE double operations and their order of numpy array code: small
+    entries are zeroed against the largest modulus, which is NaN when a
+    chain remainder holds a NaN (as numpy's max propagates it), so no
+    entry is zeroed then. Every evaluation runs Horner (``horner``, or
+    its loop inlined in ``_sign_changes``) on descending lists. Each
+    interval on the isolation stack carries the Sturm counts at its two
+    ends, so a split evaluates the chain at its midpoint only and the
+    bisection of an isolated root starts from the count at its left end.
     Raises IdenticallyZero for the zero polynomial and NonConvergence
     for a coefficient that is not finite.
     """
     if not all(map(cmath.isfinite, r.coeffs.tolist())):
         raise NonConvergence("real_roots needs finite coefficients")
-    c = _trim_real(r.real_coeffs())
+    c = _trim_real(r.real_coeffs().tolist())
     if len(c) == 1:
         if c[0] == 0.0:
             raise IdenticallyZero("zero polynomial has a continuum of roots")
         return np.array([])
-    chain = [ck[::-1].tolist() for ck in _sturm_chain(c)]
-    lead = c[-1]
-    bound = 1.0 + float(np.max(np.abs(c[:-1] / lead)))
-    poly = c[::-1].tolist()
-    deriv = (c[1:] * np.arange(1, len(c)))[::-1].tolist()
+    chain = [ck[::-1] for ck in _sturm_chain(c)]
+    bound = _root_bound(c)
+    poly = c[::-1]
+    deriv = _derivative(c)[::-1]
     lo, hi = -bound, bound
     # nudge endpoints off possible roots; Sturm counts roots in (lo, hi]
     eps = 1e-12 * bound
     while horner(poly, lo) == 0.0:
         lo -= eps
         eps *= 2
-    total = _sign_changes(chain, lo) - _sign_changes(chain, hi)
     out = []
-    stack = [(lo, hi, total)]
+    # (a, b, Sturm count at a, Sturm count at b)
+    stack = [(lo, hi, _sign_changes(chain, lo), _sign_changes(chain, hi))]
     while stack:
-        a, b, n = stack.pop()
+        a, b, va, vb = stack.pop()
+        n = va - vb
         if n == 0:
             continue
         if n == 1:
-            out.append(_refine_root(poly, deriv, chain, a, b))
+            out.append(_refine_root(poly, deriv, chain, a, b, va))
             continue
         mid = 0.5 * (a + b)
         while horner(poly, mid) == 0.0:
             mid += eps
-        va = _sign_changes(chain, a)
         vm = _sign_changes(chain, mid)
-        vb = _sign_changes(chain, b)
-        stack.append((a, mid, va - vm))
-        stack.append((mid, b, vm - vb))
+        stack.append((a, mid, va, vm))
+        stack.append((mid, b, vm, vb))
     return np.array(sorted(out))
 
 
-def _refine_root(poly, deriv, chain, a, b):
+def _refine_root(poly, deriv, chain, a, b, va):
     """The root in (a, b] of poly, descending float lists like deriv and
-    each member of chain."""
+    each member of chain; va is the chain's sign changes at a."""
     # bisection on the Sturm count keeps working for even-multiplicity
     # roots, where the plain sign of the polynomial does not change
-    va = _sign_changes(chain, a)
     for _ in range(80):
         if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
             break
@@ -544,6 +573,11 @@ def divided_difference(q) -> BivarSym:
     else:
         qc = np.asarray(q, dtype=float)
     deg = len(qc) - 1
+    while deg > 0 and qc[deg] == 0.0:
+        # zero top coefficients (as psi's for a side whose top
+        # coefficients are real) would pad c with zero rows and columns,
+        # which raise the resultant's sample count
+        deg -= 1
     n = max(deg, 1)
     c = np.zeros((n, n))
     for k in range(1, deg + 1):
@@ -578,10 +612,16 @@ def resultant_x2(c_plus: BivarSym, c_minus: BivarSym) -> CPoly:
     below 1e-10 of the largest coefficient is trimmed. The x2
     coefficients are computed one sample point at a time: a single
     matmul over all points may sum in another order and move the last
-    bit. The stack, the determinants and the solve run with overflow and
-    invalid operations ignored: past float range the Vandermonde powers
-    or a determinant turn inf and the solve NaN, and a coefficient that
-    is not finite raises NonConvergence.
+    bit. The number of sample points, deg_bound + 1, takes each input's
+    x1-degree as the size of its coefficient matrix, which
+    divided_difference keeps to the degree; the Sylvester stack takes
+    the x2 coefficients up to each input's x2-degree. The stack, the
+    determinants and the solve run with overflow and invalid operations
+    ignored: past float range a determinant turns inf and the solve
+    NaN, and a coefficient that is not finite raises NonConvergence.
+    Vandermonde powers past float range (from deg_bound = 1025 on, as
+    for two antiholo sides of degree 23 or more whose top coefficients
+    are not real) raise it before the Sylvester stack is built.
     """
     dp, dm = c_plus.x2_degree, c_minus.x2_degree
     if dp == 0 or dm == 0:
@@ -596,9 +636,16 @@ def resultant_x2(c_plus: BivarSym, c_minus: BivarSym) -> CPoly:
     n = deg_bound + 1
     xs = 2.0 * np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.linalg.det(_sylvester_matrices(np.array([c_plus.x2_poly(x) for x in xs]),
-                                                 np.array([c_minus.x2_poly(x) for x in xs])))
         vander = np.vander(xs, n, increasing=True)
+        if not np.all(np.isfinite(vander)):
+            # the solve would turn every coefficient NaN: refuse before
+            # the Sylvester stack, the bulk of the work
+            raise NonConvergence("a resultant coefficient is not finite: the Vandermonde "
+                                 f"powers of {n} sample points pass float range")
+        # the coefficients up to each x2-degree: zero columns past it
+        # would make both Sylvester leads 0 and R vanish
+        vals = np.linalg.det(_sylvester_matrices(np.array([c_plus.x2_poly(x) for x in xs])[:, : dp + 1],
+                                                 np.array([c_minus.x2_poly(x) for x in xs])[:, : dm + 1]))
         coef = np.linalg.solve(vander, vals)
     if not np.all(np.isfinite(coef)):
         raise NonConvergence("a resultant coefficient is not finite")

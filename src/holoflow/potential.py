@@ -198,7 +198,8 @@ def partial_fraction_primitive(num: CPoly, den: CPoly) -> PotentialRep:
 def build_potential(spec: SystemSpec) -> PotentialRep:
     """Potential of the system: primitive of p (anti-holomorphic case,
     purely polynomial) or of 1/p (holomorphic case, partial fractions).
-    Raises ValueError for a degree above ``cpoly.MAX_DEGREE``.
+    Raises ValueError for a degree above ``cpoly.MAX_DEGREE``, and
+    NonConvergence for a constant p whose reciprocal passes float range.
     """
     if spec.p.degree > cpoly.MAX_DEGREE:
         raise ValueError(f"degree {spec.p.degree} is above the limit {cpoly.MAX_DEGREE}")
@@ -207,7 +208,11 @@ def build_potential(spec: SystemSpec) -> PotentialRep:
     if spec.kind is SystemKind.ANTI_HOLOMORPHIC:
         return PotentialRep(spec.p.antiderivative())
     if spec.p.degree == 0:
-        return PotentialRep(CPoly([0.0, 1.0 / spec.p.coeffs[0]]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = 1.0 / spec.p.coeffs[0]
+        if not cmath.isfinite(slope):
+            raise NonConvergence(f"1/p = {slope} passes float range")
+        return PotentialRep(CPoly([0.0, slope]))
     return partial_fraction_primitive(CPoly([1.0]), spec.p)
 
 

@@ -330,18 +330,17 @@ class MixedGeneralConstants:
 
     def matching_function(self):
         """F(x) = b*ln(R(L(x))/R(x)) - a*(Theta(L(x)) - Theta(x)) whose
-        zeros give the candidate crossing pairs (x, L(x))."""
-        x0, y0, a, b = self.x0, self.y0, self.a, self.b
-
-        def theta(x):
-            return math.atan2(-y0, x - x0)
-
-        def radius2(x):
-            return (x - x0) ** 2 + y0 ** 2
+        zeros give the candidate crossing pairs (x, L(x)), with
+        R(x) = sqrt((x - x0)^2 + y0^2) and Theta(x) = atan2(-y0, x - x0).
+        The constants 2 b2 / a2, y0^2 and b / 2 are formed once; F inlines
+        L, Theta and R^2 in their order of operations."""
+        x0, y0, a = self.x0, self.y0, self.a
+        shift, y0_sq, half_b = 2.0 * self.b2 / self.a2, y0 ** 2, 0.5 * self.b
 
         def F(x):
-            lx = self.L(x)
-            return 0.5 * b * math.log(radius2(lx) / radius2(x)) - a * (theta(lx) - theta(x))
+            lx = -x - shift
+            return (half_b * math.log(((lx - x0) ** 2 + y0_sq) / ((x - x0) ** 2 + y0_sq))
+                    - a * (math.atan2(-y0, lx - x0) - math.atan2(-y0, x - x0)))
 
         return F
 
@@ -456,10 +455,13 @@ def _bracket_bisect(g, left, right):
 
 DEGREE_BOUNDS = {1: 0, 2: 1, 3: 3}
 # the largest side degree solve_antiholo_pair accepts, below
-# cpoly.MAX_DEGREE: the resultant stacks 2 d^2 + 1 Sylvester matrices of
-# size 2d, 64 d^4 bytes (100 GB at d = 200). At this degree ``holoflow
-# cycles --family antiholo`` took about 0.8 s on random sides (2 shared
-# vCPUs), and the resultant is past float range from about d = 24 on.
+# cpoly.MAX_DEGREE: the resultant stacks up to 2 d^2 + 1 Sylvester
+# matrices of size 2d, 64 d^4 bytes (100 GB at d = 200). The count
+# follows the degrees of psi's divided differences: d for a side whose
+# top coefficient is not real, lower for one whose top coefficients are
+# real. From 1026 points on, resultant_x2 refuses the Vandermonde powers
+# before the stack: two random sides of degree 36 took about 0.09 s to
+# that refusal (0.8 s with the stack built first, 2 shared vCPUs).
 MAX_PAIR_DEGREE = 36
 
 
@@ -492,9 +494,11 @@ def solve_antiholo_pair(spec: PiecewiseSpec, validate=True):
     x2-degrees of c_up, c_lo), DegreeUnsupported for constant sides,
     ValueError for a side degree above MAX_PAIR_DEGREE and
     NonConvergence when a coefficient is not finite, when that scale
-    passes float range, or when a coefficient of R does (as for any two
-    sides of degree 23 or more: the 2d^2 + 1 sample points in (-2, 2)
-    have Vandermonde powers past float range).
+    passes float range, or when a coefficient of R does (as for two
+    sides of degree 23 or more whose top coefficients are not real: the
+    Vandermonde powers of R's 2d^2 + 1 sample points in (-2, 2) pass
+    float range, and resultant_x2 raises before it builds the Sylvester
+    stack).
     """
     for side in (spec.upper, spec.lower):
         if side.kind is not SystemKind.ANTI_HOLOMORPHIC:

@@ -358,6 +358,8 @@ def _check_contours(xs, ys, values):
 @given(spec=_wide_spec, bounds=_window, size=_grid_size)
 @example(spec=SystemSpec(SystemKind.ANTI_HOLOMORPHIC, CPoly([1e308, 1e308, 1e308])),
          bounds=(-2.0, 2.0, -2.0, 2.0), size=(4, 4))  # overflow warnings at the parent
+@example(spec=SystemSpec(SystemKind.HOLOMORPHIC, CPoly([2.225073858507e-311j])),
+         bounds=(-2.0, 2.0, -2.0, 2.0), size=(2, 2))  # 1/p overflowed in build_potential
 def test_potential_grid_and_contours(spec, bounds, size):
     window = _built(render.Window, *bounds)
     rep = _strict(build_potential, spec)

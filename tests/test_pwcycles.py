@@ -298,6 +298,49 @@ class TestMixedGeneral:
         with pytest.raises(HypothesisViolation):
             solve_mixed_general(MixedGeneralConstants(1, 0, 0, 0, 1, 1, 0, 1))
 
+    def test_matching_function_same_floats(self):
+        # the matching function with its constants formed once gives the
+        # floats of the frozen closure that called L, theta and radius2,
+        # on constants across the solver's range (1e-50 <= |y0|, all
+        # moduli up to 1e50), at its bracket ends (x0 +- 1e9 max(...)),
+        # near x0 and at the L-fixed point
+        def frozen(k):
+            x0, y0, a, b = k.x0, k.y0, k.a, k.b
+
+            def theta(x):
+                return math.atan2(-y0, x - x0)
+
+            def radius2(x):
+                return (x - x0) ** 2 + y0 ** 2
+
+            def F(x):
+                lx = k.L(x)
+                return 0.5 * b * math.log(radius2(lx) / radius2(x)) - a * (theta(lx) - theta(x))
+
+            return F
+
+        def outcome(F, x):
+            try:
+                return F(x).hex()
+            except ValueError as exc:  # log of 0 when both radii vanish
+                return type(exc)
+
+        rng = np.random.default_rng(20261019)
+        checked = 0
+        for _ in range(400):
+            a1, a2, b1, b2, a, b, x0, y0 = (rng.normal(size=8) * 10.0 ** rng.uniform(-25, 25, 8)
+                                            * rng.choice([1.0, 0.0], 8, p=[0.9, 0.1]))
+            if a2 == 0.0 or abs(y0) < 1e-50:
+                continue
+            k = MixedGeneralConstants(a1, a2, b1, b2, a, b, x0, y0)
+            span = 1e9 * max(1.0, abs(x0), abs(y0), abs(k.C))
+            xs = [x0 - span, x0 + span, x0, -0.5 * k.C + x0, x0 + y0, x0 - 1.0]
+            xs += list(x0 + rng.normal(size=6) * 10.0 ** rng.uniform(-30, 30, 6))
+            got, want = k.matching_function(), frozen(k)
+            assert [outcome(got, x) for x in xs] == [outcome(want, x) for x in xs]
+            checked += 1
+        assert checked > 300
+
 
 def _fields(spec: MixedLinearSpec):
     return spec.a1, spec.a2, spec.b1, spec.b2, spec.a, spec.b
@@ -501,6 +544,38 @@ class TestAntiholoPair:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonConvergence, match="resultant coefficient is not finite"):
                 solve_antiholo_pair(PiecewiseSpec(upper, lower))
+
+    @pytest.mark.parametrize("degree", [23, 36])
+    def test_dense_sides_refused_before_the_sylvester_stack(self, degree, monkeypatch):
+        def fail(*args):
+            raise AssertionError("Sylvester stack built past float range")
+
+        monkeypatch.setattr(pwcycles.cpoly, "_sylvester_matrices", fail)
+        rng = np.random.default_rng(5)
+        upper, lower = (anti_holomorphic(rng.normal(size=degree + 1)
+                                         + 1j * rng.normal(size=degree + 1)) for _ in range(2))
+        with pytest.raises(NonConvergence, match=f"powers of {2 * degree ** 2 + 1} sample points"):
+            solve_antiholo_pair(PiecewiseSpec(upper, lower))
+
+    @pytest.mark.parametrize("degree", [3, 4, 23, 30, 36])
+    @pytest.mark.parametrize("both", [True, False])
+    def test_real_top_coefficients_keep_the_cycle(self, degree, both):
+        # a real coefficient of z^degree adds a real term to Omega, so psi
+        # on the axis, its divided difference and the cycle's crossing
+        # pair stay the reference pair's; the resultant follows the
+        # divided differences' degrees, not their zero-padded shapes
+        # (with both sides padded, both Sylvester leads were 0, and R
+        # vanished: ContinuumDetected)
+        pw = reference_quadratic_pair()
+
+        def padded(side):
+            return anti_holomorphic(np.concatenate([side.p.coeffs, np.zeros(degree - 3), [-2.5]]))
+
+        spec = PiecewiseSpec(padded(pw.upper), padded(pw.lower) if both else pw.lower)
+        cand, = solve_antiholo_pair(spec)
+        assert cand.verified is Verified.NUMERICALLY_CONFIRMED
+        assert cand.x1 == pytest.approx(0.0, abs=1e-9)
+        assert cand.x2 == pytest.approx((-9 + S33) / 4, abs=1e-9)
 
     @pytest.mark.parametrize("side, k, bad", [
         ("upper", 0, complex(math.nan, 0.0)), ("upper", 2, complex(0.5, math.nan)),
