@@ -6,7 +6,7 @@ foci and multiple points. The equilibria at infinity of a monic system
 of degree n are 2(n-1) saddles on the Poincare equator. Monic centered
 cubics decompose into 2, 3 or 4 canonical regions according to one of
 ten equilibrium configurations; the monic centered Bernoulli family
-z^n - alpha*z is classified for every n from 2 to MAX_N.
+z^n - alpha*z is classified for n = 2..MAX_N (finite saddle determinants).
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ import numpy as np
 
 from . import cpoly
 from .cpoly import CPoly
-from .errors import MultipleRoot, NonConvergence, UnclassifiedConfiguration, ZeroAlpha
+from .errors import MultipleRoot, UnclassifiedConfiguration, ZeroAlpha
 
 DEFAULT_EPS = 1e-9
-# The largest n of bernoulli_portrait and infinity_equilibria, whose work
-# grows with n: `holoflow bernoulli --n 400000 --alpha 1,0` took about 1 s
-# on a 2-vCPU x86-64 machine (Python 3.11). Above it both raise ValueError.
-MAX_N = 400_000
+# The largest n of bernoulli_portrait and infinity_equilibria (ValueError
+# above it): a saddle determinant -(n-1)(1+tan^2)^(n-1) passes float range
+# at n = 1017, 1018 and every n above 1019 (1019 happens to fit).
+MAX_N = 1016
 
 
 class EquilibriumType(enum.Enum):
@@ -140,8 +140,8 @@ def infinity_equilibria(n: int):
     Angles are k*pi/(n-1); the Jacobian determinant is
     -(n-1)*(1 + tan(angle)**2)**(n-1) in the U1 chart, evaluated in the
     U2 chart (tan -> cot) at the angles where tan is singular. Raises
-    NonConvergence when a determinant passes float range, as it first
-    does at n = 1017, and ValueError for n above MAX_N.
+    ValueError for n above MAX_N, where a determinant would pass float
+    range.
     """
     if not 2 <= n <= MAX_N:
         raise ValueError(f"infinity analysis requires degree 2 <= n <= {MAX_N}")
@@ -155,13 +155,7 @@ def infinity_equilibria(n: int):
             slope = s / c
         else:
             slope = c / s  # U2 chart
-        try:
-            det = -(n - 1) * (1.0 + slope * slope) ** (n - 1)
-        except OverflowError:
-            det = -math.inf
-        if det == -math.inf:
-            raise NonConvergence(f"the saddle determinant at angle {angle:g} "
-                                 "passes float range")
+        det = -(n - 1) * (1.0 + slope * slope) ** (n - 1)
         out.append(InfinityEquilibrium(angle, k, det))
     return tuple(out)
 
@@ -246,7 +240,6 @@ def bernoulli_portrait(n: int, alpha: complex) -> BernoulliPortrait:
     alpha = complex(alpha)
     if alpha == 0:
         raise ZeroAlpha("alpha must be nonzero")
-    # raises NonConvergence from n = 1017 on, before the ring is built
     infinity = infinity_equilibria(n)
     infos = [EquilibriumInfo(0j, 1, -alpha, _type_from_lambda(-alpha))]
     lam_ring = (n - 1) * alpha

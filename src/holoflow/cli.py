@@ -5,6 +5,9 @@ portrait, verify. Complex scalars are written "re,im"; polynomials are
 ascending coefficient lists whose entries are bare reals or "(re,im)"
 pairs, e.g. "1,0,(0,1)" for 1 + i z^2. Exit codes: 0 success, 1 solver
 error, 2 usage error; a NaN or infinite number is a usage error.
+Each structured flag's argparse ``type=`` converter makes the value its
+command takes, so a malformed value, or a grid or level count past its
+limit, exits 2 naming the flag before any work or output.
 Tolerances are fixed: the solvers' own (see ``pwcycles``), which
 ``verify`` applies as well.
 """
@@ -15,12 +18,15 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 from . import classify, flowstats, odeint, pwcycles, render
-from .cpoly import CPoly
 from .errors import CenterContinuum, ContinuumDetected, HoloflowError
 from .potential import anti_holomorphic, build_potential, holomorphic
+
+# a comma that no ")" follows before the next "(": outside parentheses
+_OUTER_COMMA = re.compile(r",(?![^()]*\))")
 
 
 def parse_finite(text):
@@ -42,28 +48,11 @@ def parse_complex(text):
 
 def parse_coeffs(text):
     """Ascending coefficient list: entries are reals or (re,im) pairs."""
-    entries = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-            current.append(ch)
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-            current.append(ch)
-        elif ch == "," and depth == 0:
-            entries.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
+    if text.count("(") != text.count(")"):
         raise ValueError(f"unbalanced parentheses in {text!r}")
-    entries.append("".join(current).strip())
     coeffs = []
-    for e in entries:
+    for e in _OUTER_COMMA.split(text):
+        e = e.strip()
         if not e:
             raise ValueError(f"empty coefficient in {text!r}")
         if e.startswith("(") and e.endswith(")"):
@@ -73,32 +62,53 @@ def parse_coeffs(text):
     return coeffs
 
 
-def parse_fields(text, flag, fields, parse=parse_finite):
+def parse_fields(text, fields, parse=parse_finite):
     """One value per name in fields from the comma list text, each read
     by parse; a wrong count or a bad value raises ValueError naming the
-    flag and its fields."""
+    fields."""
     parts = text.split(",")
     try:
         if len(parts) != len(fields):
             raise ValueError(f"expected {len(fields)} values")
         return [parse(v) for v in parts]
     except ValueError as exc:
-        raise ValueError(f"{flag} takes {','.join(fields)}, got {text!r}: {exc}") from None
+        raise ValueError(f"takes {','.join(fields)}, got {text!r}: {exc}") from None
 
 
-def _spec_from_args(args):
-    if getattr(args, "holo", None) is not None:
-        return holomorphic(parse_coeffs(args.holo))
-    if getattr(args, "antiholo", None) is not None:
-        return anti_holomorphic(parse_coeffs(args.antiholo))
-    raise ValueError("provide --holo or --antiholo coefficients")
+def _converter(parse):
+    """An argparse type= converter from parse: its ValueError becomes an
+    ArgumentTypeError, which argparse prints after the flag's name."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _grid_from_args(args):
-    """(Window, nx, ny) from --window and --grid."""
-    window = parse_fields(args.window, "--window", ("x_min", "x_max", "y_min", "y_max"))
-    nx, ny = parse_fields(args.grid, "--grid", ("nx", "ny"), int)
-    return render.Window(*window), nx, ny
+_complex = _converter(parse_complex)
+_holo = _converter(lambda text: holomorphic(parse_coeffs(text)))
+_antiholo = _converter(lambda text: anti_holomorphic(parse_coeffs(text)))
+_params = _converter(lambda text: [parse_finite(v) for v in text.split(",")])
+_window = _converter(
+    lambda text: render.Window(*parse_fields(text, ("x_min", "x_max", "y_min", "y_max"))))
+_polygon = _converter(lambda text: flowstats.Polygon(tuple(map(parse_complex, text.split(";")))))
+_grid = _converter(lambda text: render.check_grid(*parse_fields(text, ("nx", "ny"), int)))
+_levels = _converter(lambda text: render.check_level_count(int(text)))
+
+
+@_converter
+def _circle(text):
+    cx, cy, radius = parse_fields(text, ("cx", "cy", "radius"))
+    return flowstats.Circle(complex(cx, cy), radius)
+
+
+@_converter
+def _levels_at(text):
+    texts = text.split(",")
+    if len(texts) > render.MAX_LEVELS:
+        raise ValueError(f"takes at most {render.MAX_LEVELS} levels")
+    return [parse_finite(v) for v in texts]
 
 
 def _rep_to_json(rep):
@@ -116,14 +126,12 @@ def _rep_to_json(rep):
 
 
 def cmd_potential(args):
-    spec = _spec_from_args(args)
-    rep = build_potential(spec)
-    payload = {"kind": spec.kind.value, "potential": _rep_to_json(rep)}
+    rep = build_potential(args.spec)
+    payload = {"kind": args.spec.kind.value, "potential": _rep_to_json(rep)}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
     if args.grid_csv:
-        window, nx, ny = _grid_from_args(args)
-        xs, ys, phi, psi = render.potential_grid(rep, window, nx, ny)
+        xs, ys, phi, psi = render.potential_grid(rep, args.window, *args.grid)
         render.write_grid_csv(args.grid_csv, xs, ys, psi, phi)
     print(f"potential written to {args.out}")
     return 0
@@ -144,9 +152,7 @@ def _equilibria_json(infos):
 
 
 def cmd_classify_cubic(args):
-    a1 = parse_complex(args.a1)
-    a0 = parse_complex(args.a0)
-    portrait = classify.classify_cubic(a1, a0)
+    portrait = classify.classify_cubic(args.a1, args.a0)
     report = {
         "config_label": portrait.config_label,
         "equilibria": _equilibria_json(portrait.equilibria),
@@ -165,11 +171,10 @@ def cmd_classify_cubic(args):
 
 
 def cmd_bernoulli(args):
-    alpha = parse_complex(args.alpha)
-    portrait = classify.bernoulli_portrait(args.n, alpha)
+    portrait = classify.bernoulli_portrait(args.n, args.alpha)
     report = {
         "n": portrait.n,
-        "alpha": [alpha.real, alpha.imag],
+        "alpha": [args.alpha.real, args.alpha.imag],
         "equilibria": _equilibria_json(portrait.equilibria),
         "regions": {
             "center": portrait.center_regions,
@@ -274,13 +279,9 @@ def decode_system(system):
 def cmd_cycles(args):
     system = {"family": args.family}
     for key in FAMILIES[args.family][0]:
-        text = getattr(args, key)
-        if text is None:
-            continue
-        if key == "params":
-            system[key] = [float(v) for v in text.split(",")]
-        else:
-            system[key] = [[c.real, c.imag] for c in CPoly(parse_coeffs(text)).coeffs]
+        value = getattr(args, key)  # params as floats, sides as SystemSpecs
+        if value is not None:
+            system[key] = value if key == "params" else [[c.real, c.imag] for c in value.p.coeffs]
     _, solve, bound = decode_system(system)
     # the mixed solvers raise only CenterContinuum, solve_antiholo_pair
     # only ContinuumDetected
@@ -300,49 +301,33 @@ def cmd_cycles(args):
 
 
 def cmd_flowstats(args):
-    field = _spec_from_args(args)
-    if args.circle:
-        cx, cy, r = parse_fields(args.circle, "--circle", ("cx", "cy", "radius"))
-        curve = flowstats.Circle(complex(cx, cy), r)
-    elif args.polygon:
-        verts = [parse_complex(v) for v in args.polygon.split(";")]
-        curve = flowstats.Polygon(tuple(verts))
-    else:
-        raise ValueError("provide --circle or --polygon")
-    result = flowstats.contour_integral(field, curve, n_nodes=args.nodes)
+    result = flowstats.contour_integral(args.spec, args.curve)
     report = {"circulation": result.circulation, "net_flow": result.net_flow}
     _emit_json(report, args.out)
     return 0
 
 
 def cmd_portrait(args):
-    window, nx, ny = _grid_from_args(args)
     if args.upper is not None or args.lower is not None:
-        for flag, text in (("--upper", args.upper), ("--lower", args.lower)):
-            if text is None:
+        for flag, side in (("--upper", args.upper), ("--lower", args.lower)):
+            if side is None:
                 raise ValueError(f"a piecewise portrait needs {flag} as well")
-        upper = anti_holomorphic(parse_coeffs(args.upper))
-        lower = anti_holomorphic(parse_coeffs(args.lower))
-        xs, ys, psi = render.piecewise_psi_grid(upper, lower, window, nx, ny)
+        xs, ys, psi = render.piecewise_psi_grid(args.upper, args.lower, args.window, *args.grid)
         phi = None
+    elif args.spec is None:
+        raise ValueError("provide --holo or --antiholo coefficients")
     else:
-        spec = _spec_from_args(args)
-        rep = build_potential(spec)
-        xs, ys, phi, psi = render.potential_grid(rep, window, nx, ny)
-    if args.levels_at:
-        texts = args.levels_at.split(",")
-        if len(texts) > render.MAX_LEVELS:
-            raise ValueError(f"--levels-at takes at most {render.MAX_LEVELS} levels")
-        levels = [parse_finite(v) for v in texts]
+        rep = build_potential(args.spec)
+        xs, ys, phi, psi = render.potential_grid(rep, args.window, *args.grid)
+    if args.levels_at is not None:
+        contours = [("psi", psi, args.levels_at)]
     else:
-        levels = render.default_levels(psi, args.levels)
-    contours = [("psi", psi, levels)]
-    if phi is not None and not args.levels_at:
-        contours.append(("phi", phi, render.default_levels(phi, args.levels)))
+        contours = [(name, values, render.default_levels(values, args.levels))
+                    for name, values in (("psi", psi), ("phi", phi)) if values is not None]
     groups = [(f"{name}-level-{li}", render.marching_squares(xs, ys, values, level))
               for name, values, values_levels in contours
               for li, level in enumerate(values_levels)]
-    svg = render.svg_document(groups, window)
+    svg = render.svg_document(groups, args.window)
     with open(args.out_svg, "w", encoding="utf-8") as fh:
         fh.write(svg)
     if args.out_csv:
@@ -384,55 +369,58 @@ def build_parser():
 
     p = sub.add_parser("potential", help="potential representation + sampled grid")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--holo", help="ascending coefficients of p for zdot = p(z)")
-    g.add_argument("--antiholo", help="ascending coefficients of p for zdot = conj(p(z))")
+    g.add_argument("--holo", dest="spec", type=_holo, metavar="COEFFS",
+                   help="ascending coefficients of p for zdot = p(z)")
+    g.add_argument("--antiholo", dest="spec", type=_antiholo, metavar="COEFFS",
+                   help="ascending coefficients of p for zdot = conj(p(z))")
     p.add_argument("--out", default="potential.json")
     p.add_argument("--grid-csv", default=None)
-    p.add_argument("--window", default="-2,2,-2,2")
-    p.add_argument("--grid", default="64,64")
+    p.add_argument("--window", type=_window, default="-2,2,-2,2")
+    p.add_argument("--grid", type=_grid, default="64,64")
     p.set_defaults(func=cmd_potential)
 
     p = sub.add_parser("classify-cubic", help="configuration of zdot = z^3 + A1 z + A0")
-    p.add_argument("--a1", required=True, help="A1 as re,im")
-    p.add_argument("--a0", required=True, help="A0 as re,im")
+    p.add_argument("--a1", type=_complex, required=True, help="A1 as re,im")
+    p.add_argument("--a0", type=_complex, required=True, help="A0 as re,im")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify_cubic)
 
     p = sub.add_parser("bernoulli", help="portrait of zdot = z^n - alpha z")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", required=True, help="alpha as re,im")
+    p.add_argument("--alpha", type=_complex, required=True, help="alpha as re,im")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bernoulli)
 
     p = sub.add_parser("cycles", help="limit-cycle candidates of a piecewise system")
     p.add_argument("--family", required=True, choices=list(FAMILIES))
-    p.add_argument("--upper", help="antiholo: upper polynomial coefficients")
-    p.add_argument("--lower", help="antiholo: lower polynomial coefficients")
-    p.add_argument("--params", help="mixed families: comma-separated constants")
+    p.add_argument("--upper", type=_antiholo, help="antiholo: upper polynomial coefficients")
+    p.add_argument("--lower", type=_antiholo, help="antiholo: lower polynomial coefficients")
+    p.add_argument("--params", type=_params, help="mixed families: comma-separated constants")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("flowstats", help="circulation and net flow around a closed curve")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--holo")
-    g.add_argument("--antiholo")
+    g.add_argument("--holo", dest="spec", type=_holo, metavar="COEFFS")
+    g.add_argument("--antiholo", dest="spec", type=_antiholo, metavar="COEFFS")
     c = p.add_mutually_exclusive_group(required=True)
-    c.add_argument("--circle", help="cx,cy,radius")
-    c.add_argument("--polygon", help="vertices 're,im' separated by ';'")
-    p.add_argument("--nodes", type=int, default=flowstats.DEFAULT_NODES)
+    c.add_argument("--circle", dest="curve", type=_circle, metavar="CX,CY,RADIUS")
+    c.add_argument("--polygon", dest="curve", type=_polygon, metavar="VERTICES",
+                   help="vertices 're,im' separated by ';'")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_flowstats)
 
     p = sub.add_parser("portrait", help="streamline contours as SVG (+ grid CSV)")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--holo")
-    g.add_argument("--antiholo")
-    p.add_argument("--upper", help="piecewise: upper antiholo coefficients")
-    p.add_argument("--lower", help="piecewise: lower antiholo coefficients")
-    p.add_argument("--window", default="-2,2,-2,2")
-    p.add_argument("--grid", default="128,128")
-    p.add_argument("--levels", type=int, default=12)
-    p.add_argument("--levels-at", default=None, help="explicit comma-separated levels")
+    g.add_argument("--holo", dest="spec", type=_holo, metavar="COEFFS")
+    g.add_argument("--antiholo", dest="spec", type=_antiholo, metavar="COEFFS")
+    p.add_argument("--upper", type=_antiholo, help="piecewise: upper antiholo coefficients")
+    p.add_argument("--lower", type=_antiholo, help="piecewise: lower antiholo coefficients")
+    p.add_argument("--window", type=_window, default="-2,2,-2,2")
+    p.add_argument("--grid", type=_grid, default="128,128")
+    p.add_argument("--levels", type=_levels, default=12)
+    p.add_argument("--levels-at", type=_levels_at, default=None,
+                   help="explicit comma-separated levels")
     p.add_argument("--out-svg", default="portrait.svg")
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_portrait)

@@ -39,13 +39,26 @@ class Window:
             raise ValueError("window must be nondegenerate and of finite size")
 
 
-def _grid(window: Window, nx: int, ny: int):
-    """(xs, ys, z) of a regular grid with z[j, i] = complex(xs[i], ys[j]),
-    signed zeros included (1j * ys would turn -0.0 into 0.0)."""
+def check_grid(nx: int, ny: int):
+    """(nx, ny); ValueError unless nx, ny >= 2 and nx * ny <= MAX_GRID_NODES."""
     if nx < 2 or ny < 2:
         raise ValueError("grid dimensions must be >= 2")
     if nx * ny > MAX_GRID_NODES:
         raise ValueError(f"grid nodes nx * ny must be <= {MAX_GRID_NODES}")
+    return nx, ny
+
+
+def check_level_count(count: int):
+    """count; ValueError for a level count outside 1..MAX_LEVELS."""
+    if not 1 <= count <= MAX_LEVELS:
+        raise ValueError(f"level count must be between 1 and {MAX_LEVELS}")
+    return count
+
+
+def _grid(window: Window, nx: int, ny: int):
+    """(xs, ys, z) of a regular grid with z[j, i] = complex(xs[i], ys[j]),
+    signed zeros included (1j * ys would turn -0.0 into 0.0)."""
+    check_grid(nx, ny)
     xs = np.linspace(window.x_min, window.x_max, nx)
     ys = np.linspace(window.y_min, window.y_max, ny)
     z = np.empty((ny, nx), dtype=complex)
@@ -64,9 +77,10 @@ def piecewise_psi_grid(upper: SystemSpec, lower: SystemSpec, window: Window,
                        nx: int, ny: int):
     """Stream-function grid of a piecewise spec: the upper potential on
     y >= 0, the lower potential on y < 0."""
+    rep_up, rep_lo = build_potential(upper), build_potential(lower)
     xs, ys, z = _grid(window, nx, ny)
-    psi_up = eval_potential(build_potential(upper), z).imag
-    psi_lo = eval_potential(build_potential(lower), z).imag
+    psi_up = eval_potential(rep_up, z).imag
+    psi_lo = eval_potential(rep_lo, z).imag
     return xs, ys, np.where(ys[:, None] >= 0, psi_up, psi_lo)
 
 
@@ -130,8 +144,7 @@ def default_levels(values, count):
     """Equally spaced levels strictly between the extremes of the finite
     values; none if there is no finite value. Raises ValueError for a
     count outside 1..MAX_LEVELS."""
-    if not 1 <= count <= MAX_LEVELS:
-        raise ValueError(f"level count must be between 1 and {MAX_LEVELS}")
+    check_level_count(count)
     finite = values[np.isfinite(values)]
     if not finite.size:
         return []

@@ -17,7 +17,7 @@ from holoflow.classify import (
     infinity_equilibria,
 )
 from holoflow.cpoly import CPoly
-from holoflow.errors import MultipleRoot, NonConvergence, UnclassifiedConfiguration, ZeroAlpha
+from holoflow.errors import MultipleRoot, UnclassifiedConfiguration, ZeroAlpha
 
 # the ten reference cubics z^3 + A1 z + A0 and their portraits:
 # label, A1, A0, (center, sepal, alpha-omega) region counts
@@ -113,12 +113,18 @@ class TestInfinity:
         np.testing.assert_allclose([eq.angle for eq in eqs], [0, math.pi])
 
     def test_determinant_past_float_range_raises(self):
-        # -(n-1) (1 + slope^2)^(n-1) first passes float range at n = 1017;
-        # at n = 1028 the power itself overflows
-        assert all(math.isfinite(eq.saddle_det) for eq in infinity_equilibria(1016))
-        for n in (1017, 1028, MAX_N):
-            with pytest.raises(NonConvergence):
-                infinity_equilibria(n)
+        # -(n-1) (1 + slope^2)^(n-1) passes float range at n = 1017 and
+        # 1018 and from 1020 on (at 1028 the power itself overflows): such
+        # an n is refused before any saddle is built
+        with mock.patch.object(classify, "InfinityEquilibrium", side_effect=AssertionError):
+            for n in (1017, 1028, 400_000):
+                with pytest.raises(ValueError, match=str(MAX_N)):
+                    infinity_equilibria(n)
+
+    def test_every_determinant_up_to_the_limit_is_finite(self):
+        assert MAX_N == 1016
+        for n in range(2, MAX_N + 1):
+            assert all(math.isfinite(eq.saddle_det) for eq in infinity_equilibria(n)), n
 
     @pytest.mark.parametrize("call", [infinity_equilibria, lambda n: bernoulli_portrait(n, 1.0)])
     def test_n_above_the_limit_is_refused(self, call):
@@ -240,15 +246,15 @@ class TestBernoulli:
         with pytest.raises(ZeroAlpha):
             bernoulli_portrait(3, 0.0)
 
-    @pytest.mark.parametrize("n", [1017, MAX_N])
+    @pytest.mark.parametrize("n", [1017, 400_000])
     def test_ring_not_built_past_float_range(self, n):
-        # the infinity saddles raise NonConvergence from n = 1017 on, so
-        # no ring equilibrium is built; a zero alpha is still reported first
-        with mock.patch.object(classify, "EquilibriumInfo", side_effect=AssertionError):
-            with pytest.raises(ZeroAlpha):
-                bernoulli_portrait(n, 0.0)
-            with pytest.raises(NonConvergence):
-                bernoulli_portrait(n, 1.0)
+        # an n whose infinity saddles pass float range is refused before
+        # any saddle or ring equilibrium is built, a zero alpha included
+        with mock.patch.object(classify, "EquilibriumInfo", side_effect=AssertionError), \
+                mock.patch.object(classify, "infinity_equilibria", side_effect=AssertionError):
+            for alpha in (0.0, 1.0):
+                with pytest.raises(ValueError, match=str(MAX_N)):
+                    bernoulli_portrait(n, alpha)
 
     def test_infinity_attached(self):
         portrait = bernoulli_portrait(5, 2.0)

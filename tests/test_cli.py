@@ -1,11 +1,12 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from holoflow import classify, cpoly, flowstats, pwcycles, render
+from holoflow import classify, cpoly, pwcycles, render
 from holoflow.cli import main, parse_coeffs, parse_complex
 from holoflow.potential import anti_holomorphic, build_potential, eval_potential
 
@@ -19,6 +20,13 @@ MIXED_GENERAL_CYCLE = "1.413612,-1.064242,-1.766789,-0.874464,-0.619219,0.485750
 README_MIXED_GENERAL = "1.41,-1.06,-1.77,-0.87,-0.62,0.49,0,0.05"
 MIXED_LINEAR_RECORD = {"family": "mixed-linear",
                        "params": [float(v) for v in MIXED_LINEAR_CYCLE.split(",")]}
+
+
+def assert_usage_error(err):
+    """stderr of an exit-2 call: argparse's usage block and its error
+    line for a flag value, main's one line for a library ValueError."""
+    assert "Traceback" not in err
+    assert re.match(r"usage: holoflow .*\n(.*\n)*holoflow( [a-z-]+)?: error: |error: ", err), err
 
 
 def reference_lower():
@@ -82,10 +90,10 @@ class TestClassifyCommand:
         assert report["regions"] == {"center": 0, "alpha_omega": 2}
         assert len(report["equilibria"]) == 3
 
-    @pytest.mark.parametrize("n, alpha", [("1028", "1,0"), ("2", "1.7e308,1.7e308")])
+    @pytest.mark.parametrize("n, alpha", [("2", "1.7e308,1.7e308")])
     def test_bernoulli_past_float_range(self, capsys, n, alpha):
-        # a saddle determinant or a linearization past float range is a
-        # solver error, not an OverflowError traceback
+        # a linearization past float range is a solver error, not an
+        # OverflowError traceback
         assert main(["bernoulli", "--n", n, "--alpha", alpha]) == 1
         assert "passes float range" in capsys.readouterr().err
 
@@ -93,10 +101,13 @@ class TestClassifyCommand:
         ("1000000000", f"n <= {classify.MAX_N}"),
         (str(10 ** 30), f"n <= {classify.MAX_N}"),
         ("10**30", "invalid int value"),
+        ("1017", f"n <= {classify.MAX_N}"),
+        ("1028", f"n <= {classify.MAX_N}"),
     ])
     def test_bernoulli_n_above_the_limit_is_a_usage_error(self, capsys, n, message):
         # refused before any loop; at 10**9 the ring loop used to run
-        # without bound
+        # without bound, and from 1017 on a saddle determinant passes
+        # float range
         with pytest.raises(SystemExit) as info:
             main(["bernoulli", "--n", n, "--alpha", "1,0"])
         assert info.value.code == 2
@@ -217,8 +228,6 @@ class TestSizeLimits:
         (PORTRAIT + ["--levels=-5"], LEVELS),
         (PORTRAIT + ["--levels-at=" + ",".join(["0"] * (render.MAX_LEVELS + 1))],
          f"at most {render.MAX_LEVELS} levels"),
-        (["flowstats", "--holo", "0,1", "--circle", "0,0,1", "--nodes", str(10 ** 12)],
-         f"between 1 and {flowstats.MAX_NODES}"),
         (["potential", "--holo", ",".join(["1"] * (cpoly.MAX_DEGREE + 2)),
           "--out", "{tmp}/p.json"], f"above the limit {cpoly.MAX_DEGREE}"),
         (["potential", "--antiholo", ",".join(["1"] * (cpoly.MAX_DEGREE + 2)),
@@ -228,7 +237,7 @@ class TestSizeLimits:
         (["cycles", "--family", "antiholo", "--upper", ",".join(["1"] * (pwcycles.MAX_PAIR_DEGREE + 1))
           + ",(0,1)", "--lower", REFERENCE_UPPER], f"above the limit {pwcycles.MAX_PAIR_DEGREE}"),
     ], ids=["portrait-grid", "potential-grid", "portrait-levels", "portrait-no-level",
-            "portrait-negative-levels", "portrait-levels-at", "flowstats-nodes",
+            "portrait-negative-levels", "portrait-levels-at",
             "potential-holo-degree", "potential-antiholo-degree", "portrait-degree",
             "cycles-degree"])
     def test_past_the_limit(self, tmp_path, capsys, argv, message):
@@ -259,16 +268,18 @@ class TestCommaLists:
     a message naming the flag and its fields."""
 
     @pytest.mark.parametrize("argv, message", [
-        (["portrait", "--holo", "0,1", "--grid", "5"], "--grid takes nx,ny, got '5'"),
-        (["portrait", "--holo", "0,1", "--grid", "2,abc"], "--grid takes nx,ny, got '2,abc'"),
+        (["portrait", "--holo", "0,1", "--grid", "5"], "argument --grid: takes nx,ny, got '5'"),
+        (["portrait", "--holo", "0,1", "--grid", "2,abc"],
+         "argument --grid: takes nx,ny, got '2,abc'"),
         (["potential", "--holo", "0,1", "--out", "{tmp}/p.json", "--grid-csv", "{tmp}/g.csv",
-          "--grid", "1,2,3"], "--grid takes nx,ny"),
+          "--grid", "1,2,3"], "argument --grid: takes nx,ny"),
         (["portrait", "--holo", "0,1", "--window=1,2,3"],
-         "--window takes x_min,x_max,y_min,y_max, got '1,2,3'"),
-        (["portrait", "--holo", "0,1", "--window=-1,1,-1,nan"], "--window takes"),
+         "argument --window: takes x_min,x_max,y_min,y_max, got '1,2,3'"),
+        (["portrait", "--holo", "0,1", "--window=-1,1,-1,nan"], "argument --window: takes"),
         (["flowstats", "--holo", "0,1", "--circle", "0,0"],
-         "--circle takes cx,cy,radius, got '0,0'"),
-        (["flowstats", "--holo", "0,1", "--circle", "0,0,one"], "--circle takes cx,cy,radius"),
+         "argument --circle: takes cx,cy,radius, got '0,0'"),
+        (["flowstats", "--holo", "0,1", "--circle", "0,0,one"],
+         "argument --circle: takes cx,cy,radius"),
     ], ids=["grid-short", "grid-not-int", "grid-long", "window-short", "window-nan",
             "circle-short", "circle-not-number"])
     def test_usage_error(self, tmp_path, capsys, argv, message):
@@ -279,6 +290,88 @@ class TestCommaLists:
         err = capsys.readouterr().err
         assert message in err
         assert "unpack" not in err
+
+
+# a valid argv per command; each flag case below swaps one flag's value
+VALID_ARGV = {
+    "potential": ["potential", "--holo=0,1", "--out={tmp}/p.json", "--grid-csv={tmp}/g.csv",
+                  "--window=-1,1,-1,1", "--grid=5,5"],
+    "classify-cubic": ["classify-cubic", "--a1=0,-1", "--a0=0,0", "--out={tmp}/c.json"],
+    "bernoulli": ["bernoulli", "--n=3", "--alpha=1,0", "--out={tmp}/b.json"],
+    "cycles-antiholo": ["cycles", "--family=antiholo", f"--upper={REFERENCE_UPPER}",
+                        f"--lower={REFERENCE_UPPER}", "--out={tmp}/c.json"],
+    "cycles-mixed": ["cycles", "--family=mixed-linear", f"--params={MIXED_LINEAR_CYCLE}",
+                     "--out={tmp}/c.json"],
+    "flowstats": ["flowstats", "--holo=0,1", "--circle=0,0,1", "--out={tmp}/f.json"],
+    "portrait": ["portrait", "--holo=0,1", "--window=-1,1,-1,1", "--grid=5,5",
+                 "--out-svg={tmp}/p.svg", "--out-csv={tmp}/p.csv"],
+    "portrait-piecewise": ["portrait", f"--upper={REFERENCE_UPPER}", f"--lower={REFERENCE_UPPER}",
+                           "--out-svg={tmp}/p.svg"],
+}
+# each kind of malformed value per flag type: a wrong count, a non-number,
+# NaN or inf, unbalanced parentheses, an empty entry (and out of range)
+BAD_COMPLEX = ["1,2,3", "x", "nan,0", "0,inf", ""]
+BAD_COEFFS = ["1,,2", "1,(2", "1,2)", "(1,x)", "nan", "(0,inf)", "(1,2,3)", ""]
+BAD_VALUES = {
+    "--holo": BAD_COEFFS, "--antiholo": BAD_COEFFS, "--upper": BAD_COEFFS,
+    "--lower": BAD_COEFFS, "--a1": BAD_COMPLEX, "--a0": BAD_COMPLEX, "--alpha": BAD_COMPLEX,
+    "--window": ["1,2", "-1,1,-1,x", "-1,1,-1,nan", "1,1,-1,1", "-1,1,,1"],
+    "--grid": ["5", "2,abc", "1,2,3", "1,1", "2.5,3", ""],
+    "--levels": ["x", "0", "2.5", ""],
+    "--levels-at": ["1,x", "nan", "0,,1", ""],
+    "--params": ["1,x", "1,,2", "nan,1", "inf", ""],
+    "--circle": ["0,0", "0,0,one", "0,0,nan", "0,0,-1", "0,0,1,2", ""],
+    "--polygon": ["0,0;a,b;1,1", "0,0;1,0", "0,0;1,inf;0,1", "0,0;;1,1", "0,0,0;1,0;0,1", ""],
+}
+STRUCTURED_FLAGS = [
+    ("potential", ["--holo", "--antiholo", "--window", "--grid"]),
+    ("classify-cubic", ["--a1", "--a0"]),
+    ("bernoulli", ["--alpha"]),
+    ("cycles-antiholo", ["--upper", "--lower"]),
+    ("cycles-mixed", ["--params"]),
+    ("flowstats", ["--holo", "--antiholo", "--circle", "--polygon"]),
+    ("portrait", ["--holo", "--antiholo", "--window", "--grid", "--levels", "--levels-at"]),
+    ("portrait-piecewise", ["--upper", "--lower"]),
+]
+# flags that take the place of another in a mutually exclusive group
+EXCLUSIVE = {"--antiholo": "--holo", "--polygon": "--circle"}
+
+
+def flag_cases():
+    for base, flags in STRUCTURED_FLAGS:
+        for flag in flags:
+            for value in BAD_VALUES[flag]:
+                drop = (flag, EXCLUSIVE.get(flag))
+                argv = [a for a in VALID_ARGV[base] if a.split("=")[0] not in drop]
+                yield pytest.param(argv + [f"{flag}={value}"], flag,
+                                   id=f"{base} {flag}={value}")
+
+
+class TestFlagValues:
+    """Every structured flag of every command parses its value where it
+    is declared: a malformed value exits 2 through argparse, names the
+    flag, and comes before any work or output."""
+
+    @pytest.mark.parametrize("base", sorted(VALID_ARGV))
+    def test_valid_argv(self, tmp_path, capsys, base):
+        assert main([a.replace("{tmp}", str(tmp_path)) for a in VALID_ARGV[base]]) == 0
+
+    @pytest.mark.parametrize("argv, flag", flag_cases())
+    def test_malformed_value(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: argument {flag}: " in captured.err
+        assert "Traceback" not in captured.err
+        assert not captured.out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nodes_is_not_a_flowstats_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["flowstats", "--holo", "0,1", "--circle", "0,0,1", "--nodes", "4"])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --nodes 4" in capsys.readouterr().err
 
 
 class TestPortraitCommand:
@@ -482,7 +575,7 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert_usage_error(capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         ["cycles", "--family", "antiholo", "--upper", "1e200,(0,1e200),(0,1e200)",

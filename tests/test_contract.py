@@ -31,20 +31,36 @@ rejects with its documented ``ValueError`` is not drawn again.
 ``real_roots`` and ``solve_antiholo_pair`` are left out: Sturm isolation
 can loop without bound on a polynomial with a multiple root (ROADMAP
 item 8).
+
+The CLI (``test_cli``) gets argvs of ``potential``, ``portrait``,
+``flowstats``, ``bernoulli``, ``classify-cubic`` and ``cycles`` with
+numbers of magnitude 1e-300 to 1e300, sizes small or past one limit
+(``MAX_GRID_NODES``, ``MAX_LEVELS``, ``MAX_N``, ``MAX_DEGREE``,
+``MAX_PAIR_DEGREE``) up to ten times it, and on some draws one
+structured flag's value malformed. Every argv exits 0, 1 or 2 with no
+traceback. One past a limit or with a malformed value exits 2 and
+writes nothing, and the functions that do the work raise if it reaches
+them, so the limits, not a clock, bound the work. Antiholo ``cycles``
+sides are drawn past ``MAX_PAIR_DEGREE`` only, for the reason above.
 """
 
 import cmath
+import contextlib
+import dataclasses
+import io
 import math
+import os
+import tempfile
 import warnings
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from holoflow import cpoly, odeint, render
+from holoflow import classify, cpoly, flowstats, odeint, pwcycles, render
 from holoflow.classify import classify_equilibria, infinity_equilibria
-from holoflow.cli import FAMILIES, decode_system
+from holoflow.cli import FAMILIES, decode_system, main
 from holoflow.cpoly import CPoly
 from holoflow.errors import HoloflowError
 from holoflow.flowstats import Circle, ContourResult, Polygon, contour_integral
@@ -404,3 +420,174 @@ def test_contour_integral(spec, curve, n_nodes):
         result = _strict(contour_integral, spec, curve, n_nodes)
         assert result is None or (isinstance(result, ContourResult)
                                   and cmath.isfinite(result.as_complex()))
+
+
+# ---------------------------------------------------------------------------
+# the CLI
+# ---------------------------------------------------------------------------
+
+# values no structured flag accepts: a non-number, NaN, inf, a number
+# past float range, an empty entry, unbalanced or empty parentheses, a
+# wrong separator
+_MALFORMED = ["", "x", "nan", "-inf", "1e999", "1,,2", "(1", "1)", "(1,2,3)", "()", ";", "1;2"]
+# what a refused draw must not reach: each is looked up at call time
+_WORK = [(cpoly, "roots"), (cpoly, "resultant_x2"), (render, "_grid"),
+         (classify, "infinity_equilibria"), (flowstats, "contour_integral"),
+         (pwcycles, "solve_mixed_linear_on_sigma"), (pwcycles, "solve_mixed_general")]
+
+
+def _number(x):
+    return repr(float(x))
+
+
+def _entry(c):
+    return f"({_number(c.real)},{_number(c.imag)})" if c.imag else _number(c.real)
+
+
+def _cycled(values, count, sep=","):
+    """count entries cycling through values: a long list from a few draws."""
+    return sep.join(values[i % len(values)] for i in range(count))
+
+
+def _size(small, limit, past):
+    """A cheap size up to small, or one past limit up to ten times it."""
+    return st.integers(limit + 1, 10 * limit) if past else st.integers(*small)
+
+
+@st.composite
+def _poly(draw, limit, past=False):
+    """A coefficient list of degree up to 4, or past limit."""
+    degree = draw(_size((0, 4), limit, past))
+    entries = [_entry(c) for c in draw(st.lists(_wide_complex, min_size=1, max_size=3))]
+    lead = _entry(draw(_wide_complex) or 1.0)
+    return ",".join(filter(None, [_cycled(entries, degree), lead]))
+
+
+@st.composite
+def _grid_flag(draw, past):
+    """A small grid, or one of more than MAX_GRID_NODES nodes up to ten
+    times as many."""
+    if not past:
+        return f"{draw(st.integers(2, 8))},{draw(st.integers(2, 8))}"
+    limit = render.MAX_GRID_NODES
+    nx = draw(st.integers(2, 10 * limit // 2))
+    return f"{nx},{draw(st.integers(limit // nx + 1, 10 * limit // nx))}"
+
+
+# the sizes of each command that have a limit
+_SIZES = {"potential": ["degree", "grid"], "portrait": ["degree", "grid", "levels"],
+          "bernoulli": ["n"], "flowstats": [], "classify-cubic": [], "cycles": []}
+
+
+@st.composite
+def _cli_argv(draw):
+    """(argv, refused): an argv of one command, and whether a size in it
+    is past its limit or a structured flag's value is malformed."""
+    command = draw(st.sampled_from(sorted(_SIZES)))
+    past = draw(st.sampled_from(_SIZES[command])) if _SIZES[command] and draw(st.booleans()) \
+        else None
+
+    def number():
+        return _number(draw(_wide))
+
+    def complex_flag():
+        return f"{number()},{number()}"
+
+    if command in ("potential", "portrait"):
+        keys = draw(st.sampled_from([("--holo",), ("--antiholo",)]
+                                    + [("--upper", "--lower")] * (command == "portrait")))
+        flags = {key: draw(_poly(cpoly.MAX_DEGREE, past == "degree" and key == keys[0]))
+                 for key in keys}
+        flags["--grid"] = draw(_grid_flag(past == "grid"))
+        if draw(st.booleans()):
+            flags["--window"] = ",".join(sorted([number(), number()]) + sorted([number(), number()]))
+        if command == "portrait":
+            count = draw(_size((1, 4), render.MAX_LEVELS, past == "levels"))
+            if draw(st.booleans()):
+                flags["--levels"] = str(count)
+            else:
+                flags["--levels-at"] = _cycled([number() for _ in range(3)], count)
+            outputs = ["--out-svg={out}/p.svg", "--out-csv={out}/p.csv"]
+        else:
+            outputs = ["--out={out}/p.json", "--grid-csv={out}/g.csv"]
+    elif command == "flowstats":
+        side = draw(st.sampled_from(["--holo", "--antiholo"]))
+        flags = {side: draw(_poly(cpoly.MAX_DEGREE))}
+        if draw(st.booleans()):
+            flags["--circle"] = f"{number()},{number()},{number()}"
+        else:
+            # 3 or 4 vertices: each vertex count costs one Gauss-Legendre
+            # rule of 4096 // m nodes, an O(n^3) eigenvalue solve
+            flags["--polygon"] = _cycled([complex_flag() for _ in range(3)],
+                                         draw(st.integers(3, 4)), ";")
+        outputs = ["--out={out}/f.json"]
+    elif command == "bernoulli":
+        n = draw(_size((2, classify.MAX_N), classify.MAX_N, past == "n"))
+        flags = {"--n": str(n), "--alpha": complex_flag()}
+        outputs = ["--out={out}/b.json"]
+    elif command == "classify-cubic":
+        flags = {"--a1": complex_flag(), "--a0": complex_flag()}
+        outputs = ["--out={out}/c.json"]
+    else:
+        family = draw(st.sampled_from(list(FAMILIES)))
+        outputs = [f"--family={family}", "--out={out}/c.json"]
+        if family == "antiholo":
+            # only sides past MAX_PAIR_DEGREE: below it real_roots can
+            # loop without bound on a resultant with a multiple root
+            # (ROADMAP item 8)
+            past = "degree"
+            flags = {key: draw(_poly(pwcycles.MAX_PAIR_DEGREE, True))
+                     for key in ("--upper", "--lower")}
+        else:
+            count = len(dataclasses.fields(pwcycles.MixedLinearSpec if family == "mixed-linear"
+                                           else pwcycles.MixedGeneralConstants))
+            flags = {"--params": ",".join(number() for _ in range(count))}
+    malformed = draw(st.sampled_from(sorted(flags))) if draw(st.booleans()) else None
+    if malformed:
+        flags[malformed] = draw(st.sampled_from(_MALFORMED))
+    argv = [command] + outputs + [f"{flag}={value}" for flag, value in flags.items()]
+    return argv, bool(past or malformed)
+
+
+_PORTRAIT = ["portrait", "--out-svg={out}/p.svg", "--holo=0,1"]
+_PAIR_SIDE = ",".join(["1"] * (pwcycles.MAX_PAIR_DEGREE + 1) + ["(0,1)"])
+
+
+# one draw just past each limit, and the partial output of the parent
+@settings(max_examples=200, deadline=None)
+@given(draw=_cli_argv())
+@example(draw=(["bernoulli", "--out={out}/b.json", f"--n={classify.MAX_N + 1}", "--alpha=1,0"],
+               True))  # NonConvergence (exit 1) at 1017, 1018 and from 1020 on at the parent
+@example(draw=(["potential", "--out={out}/p.json", "--grid-csv={out}/g.csv", "--holo=0,1",
+                "--window=1,2"], True))  # p.json written before exit 2 at the parent
+@example(draw=(_PORTRAIT + [f"--grid={render.MAX_GRID_NODES // 400 + 1},400"], True))
+@example(draw=(_PORTRAIT + [f"--levels={render.MAX_LEVELS + 1}"], True))
+@example(draw=(_PORTRAIT + ["--levels-at=" + ",".join(["0"] * (render.MAX_LEVELS + 1))], True))
+@example(draw=(["potential", "--out={out}/p.json",
+                "--holo=" + ",".join(["1"] * (cpoly.MAX_DEGREE + 2))], True))
+@example(draw=(["cycles", "--family=antiholo", "--out={out}/c.json", f"--upper={_PAIR_SIDE}",
+                f"--lower={_PAIR_SIDE}"], True))
+def test_cli(draw):
+    """Every argv exits 0, 1 or 2 with no traceback; one with a
+    malformed value or a size past its limit exits 2 before any work
+    and writes nothing."""
+    argv, refused = draw
+    with tempfile.TemporaryDirectory() as out, contextlib.ExitStack() as stack:
+        stack.enter_context(_bounded())
+        if refused:
+            for module, name in _WORK:
+                stack.enter_context(mock.patch.object(
+                    module, name, side_effect=AssertionError(f"{name} ran on a refused argv")))
+        stderr = io.StringIO()
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(stderr))
+        try:
+            code = main([a.replace("{out}", out) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if refused:
+            assert code == 2, stderr.getvalue()
+            assert os.listdir(out) == []

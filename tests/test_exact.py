@@ -99,3 +99,29 @@ def test_real_roots_match_the_exact_isolation():
         assert len(got) == len(want), c
         for g, w in zip(got, want):
             assert abs(Fraction(float(g)) - w) <= Fraction(1e-12) * max(1, abs(w)), c
+
+
+def test_isolated_roots_match_mpmath():
+    # a seeded sample of square-free polynomials of degree 1-9 with
+    # coefficients scaled by 1e-8 to 1e8: a 50-digit mpmath Newton run
+    # started at each root that the exact reference isolates stays in
+    # its isolating interval and within the reference's 2^-80 width
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(23)
+    polys = [(rng.normal(size=int(rng.integers(2, 11))) * 10.0 ** rng.uniform(-8, 8)).tolist()
+             for _ in range(20)]
+    found = 0
+    with mpmath.workdps(50):
+        for c in polys:
+            assert len(exact.square_free(c)) == len(c)
+            descending = [mpmath.mpf(x) for x in reversed(c)]
+            roots = exact.real_roots(c)
+            intervals = exact.isolate(c)
+            assert len(roots) == len(intervals)
+            for (na, nb, k), r in zip(intervals, roots):
+                start = mpmath.mpf(r.numerator) / r.denominator
+                z = mpmath.findroot(lambda x: mpmath.polyval(descending, x), start)
+                assert mpmath.mpf(na) / 2 ** k < z <= mpmath.mpf(nb) / 2 ** k, c
+                assert abs(z - start) <= mpmath.mpf(2) ** -80 * max(1, abs(start)), c
+                found += 1
+    assert found >= 20

@@ -111,6 +111,12 @@ class TestContourIntegrals:
         with pytest.raises(ValueError):
             contour_integral(lambda z: (1 + 1j) * z, Circle(0j, 1.0), n_nodes=n_nodes)
 
+    def test_node_count_above_the_limit_rejected(self):
+        # the CLI has no node count; library callers keep MAX_NODES
+        with pytest.raises(ValueError, match=f"between 1 and {flowstats.MAX_NODES}"):
+            contour_integral(lambda z: (1 + 1j) * z, Circle(0j, 1.0),
+                             n_nodes=flowstats.MAX_NODES + 1)
+
     def test_parametric_curve(self):
         curve = ParametricCurve(
             lambda t: np.exp(2j * np.pi * t),
@@ -180,11 +186,13 @@ class TestExactDegree:
                     assert abs(unchecked - exact) > 1e-3
 
     @pytest.mark.parametrize("argv", [
-        ["--holo", "0,1,0,1", "--nodes", "2"],
-        ["--antiholo", "0,1,0,1", "--nodes", "4"],
+        ["--holo", ",".join(["0"] * (flowstats.DEFAULT_NODES + 1) + ["1"])],
+        ["--antiholo", ",".join(["0"] * (flowstats.DEFAULT_NODES - 1) + ["1"])],
     ])
     def test_aliased_cli_call_is_a_solver_error(self, capsys, argv):
-        # these printed net_flow 12.566 (exact 2 pi) and 6.283 (exact 0)
+        # the CLI's rule on a circle is exact up to degree DEFAULT_NODES
+        # (holomorphic) and DEFAULT_NODES - 2 (anti-holomorphic); one
+        # degree more would alias
         assert main(["flowstats", "--circle", "0,0,1"] + argv) == 1
         captured = capsys.readouterr()
         assert not captured.out
