@@ -5,7 +5,7 @@ lambda = p'(z0); the holomorphic structure allows only centers, nodes,
 foci and multiple points. The equilibria at infinity of a monic system
 of degree n are 2(n-1) saddles on the Poincare equator. Monic centered
 cubics decompose into 2, 3 or 4 canonical regions according to one of
-ten equilibrium configurations; the monic centered Bernoulli family
+the ten equilibrium configurations of CUBIC_CONFIGURATIONS; the monic centered Bernoulli family
 z^n - alpha*z is classified for n = 2..MAX_N (finite saddle determinants).
 """
 
@@ -65,18 +65,21 @@ class PortraitClass:
         return self.center_regions + self.sepal_regions + self.alpha_omega_regions
 
 
-# configuration -> (center, sepal, alpha-omega) region counts
-REGION_TABLE = {
-    "a": (3, 0, 0),  # 3 centers
-    "b": (0, 0, 2),  # 3 nodes
-    "c": (0, 4, 0),  # 1 triple
-    "d": (0, 0, 2),  # 3 foci, 1-vs-2 stability split
-    "e": (1, 2, 0),  # 1 center + 1 double
-    "f": (0, 2, 1),  # 1 node + 1 double
-    "g": (0, 2, 1),  # 1 focus + 1 double
-    "h": (1, 0, 1),  # 1 center + 2 foci
-    "i": (0, 0, 2),  # 1 node + 2 foci
-    "j": (1, 0, 1),  # 1 center + 1 node + 1 focus
+# the ten configurations of a monic centered cubic: its equilibrium
+# signature (the multiplicities of its multiple points, and the kinds of
+# its simple ones, each sorted) -> label and (center, sepal,
+# alpha-omega) region counts
+CUBIC_CONFIGURATIONS = {
+    ((), ("center", "center", "center")): ("a", (3, 0, 0)),
+    ((), ("node", "node", "node")): ("b", (0, 0, 2)),
+    ((3,), ()): ("c", (0, 4, 0)),
+    ((), ("focus", "focus", "focus")): ("d", (0, 0, 2)),  # 1-vs-2 stability split
+    ((2,), ("center",)): ("e", (1, 2, 0)),
+    ((2,), ("node",)): ("f", (0, 2, 1)),
+    ((2,), ("focus",)): ("g", (0, 2, 1)),
+    ((), ("center", "focus", "focus")): ("h", (1, 0, 1)),
+    ((), ("focus", "focus", "node")): ("i", (0, 0, 2)),
+    ((), ("center", "focus", "node")): ("j", (1, 0, 1)),
 }
 
 
@@ -109,10 +112,6 @@ def classify_equilibria(p: CPoly):
     lambda = p'(z0), multiple roots tagged MULTIPLE."""
     if p.degree < 1:
         raise ValueError("classification requires degree >= 1")
-    return _typed_equilibria(p)
-
-
-def _typed_equilibria(p: CPoly):
     dp = p.derivative()
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -162,53 +161,22 @@ def infinity_equilibria(n: int):
 
 def classify_cubic(a1: complex, a0: complex) -> PortraitClass:
     """Configuration label (a)-(j) and canonical region counts for the
-    monic centered cubic zdot = z^3 + a1 z + a0; the multiplicities are
-    those of ``cpoly.roots``."""
-    infos = _typed_equilibria(CPoly([complex(a0), complex(a1), 0.0, 1.0]))
-    label = _cubic_label(infos)
-    center, sepal, alpha_omega = REGION_TABLE[label]
-    return PortraitClass(label, center, sepal, alpha_omega, infos)
-
-
-def _kind(etype: EquilibriumType) -> str:
-    if etype is EquilibriumType.CENTER:
-        return "center"
-    if etype in (EquilibriumType.ATTRACTING_NODE, EquilibriumType.REPELLING_NODE):
-        return "node"
-    return "focus"
-
-
-def _cubic_label(infos) -> str:
-    T = EquilibriumType
-    mult = sorted(i.multiplicity for i in infos)
-    if mult == [3]:
-        return "c"
-    if mult == [1, 2]:
-        simple = next(i for i in infos if i.multiplicity == 1)
-        return {"center": "e", "node": "f", "focus": "g"}[_kind(simple.etype)]
-    if mult != [1, 1, 1]:
-        raise UnclassifiedConfiguration(f"unexpected multiplicity pattern {mult}")
-    kinds = [_kind(i.etype) for i in infos]
-    counts = {k: kinds.count(k) for k in ("center", "node", "focus")}
-    if counts["center"] == 3:
-        return "a"
-    if counts["node"] == 3:
-        return "b"
-    if counts["focus"] == 3:
-        # Euler-Jacobi forces a 1-vs-2 stability split
-        attracting = sum(1 for i in infos if i.etype is T.ATTRACTING_FOCUS)
-        if attracting in (1, 2):
-            return "d"
+    monic centered cubic zdot = z^3 + a1 z + a0, from the one row of
+    CUBIC_CONFIGURATIONS that its equilibria match; the multiplicities
+    are those of ``cpoly.roots``."""
+    infos = classify_equilibria(CPoly([complex(a0), complex(a1), 0.0, 1.0]))
+    multiple = tuple(sorted(i.multiplicity for i in infos if i.multiplicity > 1))
+    # "attracting_node" -> "node": stability is not part of the signature
+    simple = tuple(sorted(i.etype.value.rpartition("_")[2]
+                          for i in infos if i.multiplicity == 1))
+    if (multiple, simple) not in CUBIC_CONFIGURATIONS:
+        raise UnclassifiedConfiguration(
+            f"equilibrium multiset {list(multiple + simple)} matches no known configuration")
+    label, regions = CUBIC_CONFIGURATIONS[multiple, simple]
+    # Euler-Jacobi forces three foci into a 1-vs-2 stability split
+    if label == "d" and len({i.etype for i in infos}) == 1:
         raise UnclassifiedConfiguration("three foci with uniform stability")
-    if counts["center"] == 1 and counts["focus"] == 2:
-        return "h"
-    if counts["node"] == 1 and counts["focus"] == 2:
-        return "i"
-    if counts["center"] == 1 and counts["node"] == 1 and counts["focus"] == 1:
-        return "j"
-    raise UnclassifiedConfiguration(
-        f"equilibrium multiset {sorted(kinds)} matches no known configuration"
-    )
+    return PortraitClass(label, *regions, infos)
 
 
 @dataclass(frozen=True)
@@ -232,8 +200,9 @@ def bernoulli_portrait(n: int, alpha: complex) -> BernoulliPortrait:
 
     Finite equilibria are the origin (lambda = -alpha) and n-1 points on
     the circle of radius |alpha|**(1/(n-1)) (lambda = (n-1) alpha).
-    Re alpha != 0 gives n-1 alpha-omega regions; Re alpha = 0 gives n
-    center regions. Raises ValueError for n above MAX_N.
+    The origin's type sets the regions: a center (Re alpha = 0 within
+    DEFAULT_EPS) gives n center regions, a node or focus n-1
+    alpha-omega regions. Raises ValueError for n above MAX_N.
     """
     if not 2 <= n <= MAX_N:
         raise ValueError(f"Bernoulli family requires 2 <= n <= {MAX_N}")
@@ -241,7 +210,8 @@ def bernoulli_portrait(n: int, alpha: complex) -> BernoulliPortrait:
     if alpha == 0:
         raise ZeroAlpha("alpha must be nonzero")
     infinity = infinity_equilibria(n)
-    infos = [EquilibriumInfo(0j, 1, -alpha, _type_from_lambda(-alpha))]
+    origin_type = _type_from_lambda(-alpha)
+    infos = [EquilibriumInfo(0j, 1, -alpha, origin_type)]
     lam_ring = (n - 1) * alpha
     ring_type = _type_from_lambda(lam_ring)
     radius = abs(alpha) ** (1.0 / (n - 1))
@@ -249,8 +219,7 @@ def bernoulli_portrait(n: int, alpha: complex) -> BernoulliPortrait:
     for k in range(n - 1):
         z_k = radius * np.exp(1j * (base + 2.0 * np.pi * k / (n - 1)))
         infos.append(EquilibriumInfo(complex(z_k), 1, lam_ring, ring_type))
-    centerish = abs(alpha.real) <= DEFAULT_EPS * abs(alpha)
-    if centerish:
+    if origin_type is EquilibriumType.CENTER:
         center_regions, ao_regions = n, 0
     else:
         center_regions, ao_regions = 0, n - 1

@@ -7,7 +7,10 @@ pairs, e.g. "1,0,(0,1)" for 1 + i z^2. Exit codes: 0 success, 1 solver
 error, 2 usage error; a NaN or infinite number is a usage error.
 Each structured flag's argparse ``type=`` converter makes the value its
 command takes, so a malformed value, or a grid or level count past its
-limit, exits 2 naming the flag before any work or output.
+limit, exits 2 naming the flag before any work or output; so does a
+flag of another mode (``cycles --params`` with the antiholo family,
+``--upper`` or ``--lower`` with a mixed one, ``portrait --holo`` or
+``--antiholo`` with the piecewise sides).
 Tolerances are fixed: the solvers' own (see ``pwcycles``), which
 ``verify`` applies as well.
 """
@@ -23,7 +26,7 @@ import sys
 
 from . import classify, flowstats, odeint, pwcycles, render
 from .errors import CenterContinuum, ContinuumDetected, HoloflowError
-from .potential import anti_holomorphic, build_potential, holomorphic
+from .potential import SystemKind, anti_holomorphic, build_potential, holomorphic
 
 # a comma that no ")" follows before the next "(": outside parentheses
 _OUTER_COMMA = re.compile(r",(?![^()]*\))")
@@ -277,8 +280,13 @@ def decode_system(system):
 
 
 def cmd_cycles(args):
+    keys = FAMILIES[args.family][0]
+    for other, _ in FAMILIES.values():
+        for key in other:
+            if key not in keys and getattr(args, key) is not None:
+                raise ValueError(f"--{key} does not apply to --family {args.family}")
     system = {"family": args.family}
-    for key in FAMILIES[args.family][0]:
+    for key in keys:
         value = getattr(args, key)  # params as floats, sides as SystemSpecs
         if value is not None:
             system[key] = value if key == "params" else [[c.real, c.imag] for c in value.p.coeffs]
@@ -309,6 +317,9 @@ def cmd_flowstats(args):
 
 def cmd_portrait(args):
     if args.upper is not None or args.lower is not None:
+        if args.spec is not None:
+            flag = "--holo" if args.spec.kind is SystemKind.HOLOMORPHIC else "--antiholo"
+            raise ValueError(f"{flag} does not go with --upper and --lower")
         for flag, side in (("--upper", args.upper), ("--lower", args.lower)):
             if side is None:
                 raise ValueError(f"a piecewise portrait needs {flag} as well")

@@ -8,6 +8,11 @@ members are scaled by positive integers to integer coefficients, which
 keeps every sign, and each count evaluates them at a dyadic point
 x = n / 2^k in integer arithmetic. Bisection on dyadic endpoints then
 isolates each root and shrinks its interval to any width.
+
+Crossing pairs of a piecewise anti-holomorphic system with sides of
+degree <= 3 come out the same way, in s = x1 + x2 and q = x1 x2: each
+side's divided difference is A(s) - q B(s), so a pair's s is a real
+root of E(s) = A+ B- - A- B+ and q = A(s) / B(s).
 """
 
 from fractions import Fraction
@@ -150,3 +155,56 @@ def real_roots(coeffs, bits=80):
                 na, va = mid, vm
         roots.append(Fraction(nb, 1 << k))
     return roots
+
+
+def multiply(a, b):
+    """The product of two ascending coefficient lists, exactly."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    return out
+
+
+def _value(c, x):
+    v = Fraction(0)
+    for ci in reversed(c):
+        v = v * x + ci
+    return v
+
+
+def psi_axis(p):
+    """psi = Im Omega on the real axis, ascending, for the anti-holomorphic
+    side zdot = conj(p(z)) with p's ascending complex coefficients and
+    Omega = int p, Omega(0) = 0: psi_k = Im p_(k-1) / k, exactly."""
+    return [Fraction(0)] + [Fraction(complex(c).imag) / k for k, c in enumerate(p, 1)]
+
+
+def _pair_parts(psi):
+    """(A, B), ascending in s, with (psi(x1) - psi(x2)) / (x1 - x2) =
+    A(s) - q B(s) for psi of degree <= 4: the divided difference is
+    sum psi_k h_(k-1), with h_1 = s, h_2 = s^2 - q, h_3 = s^3 - 2 s q."""
+    if len(psi) > 5:
+        raise ValueError("the (s, q) form needs sides of degree <= 3")
+    _, p1, p2, p3, p4 = list(psi) + [Fraction(0)] * (5 - len(psi))
+    return [p1, p2, p3, p4], [p3, 2 * p4]
+
+
+def crossing_pairs(upper, lower, bits=160):
+    """The (s, q), as Fractions, of every common zero of the two sides'
+    divided differences with s real, for anti-holomorphic sides of
+    degree <= 3 given by p's ascending coefficients. s is a root of
+    E(s) = A+ B- - A- B+ (its s^4 term cancels) within 2^-bits max(1, |s|),
+    and q = A(s) / B(s) on the side with the larger |B(s)|; a root where
+    both B vanish is no isolated pair and is left out. The pair is real
+    and distinct where s^2 - 4q > 0. Raises ValueError when E vanishes
+    identically: a continuum of pairs, or none, with q left free."""
+    (a_up, b_up), (a_lo, b_lo) = (_pair_parts(psi_axis(p)) for p in (upper, lower))
+    e = [x - y for x, y in zip(multiply(a_up, b_lo), multiply(a_lo, b_up))]
+    pairs = []
+    for s in real_roots(e, bits):
+        a, b = max(((_value(a_up, s), _value(b_up, s)), (_value(a_lo, s), _value(b_lo, s))),
+                   key=lambda ab: abs(ab[1]))
+        if b:
+            pairs.append((s, a / b))
+    return pairs

@@ -1,15 +1,15 @@
+import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from holoflow import classify
+from holoflow import classify, cpoly
 from holoflow.classify import (
     MAX_N,
+    CUBIC_CONFIGURATIONS,
     EquilibriumType,
-    REGION_TABLE,
-    _cubic_label,
     bernoulli_portrait,
     classify_cubic,
     classify_equilibria,
@@ -34,6 +34,43 @@ GOLDEN = [
     ("j", -343 / 7500 + 1152 / 625 * 1j,
      -1542592 / 1687500 - 1433619 / 1687500 * 1j, (1, 0, 1)),
 ]
+
+C, AN, RN, AF, RF = (EquilibriumType.CENTER, EquilibriumType.ATTRACTING_NODE,
+                     EquilibriumType.REPELLING_NODE, EquilibriumType.ATTRACTING_FOCUS,
+                     EquilibriumType.REPELLING_FOCUS)
+SIMPLE_TYPES = (C, AN, RN, AF, RF)
+
+# every equilibrium signature cpoly.roots can give a cubic (the
+# multiplicities, and the types of the simple points in root order) ->
+# its configuration label, or None where classify_cubic raises
+# UnclassifiedConfiguration
+SIGNATURES = {
+    ((3,), ()): "c",
+    ((1, 2), (C,)): "e", ((1, 2), (AN,)): "f", ((1, 2), (RN,)): "f",
+    ((1, 2), (AF,)): "g", ((1, 2), (RF,)): "g",
+    **{((1, 1, 1), types): label for types, label in [
+        ((C, C, C), "a"),
+        ((C, C, AN), None), ((C, C, RN), None), ((C, C, AF), None), ((C, C, RF), None),
+        ((C, AN, AN), None), ((C, AN, RN), None), ((C, RN, RN), None),
+        ((C, AN, AF), "j"), ((C, AN, RF), "j"), ((C, RN, AF), "j"), ((C, RN, RF), "j"),
+        ((C, AF, AF), "h"), ((C, AF, RF), "h"), ((C, RF, RF), "h"),
+        ((AN, AN, AN), "b"), ((AN, AN, RN), "b"), ((AN, RN, RN), "b"), ((RN, RN, RN), "b"),
+        ((AN, AN, AF), None), ((AN, AN, RF), None), ((AN, RN, AF), None),
+        ((AN, RN, RF), None), ((RN, RN, AF), None), ((RN, RN, RF), None),
+        ((AN, AF, AF), "i"), ((AN, AF, RF), "i"), ((AN, RF, RF), "i"),
+        ((RN, AF, AF), "i"), ((RN, AF, RF), "i"), ((RN, RF, RF), "i"),
+        ((AF, AF, AF), None), ((AF, AF, RF), "d"), ((AF, RF, RF), "d"), ((RF, RF, RF), None),
+    ]},
+}
+
+
+def classify_signature(multiplicities, types):
+    """classify_cubic on a cubic whose roots() gives the multiplicities
+    and whose simple points, in root order, are typed as types."""
+    roots = tuple((complex(k), m) for k, m in enumerate(multiplicities))
+    with mock.patch.object(cpoly, "roots", return_value=roots), \
+            mock.patch.object(classify, "_type_from_lambda", side_effect=list(types)):
+        return classify_cubic(0, 0)
 
 
 class TestEquilibria:
@@ -178,17 +215,31 @@ class TestCubicGoldenTable:
             assert centers != 2
 
     def test_unclassified_multiset(self):
-        from holoflow.classify import EquilibriumInfo
-
         # a center plus two nodes violates the Euler-Jacobi constraints
         # and matches no known configuration
-        fake = (
-            EquilibriumInfo(0j, 1, 1j, EquilibriumType.CENTER),
-            EquilibriumInfo(1 + 0j, 1, 1.0 + 0j, EquilibriumType.REPELLING_NODE),
-            EquilibriumInfo(-1 + 0j, 1, -1.0 + 0j, EquilibriumType.ATTRACTING_NODE),
-        )
         with pytest.raises(UnclassifiedConfiguration):
-            _cubic_label(fake)
+            classify_signature((1, 1, 1), (C, RN, AN))
+
+    def test_every_signature(self):
+        # [3], [1, 2] with each simple type, [1, 1, 1] with each multiset
+        # of three simple types: 26 labelled, 15 unclassified
+        every = [((3,), ())] + [((1, 2), (t,)) for t in SIMPLE_TYPES] + [
+            ((1, 1, 1), t) for t in itertools.combinations_with_replacement(SIMPLE_TYPES, 3)]
+        assert len(every) == 41 and set(SIGNATURES) == set(every)
+        regions = {label: counts for label, _, _, counts in GOLDEN}
+        labelled = 0
+        for (mults, types), label in SIGNATURES.items():
+            if label is None:
+                with pytest.raises(UnclassifiedConfiguration):
+                    classify_signature(mults, types)
+                continue
+            portrait = classify_signature(mults, types)
+            assert portrait.config_label == label, (mults, types)
+            assert (portrait.center_regions, portrait.sepal_regions,
+                    portrait.alpha_omega_regions) == regions[label]
+            assert [e.multiplicity for e in portrait.equilibria] == list(mults)
+            labelled += 1
+        assert labelled == 26
 
     def test_small_cubic_three_nodes(self):
         # z^3 - a z, a > 0, has three simple real roots, 0 and +-sqrt(a),
@@ -199,7 +250,7 @@ class TestCubicGoldenTable:
             assert [e.multiplicity for e in portrait.equilibria] == [1, 1, 1]
 
     def test_region_table_complete(self):
-        assert sorted(REGION_TABLE) == list("abcdefghij")
+        assert sorted(label for label, _ in CUBIC_CONFIGURATIONS.values()) == list("abcdefghij")
 
 
 class TestBernoulli:

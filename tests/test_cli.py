@@ -350,7 +350,8 @@ def flag_cases():
 class TestFlagValues:
     """Every structured flag of every command parses its value where it
     is declared: a malformed value exits 2 through argparse, names the
-    flag, and comes before any work or output."""
+    flag, and comes before any work or output; so does a flag of another
+    mode of the command."""
 
     @pytest.mark.parametrize("base", sorted(VALID_ARGV))
     def test_valid_argv(self, tmp_path, capsys, base):
@@ -364,6 +365,29 @@ class TestFlagValues:
         captured = capsys.readouterr()
         assert f"error: argument {flag}: " in captured.err
         assert "Traceback" not in captured.err
+        assert not captured.out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        # the two commands that exited 0 ignoring a flag
+        (["portrait", "--holo", "0,1", "--upper", REFERENCE_UPPER, "--lower", REFERENCE_UPPER,
+          "--out-svg", "{tmp}/p.svg"], "--holo"),
+        (["cycles", "--family", "mixed-linear", "--params", MIXED_LINEAR_CYCLE,
+          "--upper", "1,2"], "--upper"),
+        (VALID_ARGV["portrait-piecewise"] + ["--antiholo=0,1"], "--antiholo"),
+        (VALID_ARGV["cycles-mixed"] + [f"--lower={REFERENCE_UPPER}"], "--lower"),
+        (VALID_ARGV["cycles-antiholo"] + [f"--params={MIXED_LINEAR_CYCLE}"], "--params"),
+    ], ids=["portrait-holo-sides", "cycles-mixed-upper", "portrait-antiholo-sides",
+            "cycles-mixed-lower", "cycles-antiholo-params"])
+    def test_flag_of_another_mode(self, tmp_path, capsys, monkeypatch, argv, flag):
+        for module, name in [(render, "potential_grid"), (render, "piecewise_psi_grid"),
+                             (cpoly, "resultant_x2"), (pwcycles, "solve_mixed_linear_on_sigma")]:
+            monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+        with pytest.raises(SystemExit) as exc:
+            main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(f"error: {flag} [^\n]*\n", captured.err), captured.err
         assert not captured.out
         assert list(tmp_path.iterdir()) == []
 

@@ -37,10 +37,13 @@ The CLI (``test_cli``) gets argvs of ``potential``, ``portrait``,
 numbers of magnitude 1e-300 to 1e300, sizes small or past one limit
 (``MAX_GRID_NODES``, ``MAX_LEVELS``, ``MAX_N``, ``MAX_DEGREE``,
 ``MAX_PAIR_DEGREE``) up to ten times it, and on some draws one
-structured flag's value malformed. Every argv exits 0, 1 or 2 with no
-traceback. One past a limit or with a malformed value exits 2 and
-writes nothing, and the functions that do the work raise if it reaches
-them, so the limits, not a clock, bound the work. Antiholo ``cycles``
+structured flag's value malformed or a flag of the command's other
+mode added (``portrait --holo`` beside ``--upper``, ``cycles --params``
+with the antiholo family). Every argv exits 0, 1 or 2 with no
+traceback. One past a limit, with a malformed value or with a flag of
+another mode exits 2 and writes nothing, and the functions that do the
+work raise if it reaches them, so the limits, not a clock, bound the
+work. Antiholo ``cycles``
 sides are drawn past ``MAX_PAIR_DEGREE`` only, for the reason above.
 """
 
@@ -482,7 +485,8 @@ _SIZES = {"potential": ["degree", "grid"], "portrait": ["degree", "grid", "level
 @st.composite
 def _cli_argv(draw):
     """(argv, refused): an argv of one command, and whether a size in it
-    is past its limit or a structured flag's value is malformed."""
+    is past its limit, a structured flag's value is malformed or a flag
+    of another mode of the command is given."""
     command = draw(st.sampled_from(sorted(_SIZES)))
     past = draw(st.sampled_from(_SIZES[command])) if _SIZES[command] and draw(st.booleans()) \
         else None
@@ -542,11 +546,22 @@ def _cli_argv(draw):
             count = len(dataclasses.fields(pwcycles.MixedLinearSpec if family == "mixed-linear"
                                            else pwcycles.MixedGeneralConstants))
             flags = {"--params": ",".join(number() for _ in range(count))}
+    # a flag of the command's other mode: a portrait's system beside its
+    # piecewise sides, a cycles family's flags beside another family's
+    if command == "portrait":
+        other = ["--upper", "--lower"] if "--upper" not in flags else ["--holo", "--antiholo"]
+    elif command == "cycles":
+        other = ["--params"] if family == "antiholo" else ["--upper", "--lower"]
+    else:
+        other = []
+    mixed = draw(st.sampled_from(other)) if other and draw(st.booleans()) else None
+    if mixed:
+        flags[mixed] = complex_flag() if mixed == "--params" else draw(_poly(cpoly.MAX_DEGREE))
     malformed = draw(st.sampled_from(sorted(flags))) if draw(st.booleans()) else None
     if malformed:
         flags[malformed] = draw(st.sampled_from(_MALFORMED))
     argv = [command] + outputs + [f"{flag}={value}" for flag, value in flags.items()]
-    return argv, bool(past or malformed)
+    return argv, bool(past or malformed or mixed)
 
 
 _PORTRAIT = ["portrait", "--out-svg={out}/p.svg", "--holo=0,1"]

@@ -1,5 +1,5 @@
-"""The exact real-root reference (tests/exact.py), and cpoly.real_roots
-against it."""
+"""The exact real-root and crossing-pair reference (tests/exact.py), and
+cpoly.real_roots and the confirmed anti-holomorphic cycles against it."""
 
 import math
 from fractions import Fraction
@@ -8,16 +8,10 @@ import numpy as np
 import pytest
 
 import exact
+from exact import multiply
 from holoflow.cpoly import CPoly, real_roots
-
-
-def multiply(a, b):
-    """The product of two ascending coefficient lists, exactly."""
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += Fraction(x) * Fraction(y)
-    return out
+from holoflow.pwcycles import Verified, solve_antiholo_pair
+from test_pwcycles import readme_quadratic_pair, reference_quadratic_pair
 
 
 def expand(roots):
@@ -125,3 +119,93 @@ def test_isolated_roots_match_mpmath():
                 assert abs(z - start) <= mpmath.mpf(2) ** -80 * max(1, abs(start)), c
                 found += 1
     assert found >= 20
+
+
+def _mp(mpmath, x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _pair_points(mpmath, s, q):
+    """x1 > x2 = (s +- sqrt(s^2 - 4q)) / 2 in mpmath's precision, or
+    None unless s^2 - 4q > 0 (a complex or a double pair)."""
+    disc = s * s - 4 * q
+    if disc <= 0:
+        return None
+    root = mpmath.sqrt(_mp(mpmath, disc))
+    return (_mp(mpmath, s) + root) / 2, (_mp(mpmath, s) - root) / 2
+
+
+def _divided_difference(mpmath, psi, x1, x2):
+    """(c, scale): c = sum psi_k h_(k-1)(x1, x2), the divided difference
+    (psi(x1) - psi(x2)) / (x1 - x2), and the same sum over |psi_k|, |x1|
+    and |x2|."""
+    value = scale = mpmath.mpf(0)
+    for k, c in enumerate(psi[1:], 1):
+        h = sum(x1 ** i * x2 ** (k - 1 - i) for i in range(k))
+        h_abs = sum(abs(x1) ** i * abs(x2) ** (k - 1 - i) for i in range(k))
+        value += _mp(mpmath, c) * h
+        scale += abs(_mp(mpmath, c)) * h_abs
+    return value, scale
+
+
+def _slope(mpmath, psi, x):
+    """psi'(x) = Im p(x) on the real axis."""
+    return sum(k * _mp(mpmath, c) * x ** (k - 1) for k, c in enumerate(psi[1:], 1))
+
+
+def _sides(pw):
+    return pw.upper.p.coeffs.tolist(), pw.lower.p.coeffs.tolist()
+
+
+def test_crossing_pairs_are_common_zeros():
+    # the README and criterion-2 quadratic pairs and seeded draws of
+    # degree 2 and 3 in criterion 4's recipe: at every real pair from
+    # the exact (s, q) both divided differences vanish at 50 digits, and
+    # a side degree of 2 / 3 gives at most 1 / 3 real pairs (the degree
+    # of E)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2027)
+    systems = [(2, _sides(readme_quadratic_pair())), (2, _sides(reference_quadratic_pair()))]
+    while len(systems) < 42:
+        degree = 2 + len(systems) % 2
+        cu, cl = (rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+                  for _ in range(2))
+        if min(abs(cu[-1].imag), abs(cl[-1].imag)) >= 0.05:
+            systems.append((degree, (cu.tolist(), cl.tolist())))
+    checked = 0
+    with mpmath.workdps(50):
+        for degree, (upper, lower) in systems:
+            points = [_pair_points(mpmath, s, q) for s, q in exact.crossing_pairs(upper, lower)]
+            points = [x for x in points if x is not None]
+            assert len(points) <= {2: 1, 3: 3}[degree], (upper, lower)
+            for x1, x2 in points:
+                for side in (upper, lower):
+                    c, scale = _divided_difference(mpmath, exact.psi_axis(side), x1, x2)
+                    assert abs(c) <= 1e-40 * scale, (upper, lower)
+                    checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("pw", [readme_quadratic_pair(), reference_quadratic_pair()],
+                         ids=["readme", "criterion-2"])
+def test_confirmed_cycles_match_the_exact_pairs(pw):
+    # each confirmed candidate is an exact pair to 1e-12 relative, and its
+    # multiplier is the exact pair's prod psi'(x) / psi'(x') to 1e-11:
+    # the cycle leaves x1 into the side that its field enters there,
+    # Im zdot = -psi'(x1) > 0 for the upper side, and returns on the other
+    mpmath = pytest.importorskip("mpmath")
+    confirmed = [c for c in solve_antiholo_pair(pw)
+                 if c.verified is Verified.NUMERICALLY_CONFIRMED]
+    assert len(confirmed) == 1
+    upper, lower = (exact.psi_axis(side) for side in _sides(pw))
+    with mpmath.workdps(50):
+        points = [_pair_points(mpmath, s, q) for s, q in exact.crossing_pairs(*_sides(pw))]
+        for cand in confirmed:
+            x1, x2 = min((x for x in points if x is not None),
+                         key=lambda x: abs(x[0] - cand.x1))
+            assert abs(cand.x1 - x1) <= 1e-12 * max(1, abs(x1))
+            assert abs(cand.x2 - x2) <= 1e-12 * max(1, abs(x2))
+            first, second = (upper, lower) if _slope(mpmath, upper, x1) < 0 else (lower, upper)
+            multiplier = (_slope(mpmath, first, x1) / _slope(mpmath, first, x2)
+                          * _slope(mpmath, second, x2) / _slope(mpmath, second, x1))
+            assert abs(cand.multiplier - multiplier) <= 1e-11 * max(1, abs(multiplier))
