@@ -30,6 +30,9 @@ REAL_TOL = 1e-12
 # through ``holoflow potential --holo`` (2 shared vCPUs; random
 # coefficients took 0.3 s)
 MAX_DEGREE = 200
+# the cap on real_roots' safeguarded Newton iterations for one simple
+# root; a root that reaches it falls back to the Sturm count bisection
+NEWTON_STEPS = 100
 
 
 class CPoly:
@@ -125,8 +128,8 @@ class CPoly:
     def real_coeffs(self):
         """Coefficients as floats; raises if any imaginary part exceeds
         REAL_TOL relative to the largest coefficient (or to 1)."""
-        scale = max(1.0, float(np.max(np.abs(self.coeffs))))
-        if np.max(np.abs(self.coeffs.imag)) > REAL_TOL * scale:
+        scale = max(1.0, float(np.abs(self.coeffs).max()))
+        if np.abs(self.coeffs.imag).max() > REAL_TOL * scale:
             raise ValueError("polynomial has non-real coefficients")
         return self.coeffs.real.copy()
 
@@ -239,7 +242,7 @@ def _approx_roots(coeffs):
         x = np.roots(c[::-1]).astype(complex)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"companion eigenvalues failed: {exc}") from None
-    scale = float(np.max(np.abs(coeffs))) * np.maximum(1.0, np.abs(x)) ** n
+    scale = float(np.abs(coeffs).max()) * np.maximum(1.0, np.abs(x)) ** n
     if len(x) == n and np.all(np.abs(_horner(coeffs[-1], coeffs[-2::-1], x))
                               <= DEFAULT_TOL * scale):
         return x
@@ -431,10 +434,17 @@ def real_roots(r: CPoly):
     """All distinct real roots of a real-coefficient polynomial, sorted.
 
     Counting uses a Sturm sequence (exact distinct-root counts even in
-    the presence of multiple roots), then each isolated root is refined
-    by count-preserving bisection and Newton polish, which stops at
-    |r(x)| <= DEFAULT_TOL. The trimmed polynomial, its derivative, the
-    root bound and the chain are built on Python float lists, with the
+    the presence of multiple roots). When the chain ends in a constant
+    (gcd(r, r') numerically 1, so every root is simple), each isolated
+    root is found by Newton's method safeguarded by bisection and
+    accepted under a Sturm certificate (``_newton_root``). A polynomial
+    with a multiple root, and a root that fails the certificate, are
+    refined by count-preserving bisection to 1e-14 max(1, |x|) and a
+    Newton polish that stops at |r(x)| <= DEFAULT_TOL (``_refine_root``):
+    the count also moves at an even-multiplicity root, where r keeps its
+    sign and Newton has no bracket. The trimmed polynomial, its
+    derivative, the root bound and the chain are built on Python float
+    lists, with the
     IEEE double operations and their order of numpy array code: small
     entries are zeroed against the largest modulus, which is NaN when a
     chain remainder holds a NaN (as numpy's max propagates it), so no
@@ -466,13 +476,17 @@ def real_roots(r: CPoly):
     out = []
     # (a, b, Sturm count at a, Sturm count at b)
     stack = [(lo, hi, _sign_changes(chain, lo), _sign_changes(chain, hi))]
+    # the chain ends in a constant exactly when gcd(p, p') is numerically
+    # 1: every root is simple
+    square_free = len(chain[-1]) == 1
     while stack:
         a, b, va, vb = stack.pop()
         n = va - vb
         if n == 0:
             continue
         if n == 1:
-            out.append(_refine_root(poly, deriv, chain, a, b, va))
+            x = _newton_root(poly, deriv, chain, a, b) if square_free else None
+            out.append(_refine_root(poly, deriv, chain, a, b, va) if x is None else x)
             continue
         mid = 0.5 * (a + b)
         while horner(poly, mid) == 0.0:
@@ -483,9 +497,61 @@ def real_roots(r: CPoly):
     return np.array(sorted(out))
 
 
+def _newton_root(poly, deriv, chain, a, b):
+    """The simple root in (a, b] of poly by Newton's method safeguarded
+    by bisection (rtsafe: Press et al., Numerical Recipes, 9.4), or None
+    when poly does not change sign on (a, b] or the root is not
+    certified. poly, deriv and each member of chain are descending float
+    lists, and (a, b] holds exactly one root by the chain's count.
+
+    Newton starts at the midpoint and keeps a bracket on which poly
+    changes sign, moving one end to each iterate by the sign of poly
+    there. A step that would leave the bracket, or that is not at most
+    half the step before last, is replaced by the bracket's midpoint. The
+    iteration stops at an exact zero, at a Newton step that rounds to no
+    move, once a step is at most 4 ulps of x, or after NEWTON_STEPS
+    iterations. x is accepted only when the chain's sign changes at
+    x -+ 0.5e-14 max(1, |x|), clipped to (a, b], differ by exactly 1,
+    which puts a root within the width that _refine_root bisects to."""
+    fa, fb = horner(poly, a), horner(poly, b)
+    if fa < 0.0 < fb:
+        neg, pos = a, b
+    elif fb < 0.0 < fa:
+        neg, pos = b, a
+    else:
+        return None
+    x = 0.5 * (a + b)
+    step = before = b - a
+    for _ in range(NEWTON_STEPS):
+        fx = horner(poly, x)
+        if fx == 0.0:
+            break
+        if fx < 0.0:
+            neg = x
+        else:
+            pos = x
+        dfx = horner(deriv, x)
+        new = x - fx / dfx if dfx != 0.0 else math.nan
+        if new == x:
+            break
+        # the negated test also sends a NaN or inf iterate to bisection
+        if not (min(neg, pos) < new < max(neg, pos) and abs(new - x) <= 0.5 * abs(before)):
+            new = 0.5 * (neg + pos)
+        before, step = step, new - x
+        x = new
+        if abs(step) <= 4.0 * math.ulp(x):
+            break
+    h = 0.5e-14 * max(1.0, abs(x))
+    if _sign_changes(chain, max(a, x - h)) - _sign_changes(chain, min(b, x + h)) != 1:
+        return None
+    return x
+
+
 def _refine_root(poly, deriv, chain, a, b, va):
     """The root in (a, b] of poly, descending float lists like deriv and
-    each member of chain; va is the chain's sign changes at a."""
+    each member of chain; va is the chain's sign changes at a. The path
+    of a polynomial with a multiple root and of a root that
+    _newton_root does not certify."""
     # bisection on the Sturm count keeps working for even-multiplicity
     # roots, where the plain sign of the polynomial does not change
     for _ in range(80):
@@ -529,8 +595,8 @@ class BivarSym:
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("coefficient matrix must be square")
-        scale = max(1.0, float(np.max(np.abs(c))))
-        if np.max(np.abs(c - c.T)) > 1e-12 * scale:
+        scale = max(1.0, float(np.abs(c).max()))
+        if np.abs(c - c.T).max() > 1e-12 * scale:
             raise ValueError("coefficient matrix must be symmetric")
         c = c.copy()
         c.setflags(write=False)
@@ -628,7 +694,7 @@ def resultant_x2(c_plus: BivarSym, c_minus: BivarSym) -> CPoly:
         raise DegenerateLeadingCoefficient("inputs must have positive x2-degree")
     for b in (c_plus, c_minus):
         lead = b.x2_leading()
-        if np.max(np.abs(lead.coeffs)) <= 1e-13 * max(1.0, np.max(np.abs(b.coeffs))):
+        if np.abs(lead.coeffs).max() <= 1e-13 * max(1.0, np.abs(b.coeffs).max()):
             raise DegenerateLeadingCoefficient("leading x2-coefficient vanishes identically")
     d1p = c_plus.coeffs.shape[0] - 1
     d1m = c_minus.coeffs.shape[0] - 1
@@ -649,7 +715,7 @@ def resultant_x2(c_plus: BivarSym, c_minus: BivarSym) -> CPoly:
         coef = np.linalg.solve(vander, vals)
     if not np.all(np.isfinite(coef)):
         raise NonConvergence("a resultant coefficient is not finite")
-    scale = np.max(np.abs(coef))
+    scale = np.abs(coef).max()
     if scale > 0:
         coef = np.where(np.abs(coef) <= 1e-10 * scale, 0.0, coef)
     return CPoly(coef.astype(complex))

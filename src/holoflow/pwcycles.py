@@ -513,7 +513,7 @@ def solve_antiholo_pair(spec: PiecewiseSpec, validate=True):
         return []  # a nonzero constant c never vanishes: no crossing pair
     # the scale as a mantissa and a binary exponent, so that neither
     # power overflows or underflows on its own
-    (m_up, e_up), (m_lo, e_lo) = (math.frexp(float(np.max(np.abs(c.coeffs))))
+    (m_up, e_up), (m_lo, e_lo) = (math.frexp(float(np.abs(c.coeffs).max()))
                                   for c in (c_up, c_lo))
     dp, dm = c_up.x2_degree, c_lo.x2_degree
     exponent = dm * e_up + dp * e_lo
@@ -521,7 +521,7 @@ def solve_antiholo_pair(spec: PiecewiseSpec, validate=True):
         raise NonConvergence("the resultant's scale passes float range")
     scale = math.ldexp(m_up ** dm * m_lo ** dp, exponent)
     resultant = cpoly.resultant_x2(c_up, c_lo)
-    if float(np.max(np.abs(resultant.coeffs))) <= 1e-12 * scale:
+    if float(np.abs(resultant.coeffs).max()) <= 1e-12 * scale:
         raise ContinuumDetected(
             "resultant vanishes identically: infinitely many crossing pairs, no limit cycles"
         )

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import exact
 from exact import multiply
@@ -93,6 +95,70 @@ def test_real_roots_match_the_exact_isolation():
         assert len(got) == len(want), c
         for g, w in zip(got, want):
             assert abs(Fraction(float(g)) - w) <= Fraction(1e-12) * max(1, abs(w)), c
+
+
+@st.composite
+def _square_free_inputs(draw):
+    """Ascending float coefficients of a square-free polynomial, one of
+    three kinds. Wide: degree up to 12, distinct real roots on a 1/16
+    grid in [-1, 1] and complex pairs a +- bi with b >= 1/16. Close: the
+    same at degree 2 or 3, with a partner of one real root at 10^-u of
+    its size (at least 1/16), u in [2, 6]. Both in units of 2^e for e in
+    [-3, 3], the coefficients being the exact product rounded to floats.
+    Small lead: degree up to 6, coefficients of modulus 0.1 to 1 and a
+    leading one 1e-6 of the largest, so that the root bound is about
+    1e6 and the isolating intervals are that wide."""
+    kind = draw(st.sampled_from(["wide", "close", "lead"]))
+    if kind == "lead":
+        n = draw(st.integers(1, 6))
+        c = [x * draw(st.sampled_from([-1, 1]))
+             for x in draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))]
+        return c + [draw(st.sampled_from([-1e-6, 1e-6])) * max(map(abs, c))]
+    degree = 12 if kind == "wide" else 2
+    grid = draw(st.lists(st.integers(-16, 16), min_size=1, max_size=degree, unique=True))
+    roots = [Fraction(k, 16) for k in grid]
+    pairs = draw(st.lists(st.tuples(st.integers(-16, 16), st.integers(1, 16)),
+                          max_size=(degree - len(roots)) // 2))
+    if kind == "close":
+        r = roots[draw(st.integers(0, len(roots) - 1))]
+        delta = 10.0 ** -draw(st.floats(2.0, 6.0)) * draw(st.sampled_from([-1, 1]))
+        roots.append(r + Fraction(delta) * max(abs(r), Fraction(1, 16)))
+    unit = Fraction(2) ** draw(st.integers(-3, 3))
+    c = expand(r * unit for r in roots)
+    for a, b in pairs:
+        a, b = Fraction(a, 16) * unit, Fraction(b, 16) * unit
+        c = multiply(c, [a * a + b * b, -2 * a, 1])
+    return [float(x) for x in c]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_free_inputs())
+def test_real_roots_on_adversarial_square_free_inputs(c):
+    # every root that the exact reference finds, and no other, each within
+    # max(1e-12 max(1, |r|), 4 (n + 1) 2^-52 sum |c_k| |r|^k / |p'(r)|) of
+    # the exact root r: the larger of the relative tolerance and the
+    # root's condition bound, which governs the close pairs. The count
+    # bisection alone (_refine_root) meets both on these draws too. Left
+    # out, as open defects of the float Sturm isolation that both share:
+    # multiple roots, where the isolation can loop without end; units
+    # past 2^+-3 or coefficients spanning more than 1e8, where the trim
+    # of small coefficients and chain members loses roots (the scale
+    # defect, ROADMAP item 14); a 1e-6 pair at degree 4 or more, or a
+    # small lead at degree 7 or more, where the chain's counts can be
+    # wrong (and negative: the isolation then loops); and a root within
+    # 1e-9 of the Cauchy bound, which the rounded bound can fall below
+    nonzero = [abs(x) for x in c if x]
+    assume(max(nonzero) <= 1e8 * min(nonzero) and len(exact.square_free(c)) == len(c))
+    want = exact.real_roots(c)
+    cauchy = 1 + max(abs(Fraction(x) / Fraction(c[-1])) for x in c[:-1])
+    assume(all(abs(w) < (1 - Fraction(1, 10 ** 9)) * cauchy for w in want))
+    got = real_roots(CPoly(c))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        slope = abs(sum(k * Fraction(ck) * w ** (k - 1) for k, ck in enumerate(c) if k))
+        size = sum(abs(ck) * abs(float(w)) ** k for k, ck in enumerate(c))
+        bound = max(1e-12 * max(1.0, abs(float(w))), 4 * len(c) * 2.0 ** -52 * size / float(slope))
+        assert abs(Fraction(float(g)) - w) <= Fraction(bound)
 
 
 def test_isolated_roots_match_mpmath():
