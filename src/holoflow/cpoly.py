@@ -453,8 +453,9 @@ def real_roots(r: CPoly):
     interval on the isolation stack carries the Sturm counts at its two
     ends, so a split evaluates the chain at its midpoint only and the
     bisection of an isolated root starts from the count at its left end.
-    Raises IdenticallyZero for the zero polynomial and NonConvergence
-    for a coefficient that is not finite.
+    Raises IdenticallyZero for the zero polynomial, and NonConvergence
+    for a coefficient that is not finite or for an interval whose count
+    is negative: the float chain contradicts itself there.
     """
     if not all(map(cmath.isfinite, r.coeffs.tolist())):
         raise NonConvergence("real_roots needs finite coefficients")
@@ -482,6 +483,8 @@ def real_roots(r: CPoly):
     while stack:
         a, b, va, vb = stack.pop()
         n = va - vb
+        if n < 0:
+            raise NonConvergence(f"Sturm count {n} on ({a}, {b}]")
         if n == 0:
             continue
         if n == 1:

@@ -47,16 +47,24 @@ An accepted step keeps its stage values, and only a half-return fits
 the dense output from them, once per step (``_Dopri5.fit_dense``);
 ``integrate``, and so ``trace_separatrix``, never does.
 
-A half-return looks for the landing by scanning each step's dense output
-at the fractions _THETAS. Most steps of an excursion stay far from the
-axis, and there the scan can only arm the search. So a step whose dense
-coefficients bound every sample the scan would compute beyond the arming
-level, on the excursion's side, skips the scan (``_clear_of_axis``); the
-bound covers the rounding of the samples themselves, so no landing and
-no outcome changes. ``crossing_transversality`` is the one Filippov
-crossing rule, which the solvers and ``return_map_outcome`` apply, and a
-half-return start that its side's ``SystemSpec.crossing_sign`` calls
-tangent does not enter.
+A half-return looks for the landing by scanning every step's dense
+output at the fractions _THETAS for the height s Im z on the excursion's
+side s = +-1, and bisects ``_Dopri5.dense`` between the two samples
+around the crossing. The scan computes its samples in floats from the
+imaginary parts of the five dense coefficients times s, by the
+expression and in the order of ``_Dopri5.dense``, and gets s times the
+imaginary part of that method's value exactly: a sign flip commutes with
+every rounding, and a float multiplies a complex as float + 0i (from
+Python 3.14, part by part), so a real part reaches an imaginary one only
+as 0 * Re. That is a zero while every intermediate stays finite, and no
+test of the scan reads the sign of a zero. A step whose coefficients'
+absolute parts sum to 1e300 or more, or to NaN, where a 0 * inf could
+make the complex value NaN, takes its samples from ``_Dopri5.dense``.
+Complex samples at every step cost the half-return 15 to 20% more time
+than the float ones (CHANGES.md has the measurement).
+``crossing_transversality`` is the one Filippov crossing rule, which the
+solvers and ``return_map_outcome`` apply, and a half-return start that
+its side's ``SystemSpec.crossing_sign`` calls tangent does not enter.
 """
 
 from __future__ import annotations
@@ -489,29 +497,6 @@ def _certificate(spec, s, cfg):
     return trapped
 
 
-def _clear_of_axis(dense, s, level):
-    """True when every sample of the step's dense output that
-    ``_Dopri5.dense`` computes at a theta of _THETAS has s * Im z > level
-    (level > 0), so the crossing scan of that step can only arm.
-
-    With dense = (y0, r2, r3, r4, r5), Im z(theta) = Im y0 + theta (Im r2
-    + (1 - theta)(Im r3 + theta (Im r4 + (1 - theta) Im r5))). A float
-    multiplies a complex as float + 0i, so a real part reaches an
-    imaginary one only as 0 * Re, and theta and 1 - theta are exact
-    reals in [0, 1]. So |Im z - Im y0| <= reach = sum |Im r_k| up to
-    about ten roundings of 2^-53 each, which the margin
-    1e-14 (|Im y0| + reach) covers together with the roundings of this
-    test; 1e-300 covers the absolute error of products that underflow.
-    The real parts must sum below 1e300, so that no 0 * Re is
-    0 * inf = NaN; so an inf or NaN anywhere makes the test false."""
-    y0, r2, r3, r4, r5 = dense
-    yi = y0.imag
-    reach = abs(r2.imag) + abs(r3.imag) + abs(r4.imag) + abs(r5.imag)
-    return (s * yi - reach > level + 1e-14 * (abs(yi) + reach) + 1e-300
-            and abs(y0.real) + abs(r2.real) + abs(r3.real) + abs(r4.real)
-            + abs(r5.real) < 1e300)
-
-
 def half_return_outcome(spec: SystemSpec, x_start, side: Side,
                         cfg: IntegratorConfig = DEFAULT_CONFIG):
     """(Outcome, landing abscissa or None) of the orbit through
@@ -535,29 +520,37 @@ def half_return_outcome(spec: SystemSpec, x_start, side: Side,
                 return Outcome.UNDERFLOW, None
             if abs(st.z) > BLOWUP_RADIUS:
                 return Outcome.ESCAPED, None
-            if _clear_of_axis(st.fit_dense(), s, armed_level):
-                armed = True  # all the scan below would do
-            else:
-                # scan the dense output for a sign change back across the axis
-                prev_th, prev_y = 0.0, st.dense(0.0).imag
-                for th in _THETAS:
-                    yv = st.dense(th).imag
-                    if not armed and abs(yv) > armed_level and yv * s > 0:
-                        armed = True
-                    if armed and (yv * s < 0 or yv == 0.0):
-                        lo, hi = prev_th, th
-                        ylo = prev_y
-                        for _ in range(200):
-                            mid = 0.5 * (lo + hi)
-                            ym = st.dense(mid).imag
-                            if abs(ym) <= EVENT_TOL:
-                                return Outcome.LANDED, st.dense(mid).real
-                            if ym * ylo > 0:
-                                lo, ylo = mid, ym
-                            else:
-                                hi = mid
-                        return Outcome.LANDED, st.dense(0.5 * (lo + hi)).real
-                    prev_th, prev_y = th, yv
+            y0, r2, r3, r4, r5 = st.fit_dense()
+            # below 1e300 the float samples are s * st.dense(th).imag
+            # (module docstring)
+            floats = (abs(y0.real) + abs(y0.imag) + abs(r2.real) + abs(r2.imag)
+                      + abs(r3.real) + abs(r3.imag) + abs(r4.real) + abs(r4.imag)
+                      + abs(r5.real) + abs(r5.imag) < 1e300)
+            c0, c2, c3, c4, c5 = s * y0.imag, s * r2.imag, s * r3.imag, s * r4.imag, s * r5.imag
+            # scan the dense output for a sign change back across the axis,
+            # then bisect it between the two samples
+            prev_th = 0.0
+            for th in _THETAS:
+                u = 1 - th
+                yv = (c0 + th * (c2 + u * (c3 + th * (c4 + u * c5))) if floats
+                      else s * st.dense(th).imag)
+                if not armed and yv > armed_level:
+                    armed = True
+                if armed and yv <= 0.0:
+                    lo, hi = prev_th, th
+                    ylo = s * st.dense(lo).imag
+                    for _ in range(200):
+                        mid = 0.5 * (lo + hi)
+                        zm = st.dense(mid)
+                        ym = s * zm.imag
+                        if abs(ym) <= EVENT_TOL:
+                            return Outcome.LANDED, zm.real
+                        if ym * ylo > 0:
+                            lo, ylo = mid, ym
+                        else:
+                            hi = mid
+                    return Outcome.LANDED, st.dense(0.5 * (lo + hi)).real
+                prev_th = th
             # only a step that did not land may end in a certificate
             if doomed is not None:
                 outcome = doomed(st.z)

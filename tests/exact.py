@@ -13,6 +13,10 @@ Crossing pairs of a piecewise anti-holomorphic system with sides of
 degree <= 3 come out the same way, in s = x1 + x2 and q = x1 x2: each
 side's divided difference is A(s) - q B(s), so a pair's s is a real
 root of E(s) = A+ B- - A- B+ and q = A(s) / B(s).
+
+An orbit of an anti-holomorphic side keeps psi = Im Omega, so a
+half-return from x lands at a real root of psi(x') - psi(x); ``landing``
+gives the one an integrator's landing sits by.
 """
 
 from fractions import Fraction
@@ -136,25 +140,44 @@ def isolate(coeffs):
     return sorted(out, key=lambda t: Fraction(t[0], 1 << t[2]))
 
 
+def _refine(chain, na, nb, k, bits):
+    """The root in the isolating interval (na / 2^k, nb / 2^k] of the
+    chain's polynomial, as the right end of a subinterval of width at
+    most 2^-bits max(1, |root|) that holds it."""
+    va = sign_changes(chain, na, k)
+    while Fraction(nb - na, 1 << k) > Fraction(1, 1 << bits) * max(
+            1, abs(Fraction(nb, 1 << k))):
+        na, nb, k = 2 * na, 2 * nb, k + 1
+        mid = (na + nb) // 2
+        vm = sign_changes(chain, mid, k)
+        if va - vm == 1:
+            nb = mid
+        else:
+            na, va = mid, vm
+    return Fraction(nb, 1 << k)
+
+
 def real_roots(coeffs, bits=80):
     """The distinct real roots of p, ascending, each as a Fraction within
     2^-bits max(1, |root|) of the root (the right end of an interval
     (a, b] that holds it)."""
     chain = sturm_chain(coeffs)
-    roots = []
-    for na, nb, k in isolate(coeffs):
-        va = sign_changes(chain, na, k)
-        while Fraction(nb - na, 1 << k) > Fraction(1, 1 << bits) * max(
-                1, abs(Fraction(nb, 1 << k))):
-            na, nb, k = 2 * na, 2 * nb, k + 1
-            mid = (na + nb) // 2
-            vm = sign_changes(chain, mid, k)
-            if va - vm == 1:
-                nb = mid
-            else:
-                na, va = mid, vm
-        roots.append(Fraction(nb, 1 << k))
-    return roots
+    return [_refine(chain, na, nb, k, bits) for na, nb, k in isolate(coeffs)]
+
+
+def landing(psi, x, near, bits=80):
+    """The root x' of psi(x') - psi(x) whose isolating interval (a, b]
+    holds near, within 2^-bits max(1, |x'|): where an orbit of an
+    anti-holomorphic side through (x, 0), whose first integral on the
+    axis is psi (ascending, see psi_axis), meets the axis again. Raises
+    ValueError when no isolating interval holds near."""
+    x, near = Fraction(x), Fraction(near)
+    level = [psi[0] - _value(psi, x), *psi[1:]]
+    chain = sturm_chain(level)
+    for na, nb, k in isolate(level):
+        if Fraction(na, 1 << k) < near <= Fraction(nb, 1 << k):
+            return _refine(chain, na, nb, k, bits)
+    raise ValueError(f"{near} is in no isolating interval of psi(x') - psi({x})")
 
 
 def multiply(a, b):

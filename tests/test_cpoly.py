@@ -1,4 +1,5 @@
 import math
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -603,6 +604,24 @@ class TestRealRoots:
             real_roots(CPoly([bad, 1.0, 1.0]))
         with pytest.raises(NonConvergence):
             real_roots(CPoly([1.0, 1.0, bad]))
+
+    def test_negative_sturm_count_raises(self):
+        # the float chain counts 4 sign changes at -bound and 5 at +bound;
+        # the count -1 used to split without end and grow the isolation
+        # stack without bound, so a 1 s alarm turns a hang into a failure
+        p = CPoly([-1.0, -1.0, -1.0] + [-0.1015625] * 6 + [-1e-6])
+
+        def hang(signum, frame):
+            raise TimeoutError("real_roots did not end within 1 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(NonConvergence, match="Sturm count"):
+                real_roots(p)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 # The numpy Sturm helpers and isolation loop real_roots ran before they

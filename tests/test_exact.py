@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import exact
 from exact import multiply
 from holoflow.cpoly import CPoly, real_roots
+from holoflow.odeint import IntegratorConfig, Side, half_return
 from holoflow.pwcycles import Verified, solve_antiholo_pair
 from test_pwcycles import readme_quadratic_pair, reference_quadratic_pair
 
@@ -275,3 +276,37 @@ def test_confirmed_cycles_match_the_exact_pairs(pw):
             multiplier = (_slope(mpmath, first, x1) / _slope(mpmath, first, x2)
                           * _slope(mpmath, second, x2) / _slope(mpmath, second, x1))
             assert abs(cand.multiplier - multiplier) <= 1e-11 * max(1, abs(multiplier))
+
+
+class TestLanding:
+    def test_known_landing(self):
+        # psi = x^2: the orbit from x lands at -x; from 0, where
+        # psi(x') - psi(0) has a double root, it lands at 0; near must sit
+        # in an isolating interval
+        psi = [0, 0, 1]
+        assert exact.landing(psi, 1.5, -1.4) == Fraction(-3, 2)
+        assert exact.landing(psi, 1.5, 1.6) == Fraction(3, 2)
+        assert exact.landing(psi, 0.0, 0.1) == 0
+        with pytest.raises(ValueError, match="no isolating interval"):
+            exact.landing(psi, 1.5, 40.0)
+
+    @pytest.mark.parametrize("pw", [readme_quadratic_pair(), reference_quadratic_pair()],
+                             ids=["readme", "criterion-2"])
+    @pytest.mark.parametrize("tol, bound", [(None, 1e-8), (1e-11, 1e-10)],
+                             ids=["default", "1e-11"])
+    def test_half_returns_land_at_the_exact_root(self, pw, tol, bound):
+        # each half-return behind the confirmed candidate, from the end of
+        # the pair that its side's field enters, lands within bound (times
+        # max(1, |x'|) at the default tolerances) of the exact root of
+        # psi(x') - psi(x) beside it, and that root is the pair's other end
+        cfg = IntegratorConfig() if tol is None else IntegratorConfig(rel_tol=tol, abs_tol=tol)
+        cand, = (c for c in solve_antiholo_pair(pw)
+                 if c.verified is Verified.NUMERICALLY_CONFIRMED)
+        for spec, side in ((pw.upper, Side.UPPER), (pw.lower, Side.LOWER)):
+            start, end = ((cand.x1, cand.x2) if spec.crossing_sign(cand.x1) * side.value > 0
+                          else (cand.x2, cand.x1))
+            near = half_return(spec, start, side, cfg)
+            truth = exact.landing(exact.psi_axis(spec.p.coeffs.tolist()), start, near)
+            scale = max(1, abs(truth)) if tol is None else 1
+            assert abs(Fraction(near) - truth) <= Fraction(bound) * scale, (near, float(truth))
+            assert abs(float(truth) - end) <= 1e-6 * max(1, abs(end))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import time
 import warnings
 from types import SimpleNamespace
@@ -1067,8 +1068,53 @@ class TestLevelEscape:
                 assert plain[1].hex() == certified[1].hex()
 
 
-def _always_scan(monkeypatch):
-    monkeypatch.setattr(odeint, "_clear_of_axis", lambda dense, s, level: False)
+def _complex_scan(spec, x_start, side, cfg=odeint.DEFAULT_CONFIG):
+    """``half_return_outcome`` as it stood with every sample of the
+    crossing scan and of the event bisection read as
+    ``_Dopri5.dense(theta).imag`` and no step skipping the scan: the
+    frozen reference for the float samples."""
+    s = float(side.value)
+    armed_level = 10.0 * odeint.EVENT_TOL * max(1.0, abs(x_start))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.crossing_sign(x_start) * s <= 0:
+            return Outcome.NOT_ENTERING, None
+        doomed = odeint._certificate(spec, s, cfg)
+        stepper = odeint._Dopri5(spec.scalar_field(), 0.0, complex(x_start, 0.0), 1.0, cfg)
+        armed = False
+        for _ in range(odeint.HALF_RETURN_STEPS):
+            if stepper.t > odeint.MAX_TIME:
+                return Outcome.T_MAX, None
+            try:
+                stepper.step()
+            except StepUnderflow:
+                return Outcome.UNDERFLOW, None
+            if abs(stepper.z) > odeint.BLOWUP_RADIUS:
+                return Outcome.ESCAPED, None
+            stepper.fit_dense()
+            prev_th, prev_y = 0.0, stepper.dense(0.0).imag
+            for th in odeint._THETAS:
+                yv = stepper.dense(th).imag
+                if not armed and abs(yv) > armed_level and yv * s > 0:
+                    armed = True
+                if armed and (yv * s < 0 or yv == 0.0):
+                    lo, hi = prev_th, th
+                    ylo = prev_y
+                    for _ in range(200):
+                        mid = 0.5 * (lo + hi)
+                        ym = stepper.dense(mid).imag
+                        if abs(ym) <= odeint.EVENT_TOL:
+                            return Outcome.LANDED, stepper.dense(mid).real
+                        if ym * ylo > 0:
+                            lo, ylo = mid, ym
+                        else:
+                            hi = mid
+                    return Outcome.LANDED, stepper.dense(0.5 * (lo + hi)).real
+                prev_th, prev_y = th, yv
+            if doomed is not None:
+                outcome = doomed(stepper.z)
+                if outcome is not None:
+                    return outcome, None
+    return Outcome.STEP_LIMIT, None
 
 
 # parts of a dense-output coefficient: signed zeros, unit-sized values
@@ -1077,42 +1123,125 @@ _PART = st.one_of(
     st.sampled_from([0.0, -0.0]),
     st.floats(-4.0, 4.0),
     st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-150, 150)))
+# parts at the float path's 1e300 limit, at overflow, inf and NaN
+_EDGE_PART = st.one_of(
+    st.builds(lambda m, sign: sign * m, st.floats(1e299, 1e301) | st.floats(1e307, 1.79e308),
+              st.sampled_from([1.0, -1.0])),
+    st.sampled_from([math.inf, -math.inf, math.nan]))
 
 
-def _dense_near_the_bound(data, s, level):
-    """A dense tuple (y0, r2, r3, r4, r5). Its s * Im y0 sits at, a few
-    ulps or a random share beside, one of two anchors: reach + level,
-    with reach = sum |Im r_k|, where the skip test turns; or where the
-    lowest of the samples at _THETAS is exactly level."""
-    rs = [complex(data.draw(_PART), data.draw(_PART)) for _ in range(4)]
-    if data.draw(st.booleans(), label="lowest-sample anchor"):
-        stepper = SimpleNamespace(_dense=(0j, *rs))
-        anchor = level - min(s * odeint._Dopri5.dense(stepper, th).imag
-                             for th in odeint._THETAS)
-    else:
-        anchor = sum(abs(r.imag) for r in rs) + level
-    ulps = data.draw(st.integers(-64, 64), label="ulps") * math.ulp(anchor)
-    share = data.draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0), st.floats(0.0, 1e3)),
-                      label="share")
-    y0 = complex(data.draw(_PART), s * (anchor + ulps + share * anchor))
-    return (y0, *rs)
+@st.composite
+def _dense_coefficients(draw):
+    """Five dense coefficients (y0, r2, r3, r4, r5) whose parts are unit
+    sized, so that the samples often cross the axis, or drawn from _PART;
+    up to two of the ten parts are then replaced by edge parts."""
+    part = draw(st.sampled_from([st.floats(-4.0, 4.0), _PART]))
+    parts = [draw(part) for _ in range(10)]
+    for _ in range(draw(st.integers(0, 2))):
+        parts[draw(st.integers(0, 9))] = draw(_EDGE_PART)
+    return tuple(complex(parts[k], parts[k + 1]) for k in range(0, 10, 2))
 
 
-class TestScanSkip:
-    """A step whose dense output provably stays beyond armed_level on
-    the side of the excursion skips the crossing scan, which could only
-    arm; no outcome and no landing moves."""
+def _repeating_stepper(dense):
+    """A stand-in for ``_Dopri5`` whose every step ends at 0 with the dense
+    coefficients dense; ``dense`` is the real interpolant."""
+
+    class Repeating(odeint._Dopri5):
+        def __init__(self, f, t0, z0, direction, cfg):
+            self.t, self.z = t0, 0j
+
+        def step(self, t_limit=None):
+            self.t += 1.0
+            return True
+
+        def fit_dense(self):
+            self._dense = dense
+            return dense
+    return Repeating
+
+
+def _samples_read(spec, x, side):
+    """The outcome of ``half_return_outcome`` and the (theta, s Im z)
+    samples it read, as two dicts: the scan's, from its locals (th, yv),
+    and the bisection's, from (mid, ym), taken at each line it runs. A
+    pair seen before its sample is recomputed is overwritten at the next
+    line."""
+    code = odeint.half_return_outcome.__code__
+    scan, bisection = {}, {}
+
+    def local(frame, event, arg):
+        if event == "line":
+            names = frame.f_locals
+            for t, y, samples in (("th", "yv", scan), ("mid", "ym", bisection)):
+                if t in names and y in names:
+                    samples[names[t]] = names[y]
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        outcome = half_return_outcome(spec, x, side)
+    finally:
+        sys.settrace(before)
+    return outcome, scan, bisection
+
+
+class TestFloatScan:
+    """The crossing scan computes the height s Im z on the excursion's
+    side s in floats from the imaginary parts of the dense coefficients;
+    every sample is s times the float ``_Dopri5.dense(theta).imag`` gives,
+    so no outcome and no landing moves."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dense=_dense_coefficients(), x=st.sampled_from([0.0, 1e300]),
+           thetas=st.lists(st.floats(0.0, 1.0), max_size=4))
+    def test_samples_equal_the_complex_dense_output(self, monkeypatch, dense, x, thetas):
+        """On two steps with the same drawn dense coefficients, every
+        sample the half-return reads, at each theta of _THETAS, at random
+        theta in [0, 1] added to the scan and at the bisection's
+        midpoints, equals s * ``_Dopri5.dense(theta).imag``, or both are
+        NaN; the sign of a zero is not compared. A half-return that does
+        not land reads every theta of the scan, and one that lands reads
+        at least one midpoint. The outcome and the landing (float.hex) are
+        those of the complex scan. A second step that starts armed bisects
+        at any sample on the far side of the axis. The side is that of the
+        first sample of _THETAS, so that the scan arms there unless
+        x = 1e300 raises the arming level; then the scan reads every
+        theta."""
+        stepper = SimpleNamespace(_dense=dense)
+        s = -1.0 if odeint._Dopri5.dense(stepper, odeint._THETAS[0]).imag < 0 else 1.0
+        scan_thetas = tuple(sorted(odeint._THETAS + tuple(thetas)))
+        monkeypatch.setattr(odeint, "_Dopri5", _repeating_stepper(dense))
+        monkeypatch.setattr(odeint, "_THETAS", scan_thetas)
+        side = Side.UPPER if s > 0 else Side.LOWER
+        spec = holomorphic([complex(0.0, s)])  # enters its side everywhere
+        with _budget(2):
+            outcome, scan, bisection = _samples_read(spec, x, side)
+            frozen = _complex_scan(spec, x, side)
+        if outcome[0] is Outcome.LANDED:
+            assert scan and bisection
+        else:
+            assert set(scan) == set(scan_thetas)
+        for th, y in (*scan.items(), *bisection.items()):
+            ref = s * odeint._Dopri5.dense(stepper, th).imag
+            assert y == ref or (math.isnan(y) and math.isnan(ref)), (th, y, ref)
+        assert outcome[0] is frozen[0]
+        if outcome[0] is Outcome.LANDED:
+            assert outcome[1].hex() == frozen[1].hex()
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_no_landing_moves(self, monkeypatch, data):
-        """The half-return that scans every step ends in the same
-        Outcome, and lands exactly (float.hex) where the skipping one
-        does. Both runs share a cap of 2000 steps. Sides: holomorphic and
-        anti-holomorphic, degree 1 to 3, coefficients in [-2.5, 2.5]^2,
-        at tolerances 1e-9 and 1e-11, from a start in [-3, 3] on the side
-        the field enters."""
+    def test_no_landing_moves(self, data):
+        """The frozen complex scan ends in the same Outcome, and lands
+        exactly (float.hex) where the float scan does. Both runs share a
+        cap of 2000 steps. Sides: holomorphic and anti-holomorphic, degree
+        1 to 3, coefficients in [-2.5, 2.5]^2, at tolerances 1e-9 and
+        1e-11, from a start in [-3, 3] on the side the field enters."""
         make = data.draw(st.sampled_from([holomorphic, anti_holomorphic]), label="kind")
         degree = data.draw(st.integers(1, 3), label="degree")
         coeff = st.floats(-2.5, 2.5)
@@ -1122,58 +1251,13 @@ class TestScanSkip:
         tol = data.draw(st.sampled_from([1e-9, 1e-11]), label="tol")
         cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol)
         with _budget(2000):
-            skipping = half_return_outcome(spec, x, side, cfg)
-            with monkeypatch.context() as m:
-                _always_scan(m)
-                scanned = half_return_outcome(spec, x, side, cfg)
-        assert scanned[0] is skipping[0]
-        if scanned[0] is Outcome.LANDED:
-            assert scanned[1].hex() == skipping[1].hex()
+            floats = half_return_outcome(spec, x, side, cfg)
+            frozen = _complex_scan(spec, x, side, cfg)
+        assert frozen[0] is floats[0]
+        if frozen[0] is Outcome.LANDED:
+            assert frozen[1].hex() == floats[1].hex()
         else:
-            assert scanned[1] is skipping[1] is None
-
-    def test_most_steps_of_a_landing_skip(self, monkeypatch):
-        pw = _readme_quadratic_pair()
-        cand, = pwcycles.solve_antiholo_pair(pw, validate=False)
-        clear, tests = odeint._clear_of_axis, []
-
-        def counted(*args):
-            tests.append(clear(*args))
-            return tests[-1]
-
-        monkeypatch.setattr(odeint, "_clear_of_axis", counted)
-        landing = half_return(pw.lower, cand.x1, Side.LOWER)
-        assert sum(tests) > 0.5 * len(tests)
-        _always_scan(monkeypatch)
-        assert half_return(pw.lower, cand.x1, Side.LOWER).hex() == landing.hex()
-
-    @settings(max_examples=500, deadline=None)
-    @given(s=st.sampled_from([1.0, -1.0]),
-           level=st.one_of(st.floats(1e-300, 1e10), st.sampled_from([1e-11, 1e-9])),
-           data=st.data())
-    def test_skip_implies_every_sample_beyond_the_level(self, s, level, data):
-        """Whenever the test holds, every sample that ``_Dopri5.dense``
-        computes at a theta of _THETAS has s * Im z > level."""
-        dense = _dense_near_the_bound(data, s, level)
-        if odeint._clear_of_axis(dense, s, level):
-            stepper = SimpleNamespace(_dense=dense)
-            for th in odeint._THETAS:
-                assert s * odeint._Dopri5.dense(stepper, th).imag > level
-
-    @settings(max_examples=200, deadline=None)
-    @given(s=st.sampled_from([1.0, -1.0]), data=st.data(),
-           bad=st.sampled_from([math.inf, -math.inf, math.nan]),
-           where=st.integers(0, 9))
-    def test_inf_or_nan_never_skips(self, s, data, bad, where):
-        y0, *rs = _dense_near_the_bound(data, s, 1e-9)
-        # well clear of the bound before one part turns non-finite; the
-        # tuple's own Im y0 is not used
-        parts = [y0.real, s * (4.0 * sum(abs(r.imag) for r in rs) + 1.0)]
-        assert odeint._clear_of_axis((complex(*parts), *rs), s, 1e-9)
-        parts += [v for r in rs for v in (r.real, r.imag)]
-        parts[where] = bad
-        dense = tuple(complex(parts[k], parts[k + 1]) for k in range(0, 10, 2))
-        assert not odeint._clear_of_axis(dense, s, 1e-9)
+            assert frozen[1] is floats[1] is None
 
 
 class TestIntegratorConfig:
