@@ -690,7 +690,7 @@ def resultant_x2(c_plus: BivarSym, c_minus: BivarSym) -> CPoly:
     NaN, and a coefficient that is not finite raises NonConvergence.
     Vandermonde powers past float range (from deg_bound = 1025 on, as
     for two antiholo sides of degree 23 or more whose top coefficients
-    are not real) raise it before the Sylvester stack is built.
+    are not real) raise it from the sample count, before any allocation.
     """
     dp, dm = c_plus.x2_degree, c_minus.x2_degree
     if dp == 0 or dm == 0:
@@ -703,14 +703,14 @@ def resultant_x2(c_plus: BivarSym, c_minus: BivarSym) -> CPoly:
     d1m = c_minus.coeffs.shape[0] - 1
     deg_bound = d1p * dm + d1m * dp
     n = deg_bound + 1
+    # the nodes' largest power, (2 cos(pi / 2n))^(n - 1), is finite
+    # exactly for n <= 1025; past it every coefficient would be NaN
+    if n > 1025:
+        raise NonConvergence("a resultant coefficient is not finite: the Vandermonde "
+                             f"powers of {n} sample points pass float range")
     xs = 2.0 * np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
     with np.errstate(over="ignore", invalid="ignore"):
         vander = np.vander(xs, n, increasing=True)
-        if not np.all(np.isfinite(vander)):
-            # the solve would turn every coefficient NaN: refuse before
-            # the Sylvester stack, the bulk of the work
-            raise NonConvergence("a resultant coefficient is not finite: the Vandermonde "
-                                 f"powers of {n} sample points pass float range")
         # the coefficients up to each x2-degree: zero columns past it
         # would make both Sylvester leads 0 and R vanish
         vals = np.linalg.det(_sylvester_matrices(np.array([c_plus.x2_poly(x) for x in xs])[:, : dp + 1],

@@ -49,19 +49,19 @@ the dense output from them, once per step (``_Dopri5.fit_dense``);
 
 A half-return looks for the landing by scanning every step's dense
 output at the fractions _THETAS for the height s Im z on the excursion's
-side s = +-1, and bisects ``_Dopri5.dense`` between the two samples
-around the crossing. The scan computes its samples in floats from the
-imaginary parts of the five dense coefficients times s, by the
-expression and in the order of ``_Dopri5.dense``, and gets s times the
-imaginary part of that method's value exactly: a sign flip commutes with
-every rounding, and a float multiplies a complex as float + 0i (from
-Python 3.14, part by part), so a real part reaches an imaginary one only
-as 0 * Re. That is a zero while every intermediate stays finite, and no
-test of the scan reads the sign of a zero. A step whose coefficients'
-absolute parts sum to 1e300 or more, or to NaN, where a 0 * inf could
-make the complex value NaN, takes its samples from ``_Dopri5.dense``.
-Complex samples at every step cost the half-return 15 to 20% more time
-than the float ones (CHANGES.md has the measurement).
+side s = +-1, and bisects between the two samples around the crossing.
+It evaluates the interpolant of the coefficients (y0, r2, r3, r4, r5)
+that ``fit_dense`` returns, y0 + theta (r2 + u (r3 + theta (r4 + u r5)))
+with u = 1 - theta, in floats only: the heights from their imaginary
+parts times s, the landing from their real parts. Each is the float the
+complex interpolant gives: a sign flip commutes with every rounding,
+and a float multiplies a complex as float + 0i (from Python 3.14, part
+by part), so one part reaches the other only as 0 times it, a zero while
+every intermediate stays finite. Only the sign of an exact zero can
+differ (a landing at 0 may carry the other sign), and no decision reads
+it. A step whose coefficients' absolute parts sum to 1e300 or more, or
+to NaN, where a 0 * inf could make the complex value NaN, ends ESCAPED,
+as a step past BLOWUP_RADIUS does.
 ``crossing_transversality`` is the one Filippov crossing rule, which the
 solvers and ``return_map_outcome`` apply, and a half-return start that
 its side's ``SystemSpec.crossing_sign`` calls tangent does not enter.
@@ -184,7 +184,7 @@ class _Dopri5:
         scale = cfg.abs_tol + cfg.rel_tol * abs(z0)
         h = 0.01 * scale ** 0.2 / max(v, 1e-8) ** 0.2 if v > 0 else 1e-3
         self.h = min(h, 1.0)
-        self._stages = self._dense = None
+        self._stages = None
 
     def step(self, t_limit=None):
         """Advance one accepted step (respecting t_limit); returns False
@@ -234,12 +234,12 @@ class _Dopri5:
 
     def fit_dense(self):
         """Fit the quartic dense output of the last accepted step from its
-        stage values and return it as (y0, r2, r3, r4, r5); ``dense``
-        reads it. ``integrate`` never calls this."""
+        stage values and return the coefficients (y0, r2, r3, r4, r5) of
+        its interpolant (module docstring). ``integrate`` never calls this."""
         z, hs, k1, k2, k3, k4, k5, k6, k7 = self._stages
         delta = self.z - z
         r3 = hs * k1 - delta
-        self._dense = (
+        return (
             z,
             delta,
             r3,
@@ -247,12 +247,6 @@ class _Dopri5:
             hs * (0 + _D1 * k1 + _D2 * k2 + _D3 * k3 + _D4 * k4 + _D5 * k5
                   + _D6 * k6 + _D7 * k7),
         )
-        return self._dense
-
-    def dense(self, theta):
-        """Interpolated z at fraction theta in [0, 1] of the last step."""
-        y0, r2, r3, r4, r5 = self._dense
-        return y0 + theta * (r2 + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5)))
 
 
 def integrate(field, z0, t_end, cfg: IntegratorConfig = DEFAULT_CONFIG) -> Trajectory:
@@ -293,8 +287,8 @@ class Outcome(enum.Enum):
 
     LANDED = "landed"
     NOT_ENTERING = "not_entering"  # the field does not enter the half-plane
-    # |z| passed BLOWUP_RADIUS, or a certified escape on an
-    # anti-holomorphic side of any degree >= 1
+    # |z| passed BLOWUP_RADIUS or a step reached float range, or a
+    # certified escape on an anti-holomorphic side of any degree >= 1
     ESCAPED = "escaped"
     TRAPPED = "trapped"            # entered a certified trap disc
     STEP_LIMIT = "step_limit"      # HALF_RETURN_STEPS steps
@@ -521,36 +515,39 @@ def half_return_outcome(spec: SystemSpec, x_start, side: Side,
             if abs(st.z) > BLOWUP_RADIUS:
                 return Outcome.ESCAPED, None
             y0, r2, r3, r4, r5 = st.fit_dense()
-            # below 1e300 the float samples are s * st.dense(th).imag
+            # past float range the floats below are not the interpolant's
             # (module docstring)
-            floats = (abs(y0.real) + abs(y0.imag) + abs(r2.real) + abs(r2.imag)
-                      + abs(r3.real) + abs(r3.imag) + abs(r4.real) + abs(r4.imag)
-                      + abs(r5.real) + abs(r5.imag) < 1e300)
+            if not (abs(y0.real) + abs(y0.imag) + abs(r2.real) + abs(r2.imag)
+                    + abs(r3.real) + abs(r3.imag) + abs(r4.real) + abs(r4.imag)
+                    + abs(r5.real) + abs(r5.imag) < 1e300):
+                return Outcome.ESCAPED, None
             c0, c2, c3, c4, c5 = s * y0.imag, s * r2.imag, s * r3.imag, s * r4.imag, s * r5.imag
             # scan the dense output for a sign change back across the axis,
             # then bisect it between the two samples
-            prev_th = 0.0
+            prev_th, prev_y = 0.0, c0
             for th in _THETAS:
                 u = 1 - th
-                yv = (c0 + th * (c2 + u * (c3 + th * (c4 + u * c5))) if floats
-                      else s * st.dense(th).imag)
+                yv = c0 + th * (c2 + u * (c3 + th * (c4 + u * c5)))
                 if not armed and yv > armed_level:
                     armed = True
                 if armed and yv <= 0.0:
-                    lo, hi = prev_th, th
-                    ylo = s * st.dense(lo).imag
+                    lo, hi, ylo = prev_th, th, prev_y
                     for _ in range(200):
                         mid = 0.5 * (lo + hi)
-                        zm = st.dense(mid)
-                        ym = s * zm.imag
+                        u = 1 - mid
+                        ym = c0 + mid * (c2 + u * (c3 + mid * (c4 + u * c5)))
                         if abs(ym) <= EVENT_TOL:
-                            return Outcome.LANDED, zm.real
+                            break
                         if ym * ylo > 0:
                             lo, ylo = mid, ym
                         else:
                             hi = mid
-                    return Outcome.LANDED, st.dense(0.5 * (lo + hi)).real
-                prev_th = th
+                    else:
+                        mid = 0.5 * (lo + hi)
+                        u = 1 - mid
+                    return Outcome.LANDED, y0.real + mid * (
+                        r2.real + u * (r3.real + mid * (r4.real + u * r5.real)))
+                prev_th, prev_y = th, yv
             # only a step that did not land may end in a certificate
             if doomed is not None:
                 outcome = doomed(st.z)

@@ -572,6 +572,44 @@ class TestResultant:
         with pytest.raises(NonConvergence if refused else Built):
             resultant_x2(cp, cm)
 
+    def test_sample_count_refused_before_the_vandermonde_matrix(self, monkeypatch):
+        # two degree-101 divided differences give 20,001 sample points,
+        # whose Vandermonde matrix alone takes 3.2 GB
+        def built(*args, **kwargs):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(np, "vander", built)
+        monkeypatch.setattr(cpoly, "_sylvester_matrices", built)
+        cp = divided_difference(np.concatenate([[0.0], np.ones(101)]))
+        with pytest.raises(NonConvergence, match="powers of 20001 sample points"):
+            resultant_x2(cp, cp)
+
+    def test_sample_count_rule_is_the_finiteness_scan(self, monkeypatch):
+        # for n = deg_bound + 1 from 1000 to 1100 sample points,
+        # resultant_x2 refuses exactly where a power of its Chebyshev
+        # nodes 2 cos(pi (2k + 1) / 2n) passes float range. A 2 x 2 input
+        # beside one of x1-degree k and x2-degree j (zero rows and columns
+        # past j) gives deg_bound = j + k
+        class Built(Exception):
+            pass
+
+        def built(*args, **kwargs):
+            raise Built
+
+        vander = np.vander
+        monkeypatch.setattr(np, "vander", built)
+        cp = BivarSym([[1.0, 2.0], [2.0, 3.0]])
+        for n in range(1000, 1101):
+            xs = 2.0 * np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
+            with np.errstate(over="ignore"):
+                finite = np.all(np.isfinite(vander(xs, n, increasing=True)))
+            k = n // 2
+            c = np.zeros((k + 1, k + 1))
+            c[: n - k, : n - k] = 1.0
+            with pytest.raises(Built if finite else NonConvergence):
+                resultant_x2(cp, BivarSym(c))
+            assert finite == (n <= 1025), n
+
 
 class TestRealRoots:
     def test_worked_example_roots(self):

@@ -1,9 +1,7 @@
 import dataclasses
 import math
-import sys
 import time
 import warnings
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -1068,11 +1066,19 @@ class TestLevelEscape:
                 assert plain[1].hex() == certified[1].hex()
 
 
+def _complex_dense(dense, theta):
+    """The complex quartic interpolant at fraction theta of a step with
+    dense coefficients (y0, r2, r3, r4, r5): the frozen reference whose
+    parts the half-return's float expressions reproduce."""
+    y0, r2, r3, r4, r5 = dense
+    return y0 + theta * (r2 + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5)))
+
+
 def _complex_scan(spec, x_start, side, cfg=odeint.DEFAULT_CONFIG):
     """``half_return_outcome`` as it stood with every sample of the
-    crossing scan and of the event bisection read as
-    ``_Dopri5.dense(theta).imag`` and no step skipping the scan: the
-    frozen reference for the float samples."""
+    crossing scan and of the event bisection, and the landing, read from
+    the complex interpolant, with no float-range exit and no step
+    skipping the scan: the frozen reference for the float samples."""
     s = float(side.value)
     armed_level = 10.0 * odeint.EVENT_TOL * max(1.0, abs(x_start))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1090,10 +1096,10 @@ def _complex_scan(spec, x_start, side, cfg=odeint.DEFAULT_CONFIG):
                 return Outcome.UNDERFLOW, None
             if abs(stepper.z) > odeint.BLOWUP_RADIUS:
                 return Outcome.ESCAPED, None
-            stepper.fit_dense()
-            prev_th, prev_y = 0.0, stepper.dense(0.0).imag
+            dense = stepper.fit_dense()
+            prev_th, prev_y = 0.0, _complex_dense(dense, 0.0).imag
             for th in odeint._THETAS:
-                yv = stepper.dense(th).imag
+                yv = _complex_dense(dense, th).imag
                 if not armed and abs(yv) > armed_level and yv * s > 0:
                     armed = True
                 if armed and (yv * s < 0 or yv == 0.0):
@@ -1101,14 +1107,14 @@ def _complex_scan(spec, x_start, side, cfg=odeint.DEFAULT_CONFIG):
                     ylo = prev_y
                     for _ in range(200):
                         mid = 0.5 * (lo + hi)
-                        ym = stepper.dense(mid).imag
+                        ym = _complex_dense(dense, mid).imag
                         if abs(ym) <= odeint.EVENT_TOL:
-                            return Outcome.LANDED, stepper.dense(mid).real
+                            return Outcome.LANDED, _complex_dense(dense, mid).real
                         if ym * ylo > 0:
                             lo, ylo = mid, ym
                         else:
                             hi = mid
-                    return Outcome.LANDED, stepper.dense(0.5 * (lo + hi)).real
+                    return Outcome.LANDED, _complex_dense(dense, 0.5 * (lo + hi)).real
                 prev_th, prev_y = th, yv
             if doomed is not None:
                 outcome = doomed(stepper.z)
@@ -1123,7 +1129,7 @@ _PART = st.one_of(
     st.sampled_from([0.0, -0.0]),
     st.floats(-4.0, 4.0),
     st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-150, 150)))
-# parts at the float path's 1e300 limit, at overflow, inf and NaN
+# parts at the half-return's 1e300 float-range exit, at overflow, inf and NaN
 _EDGE_PART = st.one_of(
     st.builds(lambda m, sign: sign * m, st.floats(1e299, 1e301) | st.floats(1e307, 1.79e308),
               st.sampled_from([1.0, -1.0])),
@@ -1142,9 +1148,18 @@ def _dense_coefficients(draw):
     return tuple(complex(parts[k], parts[k + 1]) for k in range(0, 10, 2))
 
 
+def _in_float_range(dense):
+    """The half-return's float-range test: the ten absolute parts of the
+    dense coefficients, summed left to right, are below 1e300."""
+    total = 0.0
+    for c in dense:
+        total = total + abs(c.real) + abs(c.imag)
+    return total < 1e300
+
+
 def _repeating_stepper(dense):
     """A stand-in for ``_Dopri5`` whose every step ends at 0 with the dense
-    coefficients dense; ``dense`` is the real interpolant."""
+    coefficients dense."""
 
     class Repeating(odeint._Dopri5):
         def __init__(self, f, t0, z0, direction, cfg):
@@ -1155,83 +1170,49 @@ def _repeating_stepper(dense):
             return True
 
         def fit_dense(self):
-            self._dense = dense
             return dense
     return Repeating
 
 
-def _samples_read(spec, x, side):
-    """The outcome of ``half_return_outcome`` and the (theta, s Im z)
-    samples it read, as two dicts: the scan's, from its locals (th, yv),
-    and the bisection's, from (mid, ym), taken at each line it runs. A
-    pair seen before its sample is recomputed is overwritten at the next
-    line."""
-    code = odeint.half_return_outcome.__code__
-    scan, bisection = {}, {}
-
-    def local(frame, event, arg):
-        if event == "line":
-            names = frame.f_locals
-            for t, y, samples in (("th", "yv", scan), ("mid", "ym", bisection)):
-                if t in names and y in names:
-                    samples[names[t]] = names[y]
-        return local
-
-    def tracer(frame, event, arg):
-        return local if frame.f_code is code else None
-
-    before = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        outcome = half_return_outcome(spec, x, side)
-    finally:
-        sys.settrace(before)
-    return outcome, scan, bisection
-
-
 class TestFloatScan:
-    """The crossing scan computes the height s Im z on the excursion's
-    side s in floats from the imaginary parts of the dense coefficients;
-    every sample is s times the float ``_Dopri5.dense(theta).imag`` gives,
-    so no outcome and no landing moves."""
+    """The half-return evaluates the interpolant in floats only: the
+    heights s Im z on the excursion's side s from the imaginary parts of
+    the dense coefficients, the landing from their real parts. Each is
+    the float the complex interpolant gives, so no outcome and no landing
+    moves; a step at float range ends ESCAPED."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(dense=_dense_coefficients(), x=st.sampled_from([0.0, 1e300]),
            thetas=st.lists(st.floats(0.0, 1.0), max_size=4))
-    def test_samples_equal_the_complex_dense_output(self, monkeypatch, dense, x, thetas):
-        """On two steps with the same drawn dense coefficients, every
-        sample the half-return reads, at each theta of _THETAS, at random
-        theta in [0, 1] added to the scan and at the bisection's
-        midpoints, equals s * ``_Dopri5.dense(theta).imag``, or both are
-        NaN; the sign of a zero is not compared. A half-return that does
-        not land reads every theta of the scan, and one that lands reads
-        at least one midpoint. The outcome and the landing (float.hex) are
-        those of the complex scan. A second step that starts armed bisects
-        at any sample on the far side of the axis. The side is that of the
-        first sample of _THETAS, so that the scan arms there unless
-        x = 1e300 raises the arming level; then the scan reads every
-        theta."""
-        stepper = SimpleNamespace(_dense=dense)
-        s = -1.0 if odeint._Dopri5.dense(stepper, odeint._THETAS[0]).imag < 0 else 1.0
-        scan_thetas = tuple(sorted(odeint._THETAS + tuple(thetas)))
+    def test_outcome_is_the_complex_scans(self, monkeypatch, dense, x, thetas):
+        """On two steps with the same drawn dense coefficients, scanned at
+        _THETAS and at up to four random theta in [0, 1], the half-return
+        ends in the Outcome of the frozen complex scan, and lands where it
+        does (float.hex; a landing of exactly zero is compared without
+        its sign, the one bit the floats may set otherwise), wherever the
+        coefficients' absolute parts sum below 1e300. Elsewhere, drawn
+        near 1e300, near overflow, inf or NaN, it ends ESCAPED. A second
+        step that starts armed bisects at any sample on the far side of
+        the axis. The side is that of the first sample of _THETAS, so
+        that the scan arms there unless x = 1e300 raises the arming
+        level."""
+        s = -1.0 if _complex_dense(dense, odeint._THETAS[0]).imag < 0 else 1.0
         monkeypatch.setattr(odeint, "_Dopri5", _repeating_stepper(dense))
-        monkeypatch.setattr(odeint, "_THETAS", scan_thetas)
+        monkeypatch.setattr(odeint, "_THETAS", tuple(sorted(odeint._THETAS + tuple(thetas))))
         side = Side.UPPER if s > 0 else Side.LOWER
         spec = holomorphic([complex(0.0, s)])  # enters its side everywhere
         with _budget(2):
-            outcome, scan, bisection = _samples_read(spec, x, side)
-            frozen = _complex_scan(spec, x, side)
-        if outcome[0] is Outcome.LANDED:
-            assert scan and bisection
+            outcome, landing = half_return_outcome(spec, x, side)
+            frozen, frozen_landing = _complex_scan(spec, x, side)
+        if not _in_float_range(dense):
+            assert (outcome, landing) == (Outcome.ESCAPED, None)
+            return
+        assert outcome is frozen
+        if outcome is Outcome.LANDED:
+            assert (landing + 0.0).hex() == (frozen_landing + 0.0).hex()
         else:
-            assert set(scan) == set(scan_thetas)
-        for th, y in (*scan.items(), *bisection.items()):
-            ref = s * odeint._Dopri5.dense(stepper, th).imag
-            assert y == ref or (math.isnan(y) and math.isnan(ref)), (th, y, ref)
-        assert outcome[0] is frozen[0]
-        if outcome[0] is Outcome.LANDED:
-            assert outcome[1].hex() == frozen[1].hex()
+            assert landing is frozen_landing is None
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
