@@ -33,6 +33,13 @@ MAX_DEGREE = 200
 # the cap on real_roots' safeguarded Newton iterations for one simple
 # root; a root that reaches it falls back to the Sturm count bisection
 NEWTON_STEPS = 100
+# the most floats, n (dp + dm)^2, that resultant_x2 stacks into n
+# Sylvester matrices: the largest stack that solve_antiholo_pair's sides
+# reach. A side of degree d <= pwcycles.MAX_PAIR_DEGREE = 36 has a
+# divided difference of x1- and x2-degree at most d, so dp, dm <= 36 and
+# n = 2 dp dm + 1 <= 1025 sample points; under both limits n (dp + dm)^2
+# peaks at x2-degrees 36 and 14, 1009 * 50^2 floats (20.2 MB)
+MAX_SYLVESTER_ENTRIES = 2_522_500
 
 
 class CPoly:
@@ -434,14 +441,14 @@ def real_roots(r: CPoly):
     """All distinct real roots of a real-coefficient polynomial, sorted.
 
     Counting uses a Sturm sequence (exact distinct-root counts even in
-    the presence of multiple roots). When the chain ends in a constant
-    (gcd(r, r') numerically 1, so every root is simple), each isolated
-    root is found by Newton's method safeguarded by bisection and
-    accepted under a Sturm certificate (``_newton_root``). A polynomial
-    with a multiple root, and a root that fails the certificate, are
-    refined by count-preserving bisection to 1e-14 max(1, |x|) and a
-    Newton polish that stops at |r(x)| <= DEFAULT_TOL (``_refine_root``):
-    the count also moves at an even-multiplicity root, where r keeps its
+    the presence of multiple roots). Each isolated root ends in one of
+    two refinements, both read from the chain. When the chain ends in a
+    constant (gcd(r, r') numerically 1, so every root is simple), Newton's
+    method safeguarded by bisection finds it, accepted under a Sturm
+    certificate (``_newton_root``). A polynomial with a multiple root, and
+    a root that fails the certificate, take the midpoint of the last
+    bracket of a bisection on the chain's count (``_bisect_root``): the
+    count also moves at an even-multiplicity root, where r keeps its
     sign and Newton has no bracket. The trimmed polynomial, its
     derivative, the root bound and the chain are built on Python float
     lists, with the
@@ -489,7 +496,7 @@ def real_roots(r: CPoly):
             continue
         if n == 1:
             x = _newton_root(poly, deriv, chain, a, b) if square_free else None
-            out.append(_refine_root(poly, deriv, chain, a, b, va) if x is None else x)
+            out.append(_bisect_root(chain, a, b, va) if x is None else x)
             continue
         mid = 0.5 * (a + b)
         while horner(poly, mid) == 0.0:
@@ -515,7 +522,7 @@ def _newton_root(poly, deriv, chain, a, b):
     move, once a step is at most 4 ulps of x, or after NEWTON_STEPS
     iterations. x is accepted only when the chain's sign changes at
     x -+ 0.5e-14 max(1, |x|), clipped to (a, b], differ by exactly 1,
-    which puts a root within the width that _refine_root bisects to."""
+    which puts a root within the width that _bisect_root bisects to."""
     fa, fb = horner(poly, a), horner(poly, b)
     if fa < 0.0 < fb:
         neg, pos = a, b
@@ -550,13 +557,14 @@ def _newton_root(poly, deriv, chain, a, b):
     return x
 
 
-def _refine_root(poly, deriv, chain, a, b, va):
-    """The root in (a, b] of poly, descending float lists like deriv and
-    each member of chain; va is the chain's sign changes at a. The path
-    of a polynomial with a multiple root and of a root that
-    _newton_root does not certify."""
-    # bisection on the Sturm count keeps working for even-multiplicity
-    # roots, where the plain sign of the polynomial does not change
+def _bisect_root(chain, a, b, va):
+    """The root in (a, b] by bisection on the Sturm count of chain,
+    descending float lists, va being its sign changes at a: the midpoint
+    of the last bracket, once a bracket is at most 1e-14 max(1, |a|, |b|)
+    wide or after 80 halvings. The path of a polynomial with a multiple
+    root, where the count also moves at an even-multiplicity root that
+    keeps the polynomial's sign, and of a root that _newton_root does not
+    certify."""
     for _ in range(80):
         if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
             break
@@ -567,19 +575,7 @@ def _refine_root(poly, deriv, chain, a, b, va):
         else:
             a = mid
             va = vm
-    x = 0.5 * (a + b)
-    for _ in range(8):
-        fx = horner(poly, x)
-        if abs(fx) <= DEFAULT_TOL:
-            break
-        dfx = horner(deriv, x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        if not (a - 1e-9 <= x - step <= b + 1e-9):
-            break
-        x -= step
-    return x
+    return 0.5 * (a + b)
 
 
 # --------------------------------------------------------------------------
@@ -614,10 +610,6 @@ class BivarSym:
         """Ascending coefficients in x2 at numeric x1."""
         pows = np.asarray(x1, dtype=float) ** np.arange(self.coeffs.shape[0])
         return pows @ self.coeffs
-
-    def x2_leading(self):
-        """The leading-in-x2 coefficient as a real CPoly in x1."""
-        return CPoly(self.coeffs[:, self.x2_degree].astype(complex))
 
     def __call__(self, x1, x2):
         p1 = np.asarray(x1, dtype=float) ** np.arange(self.coeffs.shape[0])
@@ -691,13 +683,14 @@ def resultant_x2(c_plus: BivarSym, c_minus: BivarSym) -> CPoly:
     Vandermonde powers past float range (from deg_bound = 1025 on, as
     for two antiholo sides of degree 23 or more whose top coefficients
     are not real) raise it from the sample count, before any allocation.
+    A Sylvester stack of more than MAX_SYLVESTER_ENTRIES floats raises
+    ValueError before it is built.
     """
     dp, dm = c_plus.x2_degree, c_minus.x2_degree
     if dp == 0 or dm == 0:
         raise DegenerateLeadingCoefficient("inputs must have positive x2-degree")
     for b in (c_plus, c_minus):
-        lead = b.x2_leading()
-        if np.abs(lead.coeffs).max() <= 1e-13 * max(1.0, np.abs(b.coeffs).max()):
+        if np.abs(b.coeffs[:, b.x2_degree]).max() <= 1e-13 * max(1.0, np.abs(b.coeffs).max()):
             raise DegenerateLeadingCoefficient("leading x2-coefficient vanishes identically")
     d1p = c_plus.coeffs.shape[0] - 1
     d1m = c_minus.coeffs.shape[0] - 1
@@ -711,6 +704,9 @@ def resultant_x2(c_plus: BivarSym, c_minus: BivarSym) -> CPoly:
     xs = 2.0 * np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
     with np.errstate(over="ignore", invalid="ignore"):
         vander = np.vander(xs, n, increasing=True)
+        if n * (dp + dm) ** 2 > MAX_SYLVESTER_ENTRIES:
+            raise ValueError(f"a Sylvester stack of {n} matrices of size {dp + dm} is above "
+                             f"the limit of {MAX_SYLVESTER_ENTRIES} entries")
         # the coefficients up to each x2-degree: zero columns past it
         # would make both Sylvester leads 0 and R vanish
         vals = np.linalg.det(_sylvester_matrices(np.array([c_plus.x2_poly(x) for x in xs])[:, : dp + 1],

@@ -187,18 +187,15 @@ class _Dopri5:
         self._stages = None
 
     def step(self, t_limit=None):
-        """Advance one accepted step (respecting t_limit); returns False
-        when the step would start beyond t_limit. Callers hold
-        ``np.errstate(over="ignore", invalid="ignore")``."""
+        """Advance one accepted step, shortened to end at t_limit if it
+        would pass it; a caller with a t_limit steps only while it lies
+        ahead. Callers hold ``np.errstate(over="ignore", invalid="ignore")``."""
         cfg = self.cfg
         f = self.f
         t, z, k1 = self.t, self.z, self.k1
         h = self.h
         if t_limit is not None:
-            remaining = (t_limit - t) * self.dir
-            if remaining <= 0:
-                return False
-            h = min(h, remaining)
+            h = min(h, (t_limit - t) * self.dir)
         for _ in range(120):
             hs = h * self.dir
             k2 = f(z + hs * (0 + _A21 * k1))
@@ -227,7 +224,7 @@ class _Dopri5:
                 self.t = t + hs
                 self.z = z_new
                 self.k1 = k7
-                return True
+                return
             factor = 0.9 * err_norm ** -0.2
             h = h * min(max(factor, 0.1), 1.0)
         raise StepUnderflow(f"step size underflow at t={t}, z={z}")
@@ -263,8 +260,7 @@ def integrate(field, z0, t_end, cfg: IntegratorConfig = DEFAULT_CONFIG) -> Traje
         rows = [(0.0, st.z.real, st.z.imag)]
         terminal = Terminal.TIME_REACHED
         for _ in range(INTEGRATE_STEPS):
-            if not st.step(t_limit=t_end):
-                break
+            st.step(t_limit=t_end)
             rows.append((st.t, st.z.real, st.z.imag))
             if abs(st.z) > BLOWUP_RADIUS:
                 terminal = Terminal.BLOWUP

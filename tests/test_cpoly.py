@@ -610,6 +610,34 @@ class TestResultant:
                 resultant_x2(cp, BivarSym(c))
             assert finite == (n <= 1025), n
 
+    @pytest.mark.parametrize("degrees, refused", [((2, 513), True), ((35, 16), False),
+                                                  ((37, 15), False)])
+    def test_sylvester_stack_refused_before_it_is_built(self, degrees, refused, monkeypatch):
+        # a quadratic beside a degree-513 polynomial gives divided
+        # differences of x2-degrees 1 and 512: 1025 sample points are
+        # allowed, but their stack of 1025 x 513 x 513 floats takes
+        # 2.2 GB. x2-degrees 34 and 15 (n = 1021) and 36 and 14 (n = 1009,
+        # the largest stack) come from sides solve_antiholo_pair accepts
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        monkeypatch.setattr(cpoly, "_sylvester_matrices", built)
+        rng = np.random.default_rng(61)
+        cp, cm = (divided_difference(np.concatenate([[0.0], rng.uniform(1, 2, d)])) for d in degrees)
+        with pytest.raises(ValueError if refused else Built):
+            resultant_x2(cp, cm)
+
+    def test_stack_limit_is_the_largest_pair_stack(self):
+        # n (dp + dm)^2 over the x2-degrees of sides up to MAX_PAIR_DEGREE
+        # whose n = 2 dp dm + 1 sample points pass the count refusal
+        d = pwcycles.MAX_PAIR_DEGREE
+        assert cpoly.MAX_SYLVESTER_ENTRIES == max(
+            (2 * dp * dm + 1) * (dp + dm) ** 2 for dp in range(1, d + 1) for dm in range(1, d + 1)
+            if 2 * dp * dm + 1 <= 1025)
+
 
 class TestRealRoots:
     def test_worked_example_roots(self):
@@ -722,7 +750,6 @@ def _np_real_roots(r):
     chain = [ck[::-1].tolist() for ck in _np_sturm_chain(c)]
     bound = _np_root_bound(c)
     poly = c[::-1].tolist()
-    deriv = _np_derivative(c)[::-1].tolist()
     lo, hi = -bound, bound
     eps = 1e-12 * bound
     while cpoly.horner(poly, lo) == 0.0:
@@ -736,7 +763,7 @@ def _np_real_roots(r):
             continue
         if n == 1:
             va = cpoly._sign_changes(chain, a)
-            out.append(cpoly._refine_root(poly, deriv, chain, a, b, va))
+            out.append(cpoly._bisect_root(chain, a, b, va))
             continue
         mid = 0.5 * (a + b)
         while cpoly.horner(poly, mid) == 0.0:

@@ -139,7 +139,7 @@ def test_real_roots_on_adversarial_square_free_inputs(c):
     # max(1e-12 max(1, |r|), 4 (n + 1) 2^-52 sum |c_k| |r|^k / |p'(r)|) of
     # the exact root r: the larger of the relative tolerance and the
     # root's condition bound, which governs the close pairs. The count
-    # bisection alone (_refine_root) meets both on these draws too. Left
+    # bisection alone (_bisect_root) meets both on these draws too. Left
     # out, as open defects of the float Sturm isolation that both share:
     # multiple roots, where the isolation can loop without end; units
     # past 2^+-3 or coefficients spanning more than 1e8, where the trim

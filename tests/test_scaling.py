@@ -3,7 +3,13 @@ coefficient scales exactly, so the same problem in other units must give
 the same answer: labels and multiplicities unchanged, pairs divided by
 s, multipliers unchanged. The relations that fail today (``real_roots``,
 ``solve_antiholo_pair``, ``solve_mixed_general``) are listed with their
-counts in ROADMAP's Open defects, not here."""
+counts in ROADMAP's Open defects, not here.
+
+The mirror w = -conj(z) (``TestMirror``, and for cubic portraits
+``test_classify_cubic_is_scale_and_mirror_free``) maps x to -x on the
+real axis and keeps each half-plane: it negates or conjugates every
+coefficient, and negation and conjugation commute with every rounding,
+fused multiply-add included, so its relations hold bit for bit."""
 
 import math
 
@@ -14,6 +20,8 @@ from holoflow import cpoly, pwcycles
 from holoflow.classify import classify_cubic
 from holoflow.cpoly import CPoly
 from holoflow.errors import UnclassifiedConfiguration
+from holoflow.odeint import IntegratorConfig, Outcome, Side, half_return_outcome, return_map
+from holoflow.potential import anti_holomorphic, holomorphic
 from holoflow.pwcycles import MixedLinearSpec, mixed_linear_pair, solve_mixed_linear_on_sigma
 from test_classify import GOLDEN
 
@@ -53,7 +61,8 @@ def _cubic_draws(count, rng):
 def test_classify_cubic_is_scale_and_mirror_free():
     # z = s w and t = tau / s^2 take z^3 + A1 z + A0 to w^3 + A1 s^-2 w +
     # A0 s^-3; conjugating the coefficients mirrors the portrait in the
-    # real axis
+    # real axis, and (conj A1, -conj A0), the mirror w = -conj(z) of
+    # TestMirror, mirrors it in the imaginary axis
     draws = [(complex(a1), complex(a0)) for _, a1, a0, _ in GOLDEN]
     draws += _cubic_draws(300, np.random.default_rng(14))
     labels = set()
@@ -61,6 +70,7 @@ def test_classify_cubic_is_scale_and_mirror_free():
         want = _portrait(a1, a0)
         labels.add(want and want[0])
         assert _portrait(a1.conjugate(), a0.conjugate()) == want, (a1, a0)
+        assert _portrait(a1.conjugate(), -a0.conjugate()) == want, (a1, a0)
         for s in SCALES:
             assert _portrait(a1 / s ** 2, a0 / s ** 3) == want, (a1, a0, s)
     assert labels >= set("abcdefghij")
@@ -115,3 +125,76 @@ def test_mixed_linear_pairs_divide_by_the_scale(s):
         assert (pwcycles._multiplier(scaled.as_piecewise(), *scaled_pair)
                 == pwcycles._multiplier(spec.as_piecewise(), *pair)), spec
     assert pairs > 100
+
+
+def _mirrored(coeffs):
+    """The coefficients -(-1)^k conj(c_k) of a side under w = -conj(z),
+    anti-holomorphic or holomorphic alike: zdot = p(z) becomes wdot =
+    -conj(p(-conj(w))), and zdot = conj(p(z)) becomes wdot =
+    -p(-conj(w)), the conjugate of a polynomial in w with them."""
+    return [complex(-c.real, c.imag) if k % 2 == 0 else complex(c.real, -c.imag)
+            for k, c in enumerate(coeffs)]
+
+
+class TestMirror:
+    @pytest.mark.parametrize("cfg", [IntegratorConfig(),
+                                     IntegratorConfig(rel_tol=1e-11, abs_tol=1e-11)],
+                             ids=["default", "1e-11"])
+    def test_half_return_landings_negate(self, cfg):
+        # degree 1-3 anti-holomorphic sides and linear holomorphic ones
+        # (standard complex normal coefficients), from x uniform in
+        # [-3, 3] into each half-plane, drawn until each kind lands 12
+        # times on each side: a start that lands at x' mirrors to one
+        # that lands at -x', to the bit. Non-landing outcomes may differ,
+        # since the trap discs' centres are eigenvalues, which do not
+        # mirror bit for bit
+        rng = np.random.default_rng(17)
+        landed = dict.fromkeys([(holo, side) for holo in (False, True) for side in Side], 0)
+        draws = 0
+        while min(landed.values()) < 12:
+            draws += 1
+            assert draws <= 2000, landed
+            holo = draws % 4 == 0
+            degree = 1 if holo else int(rng.integers(1, 4))
+            coeffs = (rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)).tolist()
+            make = holomorphic if holo else anti_holomorphic
+            x = float(rng.uniform(-3.0, 3.0))
+            for side in Side:
+                outcome, landing = half_return_outcome(make(coeffs), x, side, cfg)
+                mirror, mirror_landing = half_return_outcome(make(_mirrored(coeffs)), -x, side, cfg)
+                assert (mirror is Outcome.LANDED) == (outcome is Outcome.LANDED), (coeffs, x, side)
+                if landing is not None:
+                    assert mirror_landing.hex() == (-landing).hex(), (coeffs, x, side)
+                    landed[holo, side] += 1
+
+    def test_mixed_linear_pairs_and_verdicts(self):
+        # criterion 3's draws, validated until 20 are confirmed: (a1, a2,
+        # b1, b2, a, b, x0) mirrors to (a1, -a2, -b1, b2, a, -b, -x0), the
+        # pair (x1, x2) to (-x2, -x1), and the verdict, its reason and the
+        # multiplier stay the same floats (_multiplier forms the same two
+        # ratios in the other order). The mirrored validation's return
+        # map starts at -x2, so it is the original map from x2, negated
+        rng = np.random.default_rng(2024)
+        verdicts = dict.fromkeys(pwcycles.Verified, 0)
+        while verdicts[pwcycles.Verified.NUMERICALLY_CONFIRMED] < 20:
+            a1, a2, b1 = rng.uniform(-2, 2, 3)
+            a = rng.uniform(-1.2, 1.2)
+            b = rng.uniform(0.2, 1.5) * rng.choice([-1.0, 1.0])
+            if abs(a2) < 0.1 or abs(a) < 0.05 or abs(a * math.pi / b) > 4.0:
+                continue
+            b2 = math.copysign(rng.uniform(0.2, 2.0), a)
+            spec = MixedLinearSpec(a1, a2, b1, b2, a, b, x0=0.0)
+            mirror = MixedLinearSpec(a1, -a2, -b1, b2, a, -b, x0=-0.0)
+            pw, mirror_pw = spec.as_piecewise(), mirror.as_piecewise()
+            x1, x2 = mixed_linear_pair(spec)
+            assert mixed_linear_pair(mirror) == (-x2, -x1)
+            landing, mirror_landing = return_map(pw, x2), return_map(mirror_pw, -x2)
+            assert (mirror_landing is None) == (landing is None), spec
+            if landing is not None:
+                assert mirror_landing.hex() == (-landing).hex(), spec
+            c, = pwcycles._candidates(pw, [(x1, x2)], True)
+            m, = pwcycles._candidates(mirror_pw, [(-x2, -x1)], True)
+            assert (m.verified, m.reason, m.stability) == (c.verified, c.reason, c.stability), spec
+            assert m.multiplier == c.multiplier, spec
+            verdicts[c.verified] += 1
+        assert verdicts[pwcycles.Verified.REJECTED] >= 20, verdicts
