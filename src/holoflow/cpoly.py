@@ -48,7 +48,8 @@ class CPoly:
     Trailing (highest-degree) coefficients that are exactly zero are
     trimmed so that ``degree == len(coeffs) - 1`` and the leading
     coefficient of a nonzero polynomial is nonzero. An empty coefficient
-    list raises ValueError: the zero polynomial is ``CPoly([0])``.
+    list raises ValueError: the zero polynomial is ``CPoly([0])``, and a
+    coefficient that is not finite raises NonConvergence.
     """
 
     __slots__ = ("coeffs", "_scalar")
@@ -61,6 +62,8 @@ class CPoly:
         while n > 1 and c[n - 1] == 0:
             n -= 1
         c = c[:n].copy()
+        if not all(map(cmath.isfinite, c.tolist())):
+            raise NonConvergence("a polynomial coefficient is not finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -122,10 +125,12 @@ class CPoly:
         return acc if acc.shape else complex(acc)
 
     def derivative(self):
+        """p'; NonConvergence, with no warning, past float range."""
         if self.degree == 0:
             return CPoly([0.0])
         k = np.arange(1, self.degree + 1)
-        return CPoly(self.coeffs[1:] * k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return CPoly(self.coeffs[1:] * k)
 
     def antiderivative(self):
         """Term-by-term primitive with zero constant term."""
@@ -303,15 +308,16 @@ def roots(p: CPoly) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         points = list(_approx_roots(p.coeffs))
         floor = min(1.0, max(map(abs, points)))
-        # horners[k] evaluates derivatives[k], the k-th derivative of p
-        derivatives, horners = [p], [_scalar_horner(p.scalar_view[0])]
+        # horners[k] evaluates the k-th derivative of p, its coefficients d
+        # built as CPoly.derivative() does, but kept past float range
+        d, horners = p.coeffs, [_scalar_horner(p.scalar_view[0])]
         refined = []
         for z0, m in _cluster(points, floor):
             # an m-fold root of p is a simple root of the (m-1)-th
             # derivative q: polish the cluster mean with Newton on q
-            while len(derivatives) <= m:
-                derivatives.append(derivatives[-1].derivative())
-                horners.append(_scalar_horner(derivatives[-1].scalar_view[0]))
+            while len(horners) <= m:
+                d = d[1:] * np.arange(1, len(d))
+                horners.append(_scalar_horner(tuple(d[::-1].tolist())))
             q, dq = horners[m - 1], horners[m]
             z = z0
             for _ in range(3):
@@ -373,14 +379,12 @@ def _polydiv(num, den):
 def _trim_real(c):
     """The ascending floats c as a list with every entry of modulus at or
     below 1e-13 of the largest set to 0.0 and trailing zeros dropped;
-    [0.0] when that largest modulus is 0. A NaN entry makes the largest
-    modulus NaN, as numpy's max would (Python's skips a NaN past the
-    first entry), and then no entry is zeroed; an inf entry without one
-    zeroes every entry."""
+    [0.0] when that largest modulus is 0. Raises NonConvergence when an
+    entry is not finite: a Sturm chain member past float range."""
+    if not all(map(math.isfinite, c)):
+        raise NonConvergence("a Sturm chain coefficient is not finite")
     mags = list(map(abs, c))
     scale = max(mags, default=0.0)
-    if math.isnan(sum(mags)):
-        scale = math.nan
     if scale == 0.0:
         return [0.0]
     tol = 1e-13 * scale
@@ -398,7 +402,8 @@ def _derivative(c):
 
 def _sturm_chain(c):
     """Canonical Sturm chain of the ascending floats c, as ascending
-    lists; terminates at the (approximate) gcd."""
+    lists; terminates at the (approximate) gcd. Each member passes
+    _trim_real, which refuses one past float range."""
     chain = [_trim_real(c)]
     d = chain[0]
     if len(d) > 1:
@@ -451,21 +456,17 @@ def real_roots(r: CPoly):
     count also moves at an even-multiplicity root, where r keeps its
     sign and Newton has no bracket. The trimmed polynomial, its
     derivative, the root bound and the chain are built on Python float
-    lists, with the
-    IEEE double operations and their order of numpy array code: small
-    entries are zeroed against the largest modulus, which is NaN when a
-    chain remainder holds a NaN (as numpy's max propagates it), so no
-    entry is zeroed then. Every evaluation runs Horner (``horner``, or
-    its loop inlined in ``_sign_changes``) on descending lists. Each
+    lists, with the IEEE double operations and their order of numpy
+    array code: small entries are zeroed against the largest modulus.
+    Every evaluation runs Horner (``horner``, or its loop inlined in
+    ``_sign_changes``) on descending lists. Each
     interval on the isolation stack carries the Sturm counts at its two
     ends, so a split evaluates the chain at its midpoint only and the
     bisection of an isolated root starts from the count at its left end.
     Raises IdenticallyZero for the zero polynomial, and NonConvergence
-    for a coefficient that is not finite or for an interval whose count
+    for a chain member past float range or for an interval whose count
     is negative: the float chain contradicts itself there.
     """
-    if not all(map(cmath.isfinite, r.coeffs.tolist())):
-        raise NonConvergence("real_roots needs finite coefficients")
     c = _trim_real(r.real_coeffs().tolist())
     if len(c) == 1:
         if c[0] == 0.0:
@@ -561,11 +562,12 @@ def _bisect_root(chain, a, b, va):
     """The root in (a, b] by bisection on the Sturm count of chain,
     descending float lists, va being its sign changes at a: the midpoint
     of the last bracket, once a bracket is at most 1e-14 max(1, |a|, |b|)
-    wide or after 80 halvings. The path of a polynomial with a multiple
-    root, where the count also moves at an even-multiplicity root that
-    keeps the polynomial's sign, and of a root that _newton_root does not
-    certify."""
-    for _ in range(80):
+    wide. The path of a polynomial with a multiple root, where the count
+    also moves at an even-multiplicity root that keeps the polynomial's
+    sign, and of a root that _newton_root does not certify."""
+    # a finite bracket is at most 2 DBL_MAX wide and the stop at least
+    # 1e-14: log2(2 DBL_MAX / 1e-14) = 1071.5 halvings reach it
+    for _ in range(1072):
         if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
             break
         mid = 0.5 * (a + b)

@@ -8,7 +8,8 @@ class HoloflowError(Exception):
 # --- polynomial layer ---------------------------------------------------
 
 class NonConvergence(HoloflowError):
-    """Simultaneous root iteration failed to reach tolerance."""
+    """Simultaneous root iteration failed to reach tolerance, or a
+    polynomial coefficient or an intermediate value passed float range."""
 
 
 class DegenerateLeadingCoefficient(HoloflowError):

@@ -315,7 +315,7 @@ def crossing_transversality(spec, x) -> Crossing:
 def _trap_discs(spec, s, cfg):
     """Forward-invariant discs (z_e, r), clear of the axis, around the
     simple attracting equilibria of a holomorphic field on side s; ()
-    when a coefficient is not finite or the equilibria cannot be found.
+    when the equilibria cannot be found.
 
     With lambda = p'(z_e), Re lambda < 0, and c_k the Taylor
     coefficients of p at z_e, V = |z - z_e|^2 satisfies
@@ -329,8 +329,6 @@ def _trap_discs(spec, s, cfg):
     raises; callers hold ``np.errstate(over="ignore", invalid="ignore")``.
     """
     p = spec.p
-    if not np.all(np.isfinite(p.coeffs)):
-        return ()
     if p.degree == 1:
         # closed form: no eigenvalue solve for the linear sides
         equilibria = [complex(-p.coeffs[0] / p.coeffs[1])]
@@ -363,8 +361,8 @@ def _trap_discs(spec, s, cfg):
 def _saddle_escape(spec, s, cfg):
     """Test z -> ESCAPED or None for an anti-holomorphic field of degree
     1 on side s: ESCAPED when the orbit through z provably never returns
-    to the axis. None instead of a test when the coefficients or the
-    saddle are not finite.
+    to the axis. None instead of a test when the saddle is not within
+    the blow-up radius.
 
     With c1 = |c1| e^{i phi} and z_e = -c0/c1, zeta = (z - z_e) e^{i phi/2}
     = xi + i eta obeys zeta' = |c1| conj(zeta), so with sigma = e^{|c1| t}
@@ -382,8 +380,6 @@ def _saddle_escape(spec, s, cfg):
     raises.
     """
     c1, c0 = spec.p.scalar_view[0]
-    if not (cmath.isfinite(c0) and cmath.isfinite(c1)):
-        return None
     ze = -c0 / c1
     # as for the trap discs, |Re|, |Im| < 1e12 keep |z_e| finite
     if not (abs(ze.real) < BLOWUP_RADIUS and abs(ze.imag) < BLOWUP_RADIUS):
@@ -410,8 +406,7 @@ def _level_escape(spec, cfg):
     """Test z -> ESCAPED or None for an anti-holomorphic field of degree
     d >= 2: ESCAPED when the first integral proves that the orbit
     through z never reaches the axis again. None instead of a test when
-    a coefficient is not finite or the leading coefficient of Omega is
-    real.
+    the leading coefficient of Omega is real.
 
     Along zdot = conj(p), Omega = int p with Omega(0) = 0 has
     dOmega/dt = p conj(p) = |p|^2 >= 0, so Im Omega is constant and
@@ -431,8 +426,6 @@ def _level_escape(spec, cfg):
     root finding, and never raises.
     """
     p = spec.p.scalar_view[0][::-1]
-    if not all(cmath.isfinite(c) for c in p):
-        return None
     omega = [0j] + [c / k for k, c in enumerate(p, 1)]
     n = len(omega) - 1
     lead = abs(omega[n].imag)

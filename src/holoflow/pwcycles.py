@@ -26,7 +26,6 @@ MATCH_WIDTH, a pair degenerates at 1e-9 and repeats another at 1e-8
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import sys
@@ -264,8 +263,9 @@ def solve_mixed_linear_on_sigma(spec: MixedLinearSpec, validate=True):
     Raises CenterContinuum when a = 0 and the matching equations admit a
     crossing pair (period annulus: closed orbits, none isolated). The
     first-integral multiplier of a confirmed cycle equals exp(a*pi/|b|)
-    up to rounding. Raises
-    HypothesisViolation when the pair passes float range.
+    up to rounding. Raises HypothesisViolation when the pair passes float
+    range, and NonConvergence when the lower side's constant -(a+ib) x0
+    does.
     """
     if spec.a2 == 0.0 or spec.b == 0.0:
         raise HypothesisViolation("mixed linear solver requires a2 != 0 and b != 0")
@@ -467,11 +467,7 @@ MAX_PAIR_DEGREE = 36
 
 def crossing_pair_polynomial(spec: SystemSpec) -> cpoly.BivarSym:
     """The symmetric divided-difference polynomial c(x1, x2) of one
-    anti-holomorphic side: (psi(x1,0) - psi(x2,0)) / (x1 - x2).
-    Raises NonConvergence when a coefficient is not finite."""
-    if not all(map(cmath.isfinite, spec.p.coeffs.tolist())):
-        # a NaN would otherwise read as "no crossing pair"
-        raise NonConvergence("sides must have finite coefficients")
+    anti-holomorphic side: (psi(x1,0) - psi(x2,0)) / (x1 - x2)."""
     rep = build_potential(spec)
     psi_axis = rep.poly_part.coeffs.imag
     return cpoly.divided_difference(psi_axis)
@@ -493,12 +489,11 @@ def solve_antiholo_pair(spec: PiecewiseSpec, validate=True):
     determinant's own scale max|c_up|^dm * max|c_lo|^dp (dp, dm the
     x2-degrees of c_up, c_lo), DegreeUnsupported for constant sides,
     ValueError for a side degree above MAX_PAIR_DEGREE and
-    NonConvergence when a coefficient is not finite, when that scale
-    passes float range, or when a coefficient of R does (as for two
-    sides of degree 23 or more whose top coefficients are not real: the
-    Vandermonde powers of R's 2d^2 + 1 sample points in (-2, 2) pass
-    float range, and resultant_x2 raises before it builds the Sylvester
-    stack).
+    NonConvergence when that scale passes float range, or when a
+    coefficient of R does (as for two sides of degree 23 or more whose
+    top coefficients are not real: the Vandermonde powers of R's
+    2d^2 + 1 sample points in (-2, 2) pass float range, and resultant_x2
+    raises before it builds the Sylvester stack).
     """
     for side in (spec.upper, spec.lower):
         if side.kind is not SystemKind.ANTI_HOLOMORPHIC:

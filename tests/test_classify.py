@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from holoflow.classify import (
     infinity_equilibria,
 )
 from holoflow.cpoly import CPoly
-from holoflow.errors import MultipleRoot, UnclassifiedConfiguration, ZeroAlpha
+from holoflow.errors import MultipleRoot, NonConvergence, UnclassifiedConfiguration, ZeroAlpha
 
 # the ten reference cubics z^3 + A1 z + A0 and their portraits:
 # label, A1, A0, (center, sepal, alpha-omega) region counts
@@ -117,6 +118,15 @@ class TestEulerJacobi:
     def test_multiple_root_raises(self):
         with pytest.raises(MultipleRoot):
             euler_jacobi_residual(CPoly([2, -3, 0, 1]))
+
+    @pytest.mark.parametrize("call", [classify_equilibria, euler_jacobi_residual])
+    def test_derivative_past_float_range_raises(self, call):
+        # p' = 2e308 z + 1e308 is not finite; this used to warn, then give
+        # UnclassifiedConfiguration or a residual of nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence):
+                call(CPoly([1e308, 1e308, 1e308]))
 
 
 class TestInfinity:

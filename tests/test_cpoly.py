@@ -1,5 +1,6 @@
 import math
 import signal
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from holoflow.cpoly import (
 )
 from holoflow import pwcycles
 from holoflow.errors import DegenerateLeadingCoefficient, IdenticallyZero, NonConvergence
-from holoflow.potential import anti_holomorphic
+from holoflow.potential import anti_holomorphic, holomorphic
 
 S33 = math.sqrt(33.0)
 
@@ -146,6 +147,40 @@ class TestHorner:
         z = 0.25 - 1.5j
         assert cpoly.horner(descending, z) == (0.5j * z + (3 - 1j)) * z + (1 + 2j)
         assert cpoly.horner((2.0,), z) == 2.0
+
+
+class TestFiniteCoefficients:
+    """Every CPoly holds finite coefficients: the constructor refuses the
+    rest, whoever builds the polynomial."""
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(1.0, math.nan),
+                                     complex(math.inf, 0.0), complex(-math.inf, 1.0),
+                                     complex(0.0, math.inf), complex(2.0, -math.inf)])
+    @pytest.mark.parametrize("make", [CPoly, holomorphic, anti_holomorphic])
+    def test_constructor_refuses(self, make, bad, k):
+        coeffs = [1.0, 2j, 0.5 - 1j]
+        coeffs[k] = bad
+        with pytest.raises(NonConvergence):
+            make(coeffs)
+
+    def test_overflowing_product_of_roots_is_refused(self):
+        with pytest.raises(NonConvergence):
+            CPoly.from_roots([1e200, -1e200])
+
+    def test_overflowing_derivative_is_refused_without_warning(self):
+        # 2 * 1e308 passes float range; the refusal is the only signal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence):
+                CPoly([1e308, 1e308, 1e308]).derivative()
+
+    def test_roots_keep_their_floats_past_a_derivative_overflow(self):
+        # the Newton polish's derivative 2e308 z + 1e308 passes float
+        # range, and the roots are the parent's floats
+        got = [(z.real.hex(), z.imag.hex(), m) for z, m in roots(CPoly([1e308] * 3))]
+        assert got == [("-0x1.0000000000000p-1", "-0x1.bb67ae8584ca9p-1", 1),
+                       ("-0x1.0000000000000p-1", "0x1.bb67ae8584ca9p-1", 1)]
 
 
 class TestCalculus:
@@ -671,6 +706,20 @@ class TestRealRoots:
         with pytest.raises(NonConvergence):
             real_roots(CPoly([1.0, 1.0, bad]))
 
+    @pytest.mark.parametrize("c", [[-1e308, 0.0, 1e308], [1e300, -3e300, -1e308, 1e308]])
+    def test_overflowing_chain_raises(self, c):
+        # the real roots are +-1, and about -1.0e-4, 1.0e-4 and 1 + 2e-8
+        # (tests/exact.py); the derivative passes float range, and it used
+        # to trim to 0 and read as "no real roots"
+        with pytest.raises(NonConvergence, match="Sturm chain"):
+            real_roots(CPoly(c))
+
+    def test_bisection_reaches_its_width_from_any_bracket(self):
+        # x^2 (x^2 + 1e12): the double root 0 bisects from (-bound, bound],
+        # bound about 1e12; 80 halvings used to stop at -8.27e-13
+        got = real_roots(CPoly([0.0, 0.0, 1e12, 0.0, 1.0]))
+        assert len(got) == 1 and abs(got[0]) <= 1e-14
+
     def test_negative_sturm_count_raises(self):
         # the float chain counts 4 sign changes at -bound and 5 at +bound;
         # the count -1 used to split without end and grow the isolation
@@ -709,6 +758,10 @@ def _np_polydiv(num, den):
 
 def _np_trim_real(c):
     c = np.asarray(c, dtype=float)
+    # the one rule added since the freeze: a member past float range is
+    # refused, not trimmed against an inf or NaN scale
+    if not np.all(np.isfinite(c)):
+        raise NonConvergence("a Sturm chain coefficient is not finite")
     scale = np.max(np.abs(c)) if len(c) else 0.0
     if scale == 0.0:
         return np.zeros(1)
@@ -785,8 +838,8 @@ def _sturm_draws(rng):
     of multiplicity up to 3 (degree up to 12) at scales 10**U(-290, 290);
     degree 0-12 with each coefficient at its own scale from 1e-300 to
     1e300 and a fifth of them exact zeros; and degree 2-12 within 1e12
-    of each other at scales 10**U(296, 308), where a chain remainder
-    with a small leading coefficient overflows to inf and then NaN."""
+    of each other at scales 10**U(296, 308), where a derivative or a
+    chain remainder with a small leading coefficient overflows."""
     draws = []
     for _ in range(150):
         k = int(rng.integers(1, 5))
@@ -811,18 +864,21 @@ class TestSturmSameFloats:
 
     def test_sturm_helpers_match_numpy(self):
         rng = np.random.default_rng(20261019)
-        non_finite = {"inf": 0, "nan": 0}
+        refused = 0
         for c in _sturm_draws(rng):
-            with np.errstate(all="ignore"):
-                want = _np_sturm_chain(c)
-                trimmed = _np_trim_real(c)
+            trimmed = _np_trim_real(c)
             assert _hexes(cpoly._trim_real(c.tolist())) == _hexes(trimmed)
+            try:
+                with np.errstate(all="ignore"):
+                    want = _np_sturm_chain(c)
+            except NonConvergence:
+                with pytest.raises(NonConvergence):
+                    cpoly._sturm_chain(c.tolist())
+                refused += 1
+                continue
             got = cpoly._sturm_chain(c.tolist())
             assert [_hexes(ck) for ck in got] == [_hexes(ck) for ck in want]
-            flat = np.concatenate(want)
-            non_finite["inf"] += bool(np.isinf(flat).any())
-            non_finite["nan"] += bool(np.isnan(flat).any())
-            if len(trimmed) > 1 and np.all(np.isfinite(trimmed)):
+            if len(trimmed) > 1:
                 t = trimmed.tolist()
                 with np.errstate(all="ignore"):
                     assert cpoly._root_bound(t).hex() == _np_root_bound(trimmed).hex()
@@ -830,18 +886,21 @@ class TestSturmSameFloats:
                     want_q, want_r = _np_polydiv(trimmed, _np_trim_real(_np_derivative(trimmed)))
                 got_q, got_r = cpoly._polydiv(t, cpoly._trim_real(cpoly._derivative(t)))
                 assert (_hexes(got_q), _hexes(got_r)) == (_hexes(want_q), _hexes(want_r))
-        # the sweep reaches chains that overflow to inf and to NaN
-        assert non_finite["inf"] >= 5 and non_finite["nan"] >= 5, non_finite
+        # the sweep reaches chains that pass float range, each refused
+        assert refused >= 5, refused
 
     @pytest.mark.parametrize("c", [
         [1e-20, math.nan, 5.0], [5.0, 1e-20, math.nan, 0.0], [math.nan, 1e-20, -0.0, 2.0],
         [1e-20, math.inf, 3.0], [-0.0, 2.0, -0.0], [0.0, -0.0], [1e-300, 3.0, -math.inf, math.nan],
     ])
     def test_trim_decides_as_numpy_max(self, c):
-        # Python's max skips a NaN past the first entry, numpy's returns it
-        with np.errstate(all="ignore"):
-            want = _np_trim_real(c)
-        assert _hexes(cpoly._trim_real(c)) == _hexes(want)
+        # an entry that is not finite is refused, not trimmed against a
+        # NaN or inf scale
+        if not all(map(math.isfinite, c)):
+            with pytest.raises(NonConvergence):
+                cpoly._trim_real(c)
+            return
+        assert _hexes(cpoly._trim_real(c)) == _hexes(_np_trim_real(c))
 
     def test_real_roots_match_frozen_count(self):
         # the carried Sturm counts and the Newton polish find as many

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import time
@@ -63,9 +64,12 @@ def _budget(steps, name="HALF_RETURN_STEPS"):
     return mock.patch.object(odeint, name, steps)
 
 
-def _non_finite_quadratic_pair():
-    """A quadratic pair whose upper side has an infinite coefficient."""
-    upper = anti_holomorphic([0.1, 0.2j, complex(0.5, math.inf)])
+def _overflowing_quadratic_pair():
+    """A quadratic pair with finite coefficients whose upper vertical
+    velocity passes float range at x = 0.5, -0.5, 2.0 and -2.0: the
+    Horner step c2 x + c1 overflows in the real part for x > 0 and in
+    the imaginary part for x < 0."""
+    upper = anti_holomorphic([0.1, complex(1.7e308, 1.7e308), complex(1.7e308, -1.7e308)])
     lower = anti_holomorphic([-0.1, 0.3, 0.5 + 0.5j])
     return PiecewiseSpec(upper, lower)
 
@@ -227,21 +231,25 @@ class TestReturnMap:
         assert up * lo < 0
         assert return_map(pw, 2.0) is None
 
-    @pytest.mark.parametrize("x", [0.0, 0.5, -0.5, 2.0])
+    @pytest.mark.parametrize("x", [-2.0, 0.5, -0.5, 2.0])
     def test_non_finite_field_is_not_entering(self, x):
-        # the upper vertical velocity is NaN: no warning, and no NaN
-        # field is integrated
+        # the upper vertical velocity passes float range: no warning, and
+        # no non-finite field is integrated
+        pw = _overflowing_quadratic_pair()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not math.isfinite(pw.upper.velocity(x).imag)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            outcome = return_map_outcome(_non_finite_quadratic_pair(), x)
+            outcome = return_map_outcome(pw, x)
         assert outcome == (Outcome.NOT_ENTERING, None)
 
     def test_infinite_velocity_is_not_entering(self):
-        # both fields point up, the upper one at infinite speed: a
-        # tangency, not a crossing whose orbit steps until it underflows
-        pw = PiecewiseSpec(anti_holomorphic([complex(0.0, -math.inf), 1.0]),
+        # both fields point up, the upper one at a speed past float range:
+        # a tangency, not a crossing whose orbit steps until it underflows
+        pw = PiecewiseSpec(anti_holomorphic([complex(0.0, -1.7e308), -1.7e308j]),
                            anti_holomorphic([-1j, 1.0]))
-        assert pw.upper.velocity(0.5).imag == math.inf
+        with np.errstate(over="ignore"):
+            assert pw.upper.velocity(0.5).imag == math.inf
         assert return_map_outcome(pw, 0.5) == (Outcome.NOT_ENTERING, None)
 
 
@@ -441,7 +449,8 @@ class TestScalarField:
         assert set(vars(spec)) == {"kind", "p"}
 
     @settings(max_examples=200, deadline=None)
-    @given(coeffs=st.lists(st.complex_numbers(allow_nan=False), min_size=1, max_size=7),
+    @given(coeffs=st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=7),
            points=st.lists(st.complex_numbers(allow_nan=False), max_size=8),
            make=st.sampled_from([holomorphic, anti_holomorphic]))
     # degree 0 goes through the same loop with no products
@@ -464,8 +473,9 @@ class TestScalarField:
 
     def test_seeded_sweep_is_bit_identical(self):
         """51,200 evaluations from a fixed seed: degree 0 to 7, both
-        kinds, parts of magnitude up to 1e+-150, signed zeros, inf, NaN
-        and subnormals, through two fields of one spec called in turn.
+        kinds, parts of magnitude up to 1e+-150, signed zeros and
+        subnormals, and inf and NaN in the points (a CPoly's coefficients
+        are finite), through two fields of one spec called in turn.
         A field whose product writes into one of its own inputs rounds
         differently and fails here."""
         rng = np.random.default_rng(20261018)
@@ -477,11 +487,11 @@ class TestScalarField:
                         top_exp = rng.choice([0.5, 3.0, 20.0, 150.0])
                         special = rng.choice([0.0, 0.05, 0.25])
 
-                        def draw():
-                            return complex(_sweep_part(rng, top_exp, special),
-                                           _sweep_part(rng, top_exp, special))
+                        def draw(parts=_SPECIAL_PARTS):
+                            return complex(_sweep_part(rng, top_exp, special, parts),
+                                           _sweep_part(rng, top_exp, special, parts))
 
-                        spec = make([draw() for _ in range(degree + 1)])
+                        spec = make([draw(_FINITE_PARTS) for _ in range(degree + 1)])
                         fields = (spec.scalar_field(), spec.scalar_field())
                         for k in range(32):
                             z = draw()
@@ -506,15 +516,15 @@ class TestScalarField:
                         top_exp = rng.choice([0.5, 3.0, 20.0, 150.0])
                         special = rng.choice([0.05, 0.25, 0.5])
 
-                        def draw():
-                            return complex(_sweep_part(rng, top_exp, special),
-                                           _sweep_part(rng, top_exp, special))
+                        def draw(parts=_SPECIAL_PARTS):
+                            return complex(_sweep_part(rng, top_exp, special, parts),
+                                           _sweep_part(rng, top_exp, special, parts))
 
-                        coeffs = [draw() for _ in range(degree - 1)]
+                        coeffs = [draw(_FINITE_PARTS) for _ in range(degree - 1)]
                         if rng.random() < 0.5:
                             second = complex(*rng.choice([0.0, -0.0], size=2))
                         else:
-                            second = draw()
+                            second = draw(_FINITE_PARTS)
                         spec = make(coeffs + [second, 1 + 0j])
                         fields = (spec.scalar_field(), spec.scalar_field())
                         for k in range(32):
@@ -550,17 +560,18 @@ class TestScalarField:
         assert len(calls) == products
 
 
-# parts that a seeded draw picks now and then
-_SPECIAL_PARTS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
-                  2.2250738585072014e-308)
+# parts that a seeded draw picks now and then: the finite ones for
+# coefficients, all of them for points
+_FINITE_PARTS = (0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308)
+_SPECIAL_PARTS = _FINITE_PARTS + (math.inf, -math.inf, math.nan)
 
 
-def _sweep_part(rng, top_exp, special):
-    """One float part: with probability special one of _SPECIAL_PARTS,
-    else a subnormal one time in ten, else a signed value of magnitude
-    10**u, u uniform in [-top_exp, top_exp]."""
+def _sweep_part(rng, top_exp, special, parts):
+    """One float part: with probability special one of parts, else a
+    subnormal one time in ten, else a signed value of magnitude 10**u, u
+    uniform in [-top_exp, top_exp]."""
     if rng.random() < special:
-        return _SPECIAL_PARTS[rng.integers(len(_SPECIAL_PARTS))]
+        return parts[rng.integers(len(parts))]
     if rng.random() < 0.1:
         return float(rng.uniform(-1.0, 1.0)) * 2.0 ** -1022
     return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-top_exp, top_exp))
@@ -614,11 +625,10 @@ class TestTrapCertificate:
             assert np.all((np.conj(w) * spec.velocity(z_e + w)).real < 0)
 
     @pytest.mark.parametrize("coeffs", [[complex("nan"), 1j], [1.0, complex("nan"), 1j]])
-    def test_nan_coefficient_changes_nothing(self, monkeypatch, coeffs):
-        spec = holomorphic(coeffs)
-        certified = half_return_outcome(spec, 0.5, Side.LOWER)
-        _uncertified(monkeypatch)
-        assert half_return_outcome(spec, 0.5, Side.LOWER) == certified
+    def test_nan_coefficient_changes_nothing(self, coeffs):
+        # a side holds finite coefficients: there is nothing to certify
+        with pytest.raises(NonConvergence):
+            holomorphic(coeffs)
 
     def test_failing_roots_change_nothing(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -731,12 +741,10 @@ class TestEscapeCertificate:
 
     @pytest.mark.parametrize("coeffs", [[complex("nan"), 1j], [1.0 - 1j, complex("nan")],
                                         [1.0 - 1j, complex(0.0, math.inf)]])
-    def test_non_finite_coefficient_changes_nothing(self, monkeypatch, coeffs):
-        spec = anti_holomorphic(coeffs)
-        assert odeint._saddle_escape(spec, 1.0, odeint.DEFAULT_CONFIG) is None
-        certified = half_return_outcome(spec, 0.5, Side.UPPER)
-        _uncertified(monkeypatch)
-        assert half_return_outcome(spec, 0.5, Side.UPPER) == certified
+    def test_non_finite_coefficient_changes_nothing(self, coeffs):
+        # a side holds finite coefficients: there is nothing to certify
+        with pytest.raises(NonConvergence):
+            anti_holomorphic(coeffs)
 
     @pytest.mark.parametrize("spec", [
         holomorphic([1.0 - 1j, 2j]),
@@ -945,6 +953,11 @@ class TestLevelEscape:
         [1.0, complex(-math.inf, 1.0), 1.0, 0.5j],
     ], ids=["real-lead-2", "real-lead-3", "nan", "inf-lead", "inf-middle"])
     def test_no_certificate(self, monkeypatch, coeffs):
+        if not all(map(cmath.isfinite, coeffs)):
+            # a side holds finite coefficients: there is nothing to certify
+            with pytest.raises(NonConvergence):
+                anti_holomorphic(coeffs)
+            return
         spec = anti_holomorphic(coeffs)
         assert odeint._level_escape(spec, odeint.DEFAULT_CONFIG) is None
         assert odeint._certificate(spec, 1.0, odeint.DEFAULT_CONFIG) is None

@@ -165,6 +165,11 @@ class TestBuildPotential:
         got = sorted((q.real, r.real) for r, q in rep.log_terms)
         assert got == pytest.approx([(-1e-4, -5000.0), (1e-4, 5000.0)], rel=1e-12)
 
+    def test_non_finite_coefficient_raises(self):
+        # this used to give a NaN potential
+        with pytest.raises(NonConvergence):
+            build_potential(anti_holomorphic([math.nan, 1.0]))
+
     def test_non_finite_principal_part_raises(self):
         # 1e-320 z^3: the residue 1e320 passes float range
         with pytest.raises(NonConvergence):
@@ -189,25 +194,29 @@ def _numpy_crossing_sign(spec, x):
     return 1 if v > 0 else -1
 
 
-# signed zeros, subnormals, the ends of float range, inf and NaN
-_SPECIAL_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1e-300, 1e300,
-                  -1e300, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+# signed zeros, subnormals and the ends of float range; x also takes
+# inf and NaN
+_FINITE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1e-300, 1e300,
+                 -1e300, 1.7e308, -1.7e308]
+_SPECIAL_PARTS = _FINITE_PARTS + [math.inf, -math.inf, math.nan]
 
 
-def _adversarial_part(rng):
+def _adversarial_part(rng, special=_SPECIAL_PARTS):
     u = rng.random()
     if u < 0.6:
         return rng.gauss(0.0, 1.0)
     if u < 0.8:
-        return rng.choice(_SPECIAL_PARTS)
+        return rng.choice(special)
     return rng.choice([1.0, -1.0]) * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-323, 307)
 
 
 def _adversarial_draw(rng):
     """(spec, x) with degree 0-7, either kind, and parts drawn from
-    ordinary, special and float-range-wide values."""
+    ordinary, special and float-range-wide values: finite ones for the
+    coefficients, which a CPoly requires, whose velocity can still pass
+    float range, and inf and NaN as well for x."""
     kind = rng.choice(list(SystemKind))
-    coeffs = [complex(_adversarial_part(rng), _adversarial_part(rng))
+    coeffs = [complex(_adversarial_part(rng, _FINITE_PARTS), _adversarial_part(rng, _FINITE_PARTS))
               for _ in range(rng.randint(1, 8))]
     x = rng.uniform(-3.0, 3.0) if rng.random() < 0.5 else _adversarial_part(rng)
     return SystemSpec(kind, CPoly(coeffs)), x
@@ -240,15 +249,20 @@ class TestCrossingSign:
         rng = random.Random(20261019)
         seen = {-1: 0, 0: 0, 1: 0}
         diffs = []
+        non_finite = 0
         for i in range(60_000):
             spec, x = (_threshold_draw if i % 4 == 0 else _adversarial_draw)(rng)
             got, want = spec.crossing_sign(x), _numpy_crossing_sign(spec, x)
             seen[want] += 1
             if got != want and len(diffs) < 5:
                 diffs.append((spec, x, got, want))
+            with np.errstate(over="ignore", invalid="ignore"):
+                non_finite += not math.isfinite(spec.velocity(complex(x, 0.0)).imag)
         assert diffs == []
-        # every decision is drawn often, tangencies included
+        # every decision is drawn often, tangencies included, and so is a
+        # velocity past float range from finite coefficients
         assert min(seen.values()) > 5_000
+        assert non_finite > 5_000
 
     def test_scale_read_once_per_polynomial(self):
         spec = anti_holomorphic([1 + 2j, 3 - 1j, 0.5j])

@@ -72,6 +72,16 @@ def non_finite_quadratic_pair():
     return PiecewiseSpec(upper, lower)
 
 
+def overflowing_quadratic_pair():
+    """A quadratic pair with finite coefficients whose upper vertical
+    velocity passes float range at x = 0.5, -0.5, 2.0 and -2.0: the
+    Horner step c2 x + c1 overflows in the real part for x > 0 and in
+    the imaginary part for x < 0."""
+    upper = anti_holomorphic([0.1, complex(1.7e308, 1.7e308), complex(1.7e308, -1.7e308)])
+    lower = anti_holomorphic([-0.1, 0.3, 0.5 + 0.5j])
+    return PiecewiseSpec(upper, lower)
+
+
 def period_annulus_spec():
     return MixedLinearSpec(a1=2, a2=1, b1=5, b2=-10, a=0, b=-1, x0=10)
 
@@ -99,13 +109,17 @@ class TestCrossingTransversality:
                  for x in np.linspace(-0.8, -0.05, 20)]
         assert Crossing.SLIDING in kinds
 
-    @pytest.mark.parametrize("x", [0.0, 0.5, -0.5, 2.0])
+    @pytest.mark.parametrize("x", [-2.0, 0.5, -0.5, 2.0])
     def test_non_finite_velocity_is_tangent(self, x):
-        # the upper vertical velocity is NaN, which must not read as
-        # "crossing down", and reading it must not warn
+        # the upper vertical velocity passes float range, which must not
+        # read as a crossing (a NaN as "crossing down"), and reading it
+        # must not warn
+        pw = overflowing_quadratic_pair()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not math.isfinite(pw.upper.velocity(x).imag)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            crossing = crossing_transversality(non_finite_quadratic_pair(), x)
+            crossing = crossing_transversality(pw, x)
         assert crossing is Crossing.TANGENT
 
     def test_scale_past_float_range_is_tangent(self):
@@ -582,13 +596,11 @@ class TestAntiholoPair:
         ("lower", 1, complex(math.inf, 1.0)), ("lower", 2, complex(-4.0, -math.inf)),
     ])
     def test_non_finite_coefficient_raises(self, side, k, bad):
-        # a NaN must not read as "no cycles"
-        pw = reference_quadratic_pair()
-        coeffs = list(getattr(pw, side).p.coeffs)
+        # a NaN must not read as "no cycles": no side holds one
+        coeffs = list(getattr(reference_quadratic_pair(), side).p.coeffs)
         coeffs[k] = bad
-        sides = {"upper": pw.upper, "lower": pw.lower, side: anti_holomorphic(coeffs)}
         with pytest.raises(NonConvergence):
-            solve_antiholo_pair(PiecewiseSpec(sides["upper"], sides["lower"]))
+            anti_holomorphic(coeffs)
 
     def test_non_finite_crossing_pair_polynomial_raises(self):
         # checked before the primitive is built, so nothing warns
