@@ -114,13 +114,12 @@ def classify_equilibria(p: CPoly):
         raise ValueError("classification requires degree >= 1")
     dp = p.derivative()
     out = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for z0, m in cpoly.roots(p):
-            if m > 1:
-                out.append(EquilibriumInfo(z0, m, 0j, EquilibriumType.MULTIPLE))
-            else:
-                lam = dp(z0)
-                out.append(EquilibriumInfo(z0, 1, lam, _type_from_lambda(lam)))
+    for z0, m in cpoly.roots(p):
+        if m > 1:
+            out.append(EquilibriumInfo(z0, m, 0j, EquilibriumType.MULTIPLE))
+        else:
+            lam = dp(z0)
+            out.append(EquilibriumInfo(z0, 1, lam, _type_from_lambda(lam)))
     return tuple(out)
 
 

@@ -232,7 +232,7 @@ def _mixed_linear_system(system):
 
 def _mixed_general_system(system):
     k = _mixed_spec(system, pwcycles.MixedGeneralConstants)
-    return k.as_piecewise(), lambda: pwcycles.solve_mixed_general(k), 3
+    return k.as_piecewise(), lambda: pwcycles.solve_mixed_general(k, include_winding=True), 3
 
 
 # family -> (the system-record keys its cycles flags fill, decoder); the
@@ -364,7 +364,7 @@ def cmd_verify(args):
             print(f"SKIP x1={x1:.9g} ({verified})")
             continue
         ret = odeint.return_map(pw, x1)
-        ok = pwcycles.closes(x1, None if ret is None else abs(ret - x1))
+        ok = pwcycles.closes(x1, ret)
         print(f"{'PASS' if ok else 'FAIL'} x1={x1:.9g} return={ret}")
         if not ok:
             failures += 1

@@ -106,22 +106,24 @@ class CPoly:
     def __call__(self, z):
         """Horner evaluation; accepts scalars or numpy arrays.
 
-        Returns a complex for scalar or 0-d input, an array otherwise.
-        The products go through the ``np.multiply`` ufunc, whose complex
-        loop may fuse multiply-add (FMA) where plain Python complex
-        arithmetic does not; the integrator oracle's results are pinned
-        to this arithmetic bit for bit. The loop is ``_horner``, the
-        reference that ``_scalar_horner``, the oracle's per-step field,
-        matches bit for bit. For a lead of exactly ``1+0j`` that field
-        forms the first product in Python: every partial product of
-        (1+0i)z is exact, so any multiply formula, fused or not, rounds
-        it to the same float.
+        Returns a complex for scalar or 0-d input, an array otherwise,
+        and inf or NaN past float range, with no numpy warning. The
+        products go through the ``np.multiply`` ufunc, whose complex loop
+        may fuse multiply-add (FMA) where plain Python complex arithmetic
+        does not; the integrator oracle's results are pinned to this
+        arithmetic bit for bit. The loop is ``_horner``, the reference
+        that ``_scalar_horner``, the oracle's per-step field, matches bit
+        for bit, but for a NaN's sign and payload. For a lead of exactly
+        ``1+0j`` that field forms the first product in Python: every
+        partial product of (1+0i)z is exact, so any multiply formula,
+        fused or not, rounds it to the same float.
         """
         coeffs = self.coeffs
-        if len(coeffs) == 1:
-            acc = np.full(np.shape(z), coeffs[0])
-        else:
-            acc = _horner(coeffs[-1], coeffs[-2::-1], z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if len(coeffs) == 1:
+                acc = np.full(np.shape(z), coeffs[0])
+            else:
+                acc = _horner(coeffs[-1], coeffs[-2::-1], z)
         return acc if acc.shape else complex(acc)
 
     def derivative(self):
@@ -184,7 +186,8 @@ def _scalar_horner(descending):
     """z -> the complex p(z) for a complex scalar z, where descending
     holds p's coefficients as Python complex, leading first (the first
     item of ``CPoly.scalar_view``): the float ``CPoly.__call__`` gives,
-    bit for bit, at a fraction of its per-call cost.
+    bit for bit but for a NaN's sign and payload, at a fraction of its
+    per-call cost.
 
     It allocates three 0-d complex arrays once, the accumulator, z and
     the product, and runs each product as ``np.multiply(acc, z, out)``,
@@ -204,10 +207,13 @@ def _scalar_horner(descending):
     p makes no numpy call. Every partial product of (1+0i)(x+iy) is
     exact (1*x = x, 1*y = y, and 0*x, 0*y are a signed zero or NaN), so
     each part of the product is one rounded sum of two exact terms: the
-    same float, signed zeros, inf and NaN bytes included, whether the
-    ufunc's loop fuses multiply-add, does not, or Python forms it. The
-    next coefficient is added part by part in the same expression, as
-    the complex add would."""
+    same float, signed zeros and inf included, whether the ufunc's loop
+    fuses multiply-add, does not, or Python forms it. A NaN part is NaN
+    in both, but its sign and payload, which IEEE 754 leaves open and no
+    decision reads, may differ: a trace hook moves CPython off its
+    specialised float instructions, and so changes which of two NaN
+    operands an add passes on. The next coefficient is added part by
+    part in the same expression, as the complex add would."""
     if len(descending) == 1:
         value = descending[0]
         return lambda z: value

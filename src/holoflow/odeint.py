@@ -39,9 +39,9 @@ partial products is exact, so the ufunc's fused loop, its unfused loop
 and Python all round it to the same float (see ``cpoly._scalar_horner``).
 
 Each integration builds its field once, as ``SystemSpec.scalar_field()``,
-whose every value is the float that ``SystemSpec.velocity`` gives,
-without that method's per-call overhead; only ``integrate`` also takes
-a plain callable.
+whose every value is the float that ``SystemSpec.velocity`` gives, but
+for a NaN's sign and payload, without that method's per-call overhead;
+only ``integrate`` also takes a plain callable.
 
 An accepted step keeps its stage values, and only a half-return fits
 the dense output from them, once per step (``_Dopri5.fit_dense``);

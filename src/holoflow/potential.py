@@ -54,8 +54,9 @@ class SystemSpec:
 
     def scalar_field(self):
         """z -> velocity(z) for a complex scalar z, the same float bit
-        for bit: it is ``cpoly._scalar_horner``, conjugated for an
-        anti-holomorphic side. The coefficients come from
+        for bit but for a NaN's sign and payload: it is
+        ``cpoly._scalar_horner``, conjugated for an anti-holomorphic
+        side. The coefficients come from
         ``CPoly.scalar_view``, converted once per polynomial and kept on
         the spec's immutable ``p``; nothing is stored on the spec itself.
         A monic p (lead exactly ``1+0j``) takes its first Horner product

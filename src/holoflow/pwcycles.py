@@ -113,23 +113,17 @@ def _confirms(pw: PiecewiseSpec, x1, x2):
         return "tangent", None
     if len(crossings) == 1:
         return "same_direction", None
-    outcome, miss = _return_miss(pw, x1)
-    if miss is None:
+    outcome, landing = odeint.return_map_outcome(pw, x1)
+    if landing is None:
         return outcome.value, None
-    return (None if closes(x1, miss) else "miss"), miss
+    return (None if closes(x1, landing) else "miss"), abs(landing - x1)
 
 
-def _return_miss(pw, x1):
-    """(outcome, |P(x1) - x1| or None) of the numerical return map P."""
-    outcome, ret = odeint.return_map_outcome(pw, x1)
-    return outcome, (None if ret is None else abs(ret - x1))
-
-
-def closes(x1, miss):
-    """True when the return map landed within CONFIRM_TOL of x1: the
-    confirmation rule of every solver, given the miss |P(x1) - x1|, or
-    None when the return map did not land."""
-    return miss is not None and miss <= CONFIRM_TOL * max(1.0, abs(x1))
+def closes(x1, landing):
+    """True when the return map's landing P(x1) is within CONFIRM_TOL of
+    x1: the confirmation rule of every solver and of ``holoflow
+    verify``, given the landing, or None when the map did not land."""
+    return landing is not None and abs(landing - x1) <= CONFIRM_TOL * max(1.0, abs(x1))
 
 
 def _add_pair(pairs, a, b):
@@ -205,8 +199,6 @@ def _mixed_piecewise(k, z0) -> PiecewiseSpec:
 
 
 def _stability_from_multiplier(multiplier):
-    if multiplier is None:
-        return Stability.UNKNOWN
     if abs(multiplier) < 1.0 - 1e-6:
         return Stability.STABLE
     if abs(multiplier) > 1.0 + 1e-6:
@@ -294,7 +286,7 @@ def solve_mixed_linear_on_sigma(spec: MixedLinearSpec, validate=True):
 def _annulus_representative(pw, x0):
     """A crossing pair on a confirmed closed orbit of a period annulus."""
     for r in (max(1.0, abs(x0)), 1.0, 0.5 * max(1.0, abs(x0)), 0.1):
-        if closes(x0 + r, _return_miss(pw, x0 + r)[1]):
+        if closes(x0 + r, odeint.return_map(pw, x0 + r)):
             return (x0 + r, x0 - r)
     return None
 

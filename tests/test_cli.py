@@ -9,6 +9,7 @@ import pytest
 from holoflow import classify, cpoly, pwcycles, render
 from holoflow.cli import main, parse_coeffs, parse_complex
 from holoflow.potential import anti_holomorphic, build_potential, eval_potential
+from test_pwcycles import SAME_DIRECTION_SIDES
 
 S33 = math.sqrt(33.0)
 
@@ -18,6 +19,9 @@ MIXED_LINEAR_CYCLE = "1.413612,-1.064242,-1.766789,-0.874464,-0.619219,0.485750,
 MIXED_GENERAL_CYCLE = "1.413612,-1.064242,-1.766789,-0.874464,-0.619219,0.485750,0,0.05"
 # README's mixed-general example
 README_MIXED_GENERAL = "1.41,-1.06,-1.77,-0.87,-0.62,0.49,0,0.05"
+# test_pwcycles' winding system: two cycles whose lower arcs wrap around
+# the focus below the line, which only F = +-2 pi a finds
+WINDING_CYCLES = "1.9528,0.8788,0.3198,-0.5741,0.2023,-1.4791,0.7602,-0.1513"
 MIXED_LINEAR_RECORD = {"family": "mixed-linear",
                        "params": [float(v) for v in MIXED_LINEAR_CYCLE.split(",")]}
 
@@ -158,6 +162,34 @@ class TestCyclesCommand:
         capsys.readouterr()
         assert main(["verify", "--report", str(out)]) == 1
         assert capsys.readouterr().out.startswith("FAIL ")
+
+    def test_mixed_general_winding_cycles(self, tmp_path, capsys):
+        # cycles solves the winding targets as well, and verify passes both
+        out = tmp_path / "cycles.json"
+        assert main(["cycles", "--family", "mixed-general", "--params", WINDING_CYCLES,
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [(c["x1"], c["x2"], c["verified"]) for c in report["candidates"]] == [
+            (0.9559773761677004, 0.3505770161855087, "numerically_confirmed"),
+            (0.826172652510875, 0.480381739842334, "numerically_confirmed")]
+        assert report["bound"] == 3
+        capsys.readouterr()
+        assert main(["verify", "--report", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in printed] == [
+            ["PASS", "x1=0.955977376"], ["PASS", "x1=0.826172653"]]
+
+    def test_verify_skips_a_rejected_candidate(self, tmp_path, capsys):
+        upper, lower = (",".join(f"({c.real!r},{c.imag!r})" for c in side)
+                        for side in SAME_DIRECTION_SIDES)
+        out = tmp_path / "cycles.json"
+        assert main(["cycles", "--family", "antiholo", "--upper", upper, "--lower", lower,
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [c["verified"] for c in report["candidates"]] == ["rejected"]
+        capsys.readouterr()
+        assert main(["verify", "--report", str(out)]) == 0
+        assert capsys.readouterr().out == "SKIP x1=0.731775345 (rejected)\n"
 
     def test_antiholo_constant_divided_difference(self, capsys):
         # p = i + z on both sides: psi(x, 0) = x admits no crossing pair
@@ -479,6 +511,16 @@ class TestPortraitCommand:
             main(["portrait", *argv, "--out-svg", str(tmp_path / "p.svg")])
         assert exc.value.code == 2
         assert missing in capsys.readouterr().err
+
+    def test_needs_a_side(self, tmp_path, capsys):
+        svg = tmp_path / "p.svg"
+        with pytest.raises(SystemExit) as exc:
+            main(["portrait", "--out-svg", str(svg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert_usage_error(err)
+        assert "provide --holo or --antiholo coefficients" in err
+        assert not svg.exists()
 
     @pytest.mark.parametrize("sides", [
         ["--upper", REFERENCE_UPPER, "--lower", REFERENCE_UPPER],

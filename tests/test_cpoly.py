@@ -175,6 +175,19 @@ class TestFiniteCoefficients:
             with pytest.raises(NonConvergence):
                 CPoly([1e308, 1e308, 1e308]).derivative()
 
+    def test_values_past_float_range_without_warning(self):
+        # finite coefficients, values past float range: inf or NaN comes
+        # back, scalar or array, and no numpy RuntimeWarning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert CPoly([1, 1e308])(10.0) == complex(math.inf, 0.0)
+            big = CPoly([1, 1e308])(np.array([10.0, 1.0]))
+            assert big.tolist() == [complex(math.inf, 0.0), complex(1e308 + 1, 0.0)]
+            nan = CPoly([0, 1e308, 1e308])(complex(10.0, 10.0))
+            assert math.isnan(nan.real)
+            velocity = anti_holomorphic([-1.7e308j, -1.7e308j]).velocity(0.5)
+            assert velocity.imag == math.inf
+
     def test_roots_keep_their_floats_past_a_derivative_overflow(self):
         # the Newton polish's derivative 2e308 z + 1e308 passes float
         # range, and the roots are the parent's floats

@@ -278,6 +278,41 @@ def test_confirmed_cycles_match_the_exact_pairs(pw):
             assert abs(cand.multiplier - multiplier) <= 1e-11 * max(1, abs(multiplier))
 
 
+def _landing_beside(psi, x, near):
+    """The exact landing from x: the root x' != x of psi(x') = psi(x)
+    nearest to near, to 2^-80. ``exact.landing`` picks the root whose
+    isolating interval holds near, and the criterion-2 cycle lands at
+    x1 = 0.0, an interval end: a near just below 0 would pick the start."""
+    x = Fraction(x)
+    level = [psi[0] - sum(c * x ** k for k, c in enumerate(psi)), *psi[1:]]
+    roots = exact.real_roots(level)
+    roots.remove(min(roots, key=lambda r: abs(r - x)))
+    return min(roots, key=lambda r: abs(r - Fraction(near)))
+
+
+@pytest.mark.parametrize("pw", [readme_quadratic_pair(), reference_quadratic_pair()],
+                         ids=["readme", "criterion-2"])
+def test_multiplier_at_the_exact_landings(pw):
+    # the confirmed candidate's multiplier is prod psi'(x) / psi'(x') over
+    # its two half-returns, each x' the exact landing from the x before
+    # it: from x1 into the side its field enters, then back on the other
+    # side. Within 1e-13 relative (1.7e-15 measured for both)
+    mpmath = pytest.importorskip("mpmath")
+    cand, = (c for c in solve_antiholo_pair(pw)
+             if c.verified is Verified.NUMERICALLY_CONFIRMED)
+    upper, lower = (exact.psi_axis(side) for side in _sides(pw))
+    first, second = (upper, lower) if pw.upper.crossing_sign(cand.x1) > 0 else (lower, upper)
+    x1 = Fraction(cand.x1)
+    y = _landing_beside(first, x1, cand.x2)
+    z = _landing_beside(second, y, cand.x1)
+    assert abs(y - Fraction(cand.x2)) <= Fraction(1e-12) and abs(z - x1) <= Fraction(1e-12)
+    with mpmath.workdps(50):
+        x1, y, z = (_mp(mpmath, v) for v in (x1, y, z))
+        multiplier = (_slope(mpmath, first, x1) / _slope(mpmath, first, y)
+                      * (_slope(mpmath, second, y) / _slope(mpmath, second, z)))
+        assert abs(cand.multiplier - multiplier) <= 1e-13 * abs(multiplier)
+
+
 class TestLanding:
     def test_known_landing(self):
         # psi = x^2: the orbit from x lands at -x; from 0, where

@@ -236,8 +236,7 @@ class TestReturnMap:
         # the upper vertical velocity passes float range: no warning, and
         # no non-finite field is integrated
         pw = _overflowing_quadratic_pair()
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not math.isfinite(pw.upper.velocity(x).imag)
+        assert not math.isfinite(pw.upper.velocity(x).imag)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             outcome = return_map_outcome(pw, x)
@@ -248,8 +247,7 @@ class TestReturnMap:
         # a tangency, not a crossing whose orbit steps until it underflows
         pw = PiecewiseSpec(anti_holomorphic([complex(0.0, -1.7e308), -1.7e308j]),
                            anti_holomorphic([-1j, 1.0]))
-        with np.errstate(over="ignore"):
-            assert pw.upper.velocity(0.5).imag == math.inf
+        assert pw.upper.velocity(0.5).imag == math.inf
         assert return_map_outcome(pw, 0.5) == (Outcome.NOT_ENTERING, None)
 
 
@@ -417,6 +415,16 @@ def _bits(v):
     return np.complex128(v).tobytes()
 
 
+def _same_parts(a, b):
+    """Each part of the complex a is b's bit for bit, signed zeros and
+    inf included, unless both parts are NaN: IEEE 754 leaves a NaN's
+    sign and payload open, and which of two NaN operands an add passes
+    on changes when a trace hook (coverage.py, a debugger) moves CPython
+    off its specialised float instructions."""
+    return all((math.isnan(u) and math.isnan(v)) or _bits(u) == _bits(v)
+               for u, v in ((a.real, b.real), (a.imag, b.imag)))
+
+
 # points with signed zeros, infinite parts and moduli that overflow
 _EDGE_POINTS = (0j, -0j, complex(math.inf, 0.0), complex(-math.inf, 1.0),
                 complex(0.0, math.inf), complex(1.0, -math.inf), complex(1e300, 1e300),
@@ -424,9 +432,11 @@ _EDGE_POINTS = (0j, -0j, complex(math.inf, 0.0), complex(-math.inf, 1.0),
 
 
 class TestScalarField:
-    """``SystemSpec.scalar_field`` is ``velocity`` bit for bit. These
-    checks compare the two paths on the same machine, so unlike the
-    float.hex goldens they hold with or without a fused multiply."""
+    """``SystemSpec.scalar_field`` is ``velocity`` bit for bit, with a
+    NaN part where velocity's is NaN (``_same_parts``). These checks
+    compare the two paths on the same machine, so unlike the float.hex
+    goldens they hold with or without a fused multiply, and with or
+    without a trace hook."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -469,7 +479,7 @@ class TestScalarField:
             for z in points + list(_EDGE_POINTS):
                 fast, slow = field(z), spec.velocity(z)
                 assert type(fast) is complex
-                assert _bits(fast) == _bits(slow)
+                assert _same_parts(fast, slow)
 
     def test_seeded_sweep_is_bit_identical(self):
         """51,200 evaluations from a fixed seed: degree 0 to 7, both
@@ -497,8 +507,7 @@ class TestScalarField:
                             z = draw()
                             fast, slow = fields[k % 2](z), spec.velocity(z)
                             assert type(fast) is complex
-                            assert ((fast.real.hex(), fast.imag.hex())
-                                    == (slow.real.hex(), slow.imag.hex())), (spec, z)
+                            assert _same_parts(fast, slow), (spec, z)
                             count += 1
         assert count == 51_200
 
@@ -531,7 +540,7 @@ class TestScalarField:
                             z = draw()
                             fast, slow = fields[k % 2](z), spec.velocity(z)
                             assert type(fast) is complex
-                            assert _bits(fast) == _bits(slow), (spec, z)
+                            assert _same_parts(fast, slow), (spec, z)
                             count += 1
         assert count == 67_200
 

@@ -53,6 +53,15 @@ NO_CYCLE = MixedLinearSpec(1.394242, 0.610349, 1.217567, 0.130889,
 # a criterion-4 draw whose lower orbit spirals into an attracting focus
 # 0.059 below the switching line: the uncertified oracle ran it to its
 # step limit
+# criterion 4's default_rng(777), degree-3 draw 62: the one pair that
+# solve_antiholo_pair finds crosses down at both ends, so no cycle runs
+# through it (rejected as same_direction)
+SAME_DIRECTION_SIDES = (
+    [0.21553238052479823 + 0.3810484635882515j, 2.2582605753825855 + 1.080897235002235j,
+     -1.733167592157365 + 0.3388116625363762j, -1.5561864603269608 - 0.005543960268054974j],
+    [0.6038637046341413 - 0.6632990281218355j, -0.3656798579874262 + 2.1776141922446817j,
+     -1.0961690483055495 + 0.22570166173274786j, -0.019212338482527607 - 0.5935245328002213j],
+)
 NAMED_HANG = MixedGeneralConstants(-1.5970061260875952, 2.4242920689409377,
                                    -1.3215941750426292, 2.882308267113605,
                                    -0.7932669801502348, -0.9436668929858008,
@@ -115,8 +124,7 @@ class TestCrossingTransversality:
         # read as a crossing (a NaN as "crossing down"), and reading it
         # must not warn
         pw = overflowing_quadratic_pair()
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not math.isfinite(pw.upper.velocity(x).imag)
+        assert not math.isfinite(pw.upper.velocity(x).imag)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             crossing = crossing_transversality(pw, x)
@@ -776,6 +784,24 @@ class TestRejectionReasons:
         pw = NO_CYCLE.as_piecewise()
         assert pwcycles._confirms(pw, *mixed_linear_pair(NO_CYCLE)) == (
             "sliding", None)
+
+    def test_same_direction_pair(self):
+        pw = PiecewiseSpec(*map(anti_holomorphic, SAME_DIRECTION_SIDES))
+        cand, = solve_antiholo_pair(pw)
+        assert {crossing_transversality(pw, x) for x in (cand.x1, cand.x2)} == {
+            Crossing.CROSSING_DOWN}
+        assert (cand.verified, cand.reason, cand.miss) == (
+            Verified.REJECTED, "same_direction", None)
+        assert pwcycles._confirms(pw, cand.x1, cand.x2) == ("same_direction", None)
+
+    def test_closes_reads_the_landing(self):
+        # |P(x1) - x1| <= CONFIRM_TOL * max(1, |x1|), and no landing
+        # (None) or a NaN one never closes
+        closes = pwcycles.closes
+        assert closes(2.0, 2.0 + 1.9e-6) and not closes(2.0, 2.0 + 2.1e-6)
+        assert closes(-0.5, -0.5 - 0.9e-6) and not closes(-0.5, -0.5 - 1.1e-6)
+        assert not closes(0.5, None) and not closes(0.5, math.nan)
+
 
     @pytest.mark.parametrize("spec", [STABLE_CYCLE, UNSTABLE_CYCLE])
     def test_confirmed_carries_its_miss(self, spec):
