@@ -335,9 +335,9 @@ def cmd_portrait(args):
     else:
         contours = [(name, values, render.default_levels(values, args.levels))
                     for name, values in (("psi", psi), ("phi", phi)) if values is not None]
-    groups = [(f"{name}-level-{li}", render.marching_squares(xs, ys, values, level))
+    groups = [(f"{name}-level-{li}", segments)
               for name, values, values_levels in contours
-              for li, level in enumerate(values_levels)]
+              for li, segments in enumerate(render.marching_squares(xs, ys, values, values_levels))]
     svg = render.svg_document(groups, args.window)
     with open(args.out_svg, "w", encoding="utf-8") as fh:
         fh.write(svg)

@@ -4,7 +4,8 @@ and deterministic SVG output.
 Streamlines are level sets of the stream function psi (and
 equipotential lines of phi); contour cells with undefined values (poles
 of one piecewise side, the other half-plane of a piecewise spec) or
-values past float range are skipped.
+values past float range are skipped. Contouring is one pass over the
+grid for all of a field's levels.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import numpy as np
 from .potential import PotentialRep, SystemSpec, build_potential, eval_potential
 
 SVG_WIDTH, SVG_HEIGHT = 640, 480
-# sizes at which the slowest command using each takes about 1 s on 2
-# shared vCPUs: `portrait --out-csv` on a 400 x 400 grid, whose time is
-# float repr, and a 128 x 128 anti-holomorphic portrait with 600 psi and
-# 600 phi levels
+# on 2 shared vCPUs, `portrait --out-csv` on a 400 x 400 grid takes about
+# 1 s, most of it float repr; a 128 x 128 anti-holomorphic portrait with
+# 600 psi and 600 phi levels takes about 0.8 s, and a 400 x 400 one, both
+# limits at once, about 2 s
 MAX_GRID_NODES = 160_000
 MAX_LEVELS = 600
 
@@ -100,44 +101,90 @@ _EDGE_TABLE[1, 5] = [(3, 2), (1, 0)]
 _EDGE_TABLE[1, 10] = [(0, 3), (2, 1)]
 
 
-def marching_squares(xs, ys, values, level):
-    """Line segments approximating the contour values == level.
+def marching_squares(xs, ys, values, levels):
+    """Line segments approximating the contours values == level: one
+    (n, 2, 2) float array of segments ((x0, y0), (x1, y1)) per level of
+    the sequence `levels`, in the order given.
 
-    Returns an (n, 2, 2) float array of segments ((x0, y0), (x1, y1)),
-    scanned row-major for determinism, a saddle cell's two segments in
-    turn; saddle cells (cases 5 and 10) are disambiguated by the
-    cell-center average; cells touching NaN or inf are skipped.
+    Contouring is one pass over the grid for all levels (span space,
+    Livnat, Shen & Johnson 1996): each cell's corner extremes pick the
+    levels it crosses, min <= level < max, and those (cell, level) pairs
+    are drawn in blocks of consecutive sorted levels whose crossing
+    points take no more floats than the grid has nodes, unless one level
+    alone crosses more cells. Each level's segments are scanned
+    row-major for determinism, a saddle cell's two segments in turn;
+    saddle cells (cases 5 and 10) are disambiguated by the cell-center
+    average; cells touching NaN or inf are skipped, and so are those
+    where a corner minus the level passes float range.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = values - level
-        corner_grids = (v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1])
-        cases = sum((c > 0) << bit for bit, c in enumerate(corner_grids))
-        crossed = np.isfinite(corner_grids).all(axis=0) & (cases != 0) & (cases != 15)
-        j, i = np.nonzero(crossed)
-        c0, c1, c2, c3 = (c[crossed] for c in corner_grids)
-        x0, x1 = xs[i], xs[i + 1]
-        y0, y1 = ys[j], ys[j + 1]
+    levels = np.asarray(levels, dtype=float)
+    order = np.argsort(levels, kind="stable")
+    sorted_levels = levels[order]
+    n = len(levels)
+    nx = values.shape[1]
+    corner_grids = (values[:-1, :-1], values[:-1, 1:], values[1:, 1:], values[1:, :-1])
+    low = np.minimum(np.minimum(*corner_grids[:2]), np.minimum(*corner_grids[2:])).ravel()
+    high = np.maximum(np.maximum(*corner_grids[:2]), np.maximum(*corner_grids[2:])).ravel()
+    # cell c crosses the sorted levels lo[c] <= k < hi[c]; a cell
+    # touching NaN or inf (a non-finite extreme) crosses none
+    lo = np.searchsorted(sorted_levels, low)
+    hi = np.where(np.isfinite(low) & np.isfinite(high), np.searchsorted(sorted_levels, high), lo)
+    level_pairs = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))[:n]
+    pair_ends = np.concatenate(([0], np.cumsum(level_pairs)))
+    corner_offsets = np.array([[0], [1], [nx + 1], [nx]])
+    # a pair's crossing points are 4 edges x 2 coordinates: a block's
+    # points then weigh no more than one grid field, as the temporaries
+    # of a pass over the grid do
+    block_pairs = values.size // 8
+    contours = [None] * n
+    start = 0
+    while start < n:
+        last = int(np.searchsorted(pair_ends, pair_ends[start] + block_pairs, side="right")) - 1
+        stop = max(last, start + 1)
+        cells = np.flatnonzero((lo < stop) & (hi > start))
+        first = np.maximum(lo[cells], start)
+        count = np.minimum(hi[cells], stop) - first
+        cell = np.repeat(cells, count)
+        k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count - first, count)
+        # level-major; the stable sort keeps each level's cells row-major
+        by_level = np.argsort(k, kind="stable")
+        k, cell = k[by_level], cell[by_level]
+        node = cell + cell // (nx - 1)  # the cell's corner 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            v = values.ravel()[node + corner_offsets] - sorted_levels[k]
+            crossed = np.isfinite(v).all(axis=0)
+            k, node = k[crossed], node[crossed]
+            c0, c1, c2, c3 = v[:, crossed]
+            cases = sum((c > 0) << bit for bit, c in enumerate((c0, c1, c2, c3)))
+            j, i = np.divmod(node, nx)
+            x0, x1 = xs[i], xs[i + 1]
+            y0, y1 = ys[j], ys[j + 1]
 
-        def interp(a, b):
-            # linear zero crossing between corner values a and b
-            d = a - b
-            return np.where(d == 0, 0.5, a / d)
+            def interp(a, b):
+                # linear zero crossing between corner values a and b
+                d = a - b
+                return np.where(d == 0, 0.5, a / d)
 
-        # the crossing point on each edge of each crossed cell
-        points = np.empty((len(i), 4, 2))
-        points[:, 0, 0] = x0 + interp(c0, c1) * (x1 - x0)
-        points[:, 0, 1] = y0
-        points[:, 1, 0] = x1
-        points[:, 1, 1] = y0 + interp(c1, c2) * (y1 - y0)
-        points[:, 2, 0] = x0 + interp(c3, c2) * (x1 - x0)
-        points[:, 2, 1] = y1
-        points[:, 3, 0] = x0
-        points[:, 3, 1] = y0 + interp(c0, c3) * (y1 - y0)
-        center = 0.25 * (((c0 + c1) + c2) + c3)
-        edges = _EDGE_TABLE[np.where(center <= 0, 0, 1), cases[crossed]].reshape(-1, 2)
+            # the crossing point on each edge of each crossed cell
+            points = np.empty((len(i), 4, 2))
+            points[:, 0, 0] = x0 + interp(c0, c1) * (x1 - x0)
+            points[:, 0, 1] = y0
+            points[:, 1, 0] = x1
+            points[:, 1, 1] = y0 + interp(c1, c2) * (y1 - y0)
+            points[:, 2, 0] = x0 + interp(c3, c2) * (x1 - x0)
+            points[:, 2, 1] = y1
+            points[:, 3, 0] = x0
+            points[:, 3, 1] = y0 + interp(c0, c3) * (y1 - y0)
+            center = 0.25 * (((c0 + c1) + c2) + c3)
+        edges = _EDGE_TABLE[np.where(center <= 0, 0, 1), cases].reshape(-1, 2)
         drawn = edges[:, 0] >= 0
-        cell = np.repeat(np.arange(len(i)), 2)[drawn]
-        return points[cell[:, None], edges[drawn]]
+        pair = np.repeat(np.arange(len(i)), 2)[drawn]
+        segments = points[pair[:, None], edges[drawn]]
+        per_level = np.bincount(k[pair] - start, minlength=stop - start)
+        for offset, level_segments in enumerate(np.split(segments, np.cumsum(per_level)[:-1])):
+            contours[order[start + offset]] = level_segments
+        start = stop
+    return contours
 
 
 def default_levels(values, count):

@@ -21,7 +21,8 @@ multiplicities sum to the degree, or raises a ``HoloflowError``.
 
 The render and flowstats layer (``render.potential_grid``,
 ``render.piecewise_psi_grid``, ``default_levels`` with
-``marching_squares``, and ``flowstats.contour_integral``) gets
+``marching_squares`` on level lists that repeat, leave the value range
+or are empty, and ``flowstats.contour_integral``) gets
 coefficients of magnitude 1e-300 to 1e300 and windows and curves of any
 finite size, with every ``RuntimeWarning`` an error wherever it is
 raised. Each call returns finite levels and segment coordinates, or
@@ -364,22 +365,33 @@ def _built(make, *args):
 
 _window = st.one_of(st.just((-2.0, 2.0, -2.0, 2.0)), st.tuples(_wide, _wide, _wide, _wide))
 _grid_size = st.tuples(st.integers(2, 6), st.integers(2, 6))
+# the level list marching_squares gets: the default levels 0, 1 or 2
+# times (an empty list, or every level repeated), then levels of any
+# finite size, most of them outside the value range
+_level_list = st.tuples(st.integers(0, 2), st.lists(_wide, max_size=3))
 
 
-def _check_contours(xs, ys, values):
-    for level in _strict(render.default_levels, values, 4):
-        assert math.isfinite(level)
-        segments = _strict(render.marching_squares, xs, ys, values, level)
-        assert all(math.isfinite(c) for seg in segments for pt in seg for c in pt)
+def _check_contours(xs, ys, values, level_list):
+    copies, extra = level_list
+    levels = _strict(render.default_levels, values, 4)
+    assert all(math.isfinite(level) for level in levels)
+    levels = copies * levels + extra
+    contours = _strict(render.marching_squares, xs, ys, values, levels)
+    assert contours is None or (
+        len(contours) == len(levels)
+        and all(math.isfinite(c) for segments in contours
+                for seg in segments for pt in seg for c in pt))
 
 
 @settings(max_examples=100, deadline=None)
-@given(spec=_wide_spec, bounds=_window, size=_grid_size)
+@given(spec=_wide_spec, bounds=_window, size=_grid_size, levels=_level_list)
 @example(spec=SystemSpec(SystemKind.ANTI_HOLOMORPHIC, CPoly([1e308, 1e308, 1e308])),
-         bounds=(-2.0, 2.0, -2.0, 2.0), size=(4, 4))  # overflow warnings at the parent
+         bounds=(-2.0, 2.0, -2.0, 2.0), size=(4, 4),
+         levels=(1, []))  # overflow warnings at the parent
 @example(spec=SystemSpec(SystemKind.HOLOMORPHIC, CPoly([2.225073858507e-311j])),
-         bounds=(-2.0, 2.0, -2.0, 2.0), size=(2, 2))  # 1/p overflowed in build_potential
-def test_potential_grid_and_contours(spec, bounds, size):
+         bounds=(-2.0, 2.0, -2.0, 2.0), size=(2, 2),
+         levels=(1, []))  # 1/p overflowed in build_potential
+def test_potential_grid_and_contours(spec, bounds, size, levels):
     window = _built(render.Window, *bounds)
     rep = _strict(build_potential, spec)
     if window is None or rep is None:
@@ -387,22 +399,24 @@ def test_potential_grid_and_contours(spec, bounds, size):
     grid = _strict(render.potential_grid, rep, window, *size)
     if grid is not None:
         xs, ys, phi, psi = grid
-        _check_contours(xs, ys, phi)
-        _check_contours(xs, ys, psi)
+        _check_contours(xs, ys, phi, levels)
+        _check_contours(xs, ys, psi, levels)
 
 
 @settings(max_examples=100, deadline=None)
-@given(upper=_wide_spec, lower=_wide_spec, bounds=_window, size=_grid_size)
+@given(upper=_wide_spec, lower=_wide_spec, bounds=_window, size=_grid_size,
+       levels=_level_list)
 @example(upper=SystemSpec(SystemKind.ANTI_HOLOMORPHIC, CPoly([1e308, 1e308, 1e308])),
          lower=SystemSpec(SystemKind.ANTI_HOLOMORPHIC, CPoly([1.0, 1e300j])),
-         bounds=(-2.0, 2.0, -2.0, 2.0), size=(4, 4))  # overflow warnings at the parent
-def test_piecewise_psi_grid_and_contours(upper, lower, bounds, size):
+         bounds=(-2.0, 2.0, -2.0, 2.0), size=(4, 4),
+         levels=(1, []))  # overflow warnings at the parent
+def test_piecewise_psi_grid_and_contours(upper, lower, bounds, size, levels):
     window = _built(render.Window, *bounds)
     if window is None:
         return
     grid = _strict(render.piecewise_psi_grid, upper, lower, window, *size)
     if grid is not None:
-        _check_contours(*grid)
+        _check_contours(*grid, levels)
 
 
 _curve = st.one_of(

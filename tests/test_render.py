@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holoflow.render import (
     SVG_HEIGHT,
@@ -119,14 +121,19 @@ def reference_write_grid_csv(path, xs, ys, psi, phi=None):
                                 + [repr(float(col[j, i])) for col in columns])
 
 
-def assert_same_segments(xs, ys, values, level):
-    # float.hex is exact and tells -0.0 and NaN apart
-    got = marching_squares(xs, ys, values, level)
-    want = reference_marching_squares(xs, ys, values, level)
-    assert np.shape(got) == (len(want), 2, 2)
-    assert ([float(c).hex() for seg in got for pt in seg for c in pt]
-            == [float(c).hex() for seg in want for pt in seg for c in pt])
-    return got
+def assert_same_segments(xs, ys, values, levels):
+    """marching_squares' contours of levels, checked level by level
+    against the reference."""
+    contours = marching_squares(xs, ys, values, levels)
+    assert len(contours) == len(levels)
+    for level, got in zip(levels, contours):
+        with np.errstate(all="ignore"):
+            want = reference_marching_squares(xs, ys, values, level)
+        # float.hex is exact and tells -0.0 and NaN apart
+        assert np.shape(got) == (len(want), 2, 2)
+        assert ([float(c).hex() for seg in got for pt in seg for c in pt]
+                == [float(c).hex() for seg in want for pt in seg for c in pt])
+    return contours
 
 
 def _cases(values, level):
@@ -157,10 +164,11 @@ class TestOutputBytes:
         xs, ys, values = _adversarial_grid(seed)
         window = Window(xs[0], xs[-1], ys[0], ys[-1])
         levels = (0.25, 0.0, -0.0, -0.7, 1e3)  # the last crosses no cell
+        got = [(f"psi-level-{li}", segments)
+               for li, segments in enumerate(marching_squares(xs, ys, values, levels))]
         with np.errstate(invalid="ignore"):
-            got, want = ([(f"psi-level-{li}", contour(xs, ys, values, level))
-                          for li, level in enumerate(levels)]
-                         for contour in (marching_squares, reference_marching_squares))
+            want = [(f"psi-level-{li}", reference_marching_squares(xs, ys, values, level))
+                    for li, level in enumerate(levels)]
         assert not len(got[-1][1])
         assert svg_document(got, window).encode() == reference_svg_document(want, window).encode()
 
@@ -173,7 +181,44 @@ class TestOutputBytes:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+# corners whose cells are skipped (NaN, +-inf), whose differences pass
+# float range (+-1.7e308), or that are signed zeros
+_SPECIAL_VALUES = [np.nan, np.inf, -np.inf, 1.7e308, -1.7e308, 0.0, -0.0]
+
+
+@st.composite
+def _contour_inputs(draw):
+    """(xs, ys, values, levels): a grid of up to 6 x 6 nodes with special
+    corners, and an unsorted level list, empty on some draws, with
+    repeats, node values and signed zeros."""
+    nx, ny = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    xs, ys = (np.sort(draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n, unique=True)))
+              for n in (nx, ny))
+    nodes = draw(st.lists(st.one_of(st.floats(-3, 3), st.sampled_from(_SPECIAL_VALUES)),
+                          min_size=nx * ny, max_size=nx * ny))
+    level = st.one_of(st.sampled_from(nodes), st.sampled_from([0.0, -0.0]), st.floats(-4, 4))
+    levels = draw(st.lists(level, max_size=40))
+    levels += draw(st.lists(st.sampled_from(levels), max_size=5)) if levels else []
+    return xs, ys, np.array(nodes).reshape(ny, nx), levels
+
+
 class TestMarchingSquares:
+    # the 2 x 2 grid's one cell crosses more levels than a block's
+    # nx * ny = 4 pairs hold
+    @example(inputs=(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                     np.array([[0.0, 1.0], [3.0, 2.0]]),
+                     [2.5, 0.5, 1.5, 0.5, 1.0, 2.0, 0.0, -0.0, 3.0]))
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_contour_inputs())
+    def test_all_levels_match_reference(self, inputs):
+        xs, ys, values, levels = inputs
+        got = assert_same_segments(xs, ys, values, levels)
+        window = Window(xs[0], xs[-1], ys[0], ys[-1])
+        with np.errstate(all="ignore"):
+            want = [reference_marching_squares(xs, ys, values, level) for level in levels]
+        assert (svg_document(list(enumerate(got)), window).encode()
+                == reference_svg_document(list(enumerate(want)), window).encode())
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_reference_with_nan_holes(self, seed):
         rng = np.random.default_rng(seed)
@@ -185,9 +230,7 @@ class TestMarchingSquares:
         # whose cells are skipped as NaN's are
         values[rng.random(values.shape) < 0.1] = 0.25
         values[3, 4], values[3, 5] = np.inf, -np.inf
-        with np.errstate(invalid="ignore"):
-            for level in (0.25, 0.0, -0.7):
-                assert len(assert_same_segments(xs, ys, values, level))
+        assert all(map(len, assert_same_segments(xs, ys, values, [0.25, 0.0, -0.7])))
 
     def test_saddle_cases(self):
         xs = np.arange(6.0)
@@ -196,7 +239,7 @@ class TestMarchingSquares:
         values[2, 2] = 3.0  # tips some saddle centers above the level
         cases = _cases(values, 0.0)
         assert {5, 10} <= set(cases.ravel().tolist())
-        got = assert_same_segments(xs, ys, values, 0.0)
+        (got,) = assert_same_segments(xs, ys, values, [0.0])
         assert len(got) == 2 * (len(ys) - 1) * (len(xs) - 1)
 
     def test_potential_grid_with_poles(self):
@@ -205,8 +248,8 @@ class TestMarchingSquares:
         xs, ys, phi, psi = potential_grid(rep, Window(-2, 2, -2, 2), 17, 17)
         assert np.isnan(psi).sum() == 2
         for values in (phi, psi):
-            for level in np.linspace(np.nanmin(values), np.nanmax(values), 7)[1:-1]:
-                assert_same_segments(xs, ys, values, level)
+            levels = np.linspace(np.nanmin(values), np.nanmax(values), 7)[1:-1]
+            assert_same_segments(xs, ys, values, list(levels))
 
     def test_grid_needs_two_nodes_each_way(self):
         rep = build_potential(holomorphic([0, 1]))
