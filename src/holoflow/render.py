@@ -35,8 +35,12 @@ class Window:
     y_max: float
 
     def __post_init__(self):
-        if not (0 < self.x_max - self.x_min < math.inf
-                and 0 < self.y_max - self.y_min < math.inf):
+        # svg_document scales by SVG_WIDTH / width and SVG_HEIGHT / height,
+        # which pass float range for sides below about 3e-306
+        width = float(self.x_max) - float(self.x_min)
+        height = float(self.y_max) - float(self.y_min)
+        if not (0 < width < math.inf and SVG_WIDTH / width < math.inf
+                and 0 < height < math.inf and SVG_HEIGHT / height < math.inf):
             raise ValueError("window must be nondegenerate and of finite size")
 
 

@@ -180,6 +180,17 @@ class TestOutputBytes:
         reference_write_grid_csv(tmp_path / "want.csv", xs, ys, psi, phi)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    def test_window_too_narrow_to_scale(self):
+        # 1.1e-308 high: SVG_HEIGHT / 1.1e-308 passes float range, and the
+        # SVG got inf coordinates
+        with pytest.raises(ValueError, match="nondegenerate"):
+            Window(0.0, 1.0, 0.0, 1.1e-308)
+        with pytest.raises(ValueError, match="nondegenerate"):
+            Window(np.float64(0.0), np.float64(1e-308), 0.0, 1.0)
+        window = Window(0.0, 1.0, 0.0, 1e-305)
+        svg = svg_document([("psi-level-0", [((0.0, 0.0), (1.0, 1e-305))])], window)
+        assert '<polyline points="0.000,480.000 640.000,0.000"/>' in svg
+
 
 # corners whose cells are skipped (NaN, +-inf), whose differences pass
 # float range (+-1.7e308), or that are signed zeros
@@ -213,7 +224,9 @@ class TestMarchingSquares:
     def test_all_levels_match_reference(self, inputs):
         xs, ys, values, levels = inputs
         got = assert_same_segments(xs, ys, values, levels)
-        window = Window(xs[0], xs[-1], ys[0], ys[-1])
+        # the range the nodes are drawn from: a grid's own span can be too
+        # narrow for a window (test_window_too_narrow_to_scale)
+        window = Window(-2, 2, -2, 2)
         with np.errstate(all="ignore"):
             want = [reference_marching_squares(xs, ys, values, level) for level in levels]
         assert (svg_document(list(enumerate(got)), window).encode()
