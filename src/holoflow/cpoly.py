@@ -449,7 +449,14 @@ def _sign_changes(chain, x):
 
 
 def real_roots(r: CPoly):
-    """All distinct real roots of a real-coefficient polynomial, sorted.
+    """All distinct real roots of a real-coefficient polynomial, sorted,
+    as a float array: ``float_real_roots`` on its real coefficients."""
+    return np.array(float_real_roots(r.real_coeffs().tolist()))
+
+
+def float_real_roots(c):
+    """All distinct real roots of the polynomial with the ascending float
+    coefficients c, sorted, as a list of Python floats.
 
     Counting uses a Sturm sequence (exact distinct-root counts even in
     the presence of multiple roots). Each isolated root ends in one of
@@ -470,14 +477,15 @@ def real_roots(r: CPoly):
     ends, so a split evaluates the chain at its midpoint only and the
     bisection of an isolated root starts from the count at its left end.
     Raises IdenticallyZero for the zero polynomial, and NonConvergence
-    for a chain member past float range or for an interval whose count
-    is negative: the float chain contradicts itself there.
+    for a coefficient or chain member past float range or for an
+    interval whose count is negative: the float chain contradicts itself
+    there.
     """
-    c = _trim_real(r.real_coeffs().tolist())
+    c = _trim_real(c)
     if len(c) == 1:
         if c[0] == 0.0:
             raise IdenticallyZero("zero polynomial has a continuum of roots")
-        return np.array([])
+        return []
     chain = [ck[::-1] for ck in _sturm_chain(c)]
     bound = _root_bound(c)
     poly = c[::-1]
@@ -511,7 +519,7 @@ def real_roots(r: CPoly):
         vm = _sign_changes(chain, mid)
         stack.append((a, mid, va, vm))
         stack.append((mid, b, vm, vb))
-    return np.array(sorted(out))
+    return sorted(out)
 
 
 def _newton_root(poly, deriv, chain, a, b):
@@ -616,8 +624,17 @@ class BivarSym:
 
     def x2_poly(self, x1):
         """Ascending coefficients in x2 at numeric x1."""
-        pows = np.asarray(x1, dtype=float) ** np.arange(self.coeffs.shape[0])
-        return pows @ self.coeffs
+        return self.x2_polys([x1])[0]
+
+    def x2_polys(self, xs):
+        """Ascending coefficients in x2 at each numeric x1 of xs, one row
+        per point, from one stacked product: numpy runs the BLAS
+        vector-matrix product (gemv) on each stacked row, as it does for
+        a single row, so every row holds the floats of a product at its
+        point alone."""
+        xs = np.asarray(xs, dtype=float)
+        pows = xs[:, None] ** np.arange(self.coeffs.shape[0])
+        return np.matmul(pows[:, None, :], self.coeffs)[:, 0, :]
 
     def __call__(self, x1, x2):
         p1 = np.asarray(x1, dtype=float) ** np.arange(self.coeffs.shape[0])
@@ -679,8 +696,10 @@ def resultant_x2(c_plus: BivarSym, c_minus: BivarSym) -> CPoly:
     matrices, which factors each matrix as a call per matrix would) and
     the coefficients recovered by solving the Vandermonde system; noise
     below 1e-10 of the largest coefficient is trimmed. The x2
-    coefficients are computed one sample point at a time: a single
-    matmul over all points may sum in another order and move the last
+    coefficients at all sample points come from one stacked
+    vector-matrix product per input (``BivarSym.x2_polys``), not one
+    matrix-matrix product: numpy runs gemv on each stacked row as on a
+    lone row, while gemm may sum in another order and move the last
     bit. The number of sample points, deg_bound + 1, takes each input's
     x1-degree as the size of its coefficient matrix, which
     divided_difference keeps to the degree; the Sylvester stack takes
@@ -717,8 +736,8 @@ def resultant_x2(c_plus: BivarSym, c_minus: BivarSym) -> CPoly:
                              f"the limit of {MAX_SYLVESTER_ENTRIES} entries")
         # the coefficients up to each x2-degree: zero columns past it
         # would make both Sylvester leads 0 and R vanish
-        vals = np.linalg.det(_sylvester_matrices(np.array([c_plus.x2_poly(x) for x in xs])[:, : dp + 1],
-                                                 np.array([c_minus.x2_poly(x) for x in xs])[:, : dm + 1]))
+        vals = np.linalg.det(_sylvester_matrices(c_plus.x2_polys(xs)[:, : dp + 1],
+                                                 c_minus.x2_polys(xs)[:, : dm + 1]))
         coef = np.linalg.solve(vander, vals)
     if not np.all(np.isfinite(coef)):
         raise NonConvergence("a resultant coefficient is not finite")

@@ -513,9 +513,10 @@ def solve_antiholo_pair(spec: PiecewiseSpec, validate=True):
             "resultant vanishes identically: infinitely many crossing pairs, no limit cycles"
         )
     pairs = []
-    for r in cpoly.real_roots(resultant):
-        up_roots = _univariate_real_roots(c_up.x2_poly(r))
-        lo_roots = _univariate_real_roots(c_lo.x2_poly(r))
+    roots = cpoly.real_roots(resultant)
+    for r, up, lo in zip(roots.tolist(), c_up.x2_polys(roots).tolist(),
+                         c_lo.x2_polys(roots).tolist()):
+        up_roots, lo_roots = _univariate_real_roots(up), _univariate_real_roots(lo)
         for x2 in up_roots:
             if any(abs(x2 - y) <= MATCH_WIDTH * max(1.0, abs(x2))
                    for y in lo_roots):
@@ -531,7 +532,9 @@ def candidate_bound(spec: PiecewiseSpec):
 
 
 def _univariate_real_roots(ascending):
+    """The real roots of one side's x2 polynomial, ascending floats; []
+    where it vanishes identically."""
     try:
-        return list(cpoly.real_roots(CPoly(ascending)))
+        return cpoly.float_real_roots(ascending)
     except IdenticallyZero:
         return []

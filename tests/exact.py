@@ -15,8 +15,8 @@ side's divided difference is A(s) - q B(s), so a pair's s is a real
 root of E(s) = A+ B- - A- B+ and q = A(s) / B(s).
 
 An orbit of an anti-holomorphic side keeps psi = Im Omega, so a
-half-return from x lands at a real root of psi(x') - psi(x); ``landing``
-gives the one an integrator's landing sits by.
+half-return from x lands at a real root of psi(x') - psi(x) other than
+x; ``landing`` gives the one nearest to an integrator's landing.
 """
 
 from fractions import Fraction
@@ -166,18 +166,19 @@ def real_roots(coeffs, bits=80):
 
 
 def landing(psi, x, near, bits=80):
-    """The root x' of psi(x') - psi(x) whose isolating interval (a, b]
-    holds near, within 2^-bits max(1, |x'|): where an orbit of an
+    """The root x' of psi(x') - psi(x), the start x divided out once,
+    nearest to near, within 2^-bits max(1, |x'|): where an orbit of an
     anti-holomorphic side through (x, 0), whose first integral on the
-    axis is psi (ascending, see psi_axis), meets the axis again. Raises
-    ValueError when no isolating interval holds near."""
-    x, near = Fraction(x), Fraction(near)
-    level = [psi[0] - _value(psi, x), *psi[1:]]
-    chain = sturm_chain(level)
-    for na, nb, k in isolate(level):
-        if Fraction(na, 1 << k) < near <= Fraction(nb, 1 << k):
-            return _refine(chain, na, nb, k, bits)
-    raise ValueError(f"{near} is in no isolating interval of psi(x') - psi({x})")
+    axis is psi (ascending, see psi_axis), meets the axis again. A start
+    that is a multiple root stays a root, the landing of a tangent
+    orbit. Raises ValueError when no root is left."""
+    x = Fraction(x)
+    level = _trim([Fraction(psi[0]) - _value(psi, x), *map(Fraction, psi[1:])])
+    others = _trim(_divmod(level, [-x, Fraction(1)])[0])
+    roots = real_roots(others, bits)
+    if not roots:
+        raise ValueError(f"psi(x') - psi({x}) has no real root beside the start")
+    return min(roots, key=lambda r: abs(r - Fraction(near)))
 
 
 def multiply(a, b):

@@ -964,6 +964,87 @@ class TestSylvesterShape:
         np.testing.assert_array_equal(s, expected)
 
 
+@st.composite
+def _pair_divided_differences(draw):
+    """divided_difference of a random psi with up to MAX_PAIR_DEGREE + 2
+    coefficients (psi = Im Omega of a side of degree up to
+    MAX_PAIR_DEGREE), at a random binary scale."""
+    n = draw(st.integers(1, pwcycles.MAX_PAIR_DEGREE + 2))
+    psi = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    scale = 2.0 ** draw(st.integers(-200, 200))
+    return divided_difference([x * scale for x in psi])
+
+
+# x1 points with signed zeros, subnormals and powers past float range
+_X1_POINTS = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1040, -(2.0 ** -1030), 1e150, -1e150]),
+    st.floats(-4.0, 4.0),
+    st.floats(allow_nan=False, allow_infinity=False)), max_size=80)
+
+
+def _x2_polys_per_point(b, xs):
+    """The x2 coefficients one point at a time, as resultant_x2 and the
+    pair solve computed them before the stacked product, frozen as its
+    reference."""
+    k = b.coeffs.shape[0]
+    rows = [np.asarray(x) ** np.arange(k) @ b.coeffs for x in xs]
+    return np.array(rows).reshape(len(xs), k)
+
+
+class _Overrun(Exception):
+    pass
+
+
+def _roots_or_error(solve):
+    """float.hex of each root solve() returns, or the name of its typed
+    error; _Overrun past 1 s: real_roots' isolation loop has no fixed
+    bound (ROADMAP item 17), and a few drawn rows never leave it."""
+    def overrun(signum, frame):
+        raise _Overrun
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return [x.hex() for x in solve()]
+    except (IdenticallyZero, NonConvergence) as e:
+        return type(e).__name__
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestStackedSameFloats:
+    """The stacked x2 evaluation against the per-point loop, and the
+    float-list real roots against the CPoly path, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(b=_pair_divided_differences(), xs=_X1_POINTS)
+    def test_x2_polys_match_the_per_point_loop(self, b, xs):
+        with np.errstate(all="ignore"):
+            got = b.x2_polys(xs)
+            want = _x2_polys_per_point(b, xs)
+            one = [b.x2_poly(x) for x in xs[:3]]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert [r.tobytes() for r in one] == [r.tobytes() for r in want[:3]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(b=_pair_divided_differences(), xs=_X1_POINTS)
+    def test_float_real_roots_match_the_cpoly_path(self, b, xs):
+        # on the x2 polynomials that the pair solve passes as float lists;
+        # a row past float range is refused on both paths. A row on which
+        # either path overruns is left out
+        with np.errstate(all="ignore"):
+            rows = b.x2_polys(xs[:6]).tolist()
+        for row in rows:
+            try:
+                got = _roots_or_error(lambda: cpoly.float_real_roots(row))
+                want = _roots_or_error(lambda: real_roots(CPoly(row)))
+            except _Overrun:
+                continue
+            assert got == want
+
+
 # LU determinant and solve of one Vandermonde matrix, as recorded with
 # the LAPACK (OpenBLAS) build whose bits the resultant goldens pin; a
 # build with other rounding gives other last bits

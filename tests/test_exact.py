@@ -278,18 +278,6 @@ def test_confirmed_cycles_match_the_exact_pairs(pw):
             assert abs(cand.multiplier - multiplier) <= 1e-11 * max(1, abs(multiplier))
 
 
-def _landing_beside(psi, x, near):
-    """The exact landing from x: the root x' != x of psi(x') = psi(x)
-    nearest to near, to 2^-80. ``exact.landing`` picks the root whose
-    isolating interval holds near, and the criterion-2 cycle lands at
-    x1 = 0.0, an interval end: a near just below 0 would pick the start."""
-    x = Fraction(x)
-    level = [psi[0] - sum(c * x ** k for k, c in enumerate(psi)), *psi[1:]]
-    roots = exact.real_roots(level)
-    roots.remove(min(roots, key=lambda r: abs(r - x)))
-    return min(roots, key=lambda r: abs(r - Fraction(near)))
-
-
 @pytest.mark.parametrize("pw", [readme_quadratic_pair(), reference_quadratic_pair()],
                          ids=["readme", "criterion-2"])
 def test_multiplier_at_the_exact_landings(pw):
@@ -303,8 +291,8 @@ def test_multiplier_at_the_exact_landings(pw):
     upper, lower = (exact.psi_axis(side) for side in _sides(pw))
     first, second = (upper, lower) if pw.upper.crossing_sign(cand.x1) > 0 else (lower, upper)
     x1 = Fraction(cand.x1)
-    y = _landing_beside(first, x1, cand.x2)
-    z = _landing_beside(second, y, cand.x1)
+    y = exact.landing(first, x1, cand.x2)
+    z = exact.landing(second, y, cand.x1)
     assert abs(y - Fraction(cand.x2)) <= Fraction(1e-12) and abs(z - x1) <= Fraction(1e-12)
     with mpmath.workdps(50):
         x1, y, z = (_mp(mpmath, v) for v in (x1, y, z))
@@ -315,15 +303,42 @@ def test_multiplier_at_the_exact_landings(pw):
 
 class TestLanding:
     def test_known_landing(self):
-        # psi = x^2: the orbit from x lands at -x; from 0, where
-        # psi(x') - psi(0) has a double root, it lands at 0; near must sit
-        # in an isolating interval
+        # psi = x^2: the orbit from x lands at -x, wherever near is; from
+        # 0, where psi(x') - psi(0) has a double root, it lands at 0. A
+        # psi with no other root refuses
         psi = [0, 0, 1]
         assert exact.landing(psi, 1.5, -1.4) == Fraction(-3, 2)
-        assert exact.landing(psi, 1.5, 1.6) == Fraction(3, 2)
+        assert exact.landing(psi, 1.5, 1.6) == Fraction(-3, 2)
+        assert exact.landing(psi, 1.5, 40.0) == Fraction(-3, 2)
         assert exact.landing(psi, 0.0, 0.1) == 0
-        with pytest.raises(ValueError, match="no isolating interval"):
-            exact.landing(psi, 1.5, 40.0)
+        with pytest.raises(ValueError, match="no real root beside the start"):
+            exact.landing([0, 1], 1.5, 1.5)
+
+    @pytest.mark.parametrize("near", [-1e-12, 0.0, 1e-12])
+    def test_landing_at_an_interval_end(self, near):
+        # psi = x^2 + x: from -1 the orbit lands at 0, the right end of
+        # its isolating interval, as the criterion-2 cycle's x1 = 0.0 is;
+        # a near on either side of it, and the start's own root nearer
+        # to a near below -1, do not move the landing
+        psi = [0, 1, 1]
+        assert exact.landing(psi, -1.0, near) == 0
+        assert exact.landing(psi, -1.0, -1.5) == 0
+
+    @pytest.mark.parametrize("near", [0.0, -9.0e-10, -2.6e-9])
+    def test_criterion_2_landing_beside_its_start(self, near):
+        # the criterion-2 cycle leaves x1 = 0.0 downward, into the lower
+        # side, and lands at y = -0.8139; the upper orbit from y lands about 1e-18
+        # above 0, in (0, 8], while x1 and the oracle's half and full
+        # returns (-9.0e-10, -2.6e-9) lie in (-2, 0], the isolating
+        # interval of y itself: the landing is the root beside y
+        pw = reference_quadratic_pair()
+        cand, = (c for c in solve_antiholo_pair(pw)
+                 if c.verified is Verified.NUMERICALLY_CONFIRMED)
+        upper, lower = (exact.psi_axis(side) for side in _sides(pw))
+        assert cand.x1 == 0.0 and pw.upper.crossing_sign(cand.x1) < 0
+        y = exact.landing(lower, cand.x1, cand.x2)
+        assert abs(y - Fraction(cand.x2)) <= Fraction(1e-12)
+        assert 0 < exact.landing(upper, y, near) <= Fraction(1e-15)
 
     @pytest.mark.parametrize("pw", [readme_quadratic_pair(), reference_quadratic_pair()],
                              ids=["readme", "criterion-2"])

@@ -816,3 +816,17 @@ class TestRejectionReasons:
         for cand in (solve_mixed_linear_on_sigma(NO_CYCLE, validate=False)
                      + solve_mixed_general(NAMED_HANG, validate=False)):
             assert (cand.reason, cand.miss) == (None, None)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_antiholo_pair(reference_quadratic_pair()),
+    lambda: solve_mixed_linear_on_sigma(STABLE_CYCLE),
+    lambda: solve_mixed_general(MixedGeneralConstants(*_fields(STABLE_CYCLE), x0=0.0, y0=0.05)),
+], ids=["antiholo", "mixed-linear", "mixed-general"])
+def test_candidates_carry_python_floats(solve):
+    # every family returns its crossing pair as Python floats, not numpy
+    # scalars
+    out = solve()
+    assert out
+    for c in out:
+        assert type(c.x1) is float and type(c.x2) is float
