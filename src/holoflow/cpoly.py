@@ -253,16 +253,29 @@ def _approx_roots(coeffs):
     eigenvalues (LAPACK's real path for real coefficients), accepted
     only if every scaled residual meets DEFAULT_TOL. The residuals are
     ``CPoly.__call__``'s loop, ``_horner``, on the coefficients as given:
-    coeffs is trimmed, so a CPoly built from it would hold the same."""
+    coeffs is trimmed, so a CPoly built from it would hold the same.
+
+    The points are the ones ``np.roots`` gives, in its order, without
+    its generic set-up: the eigenvalues of the companion matrix it builds
+    from all but the k zero low-order coefficients, by the one
+    ``np.linalg.eigvals`` call it makes (so the same LAPACK call on the
+    same matrix), then a root at 0 for each of those k."""
     n = len(coeffs) - 1
     c = coeffs.real if not coeffs.imag.any() else coeffs
-    try:
-        x = np.roots(c[::-1]).astype(complex)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"companion eigenvalues failed: {exc}") from None
+    k = 0
+    while c[k] == 0:  # stops at the lead, which is nonzero
+        k += 1
+    x = np.zeros(n, dtype=complex)
+    if k < n:
+        p = c[::-1][:n + 1 - k]
+        a = np.eye(n - k, k=-1, dtype=p.dtype)
+        a[0, :] = -p[1:] / p[0]
+        try:
+            x[:n - k] = np.linalg.eigvals(a)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"companion eigenvalues failed: {exc}") from None
     scale = float(np.abs(coeffs).max()) * np.maximum(1.0, np.abs(x)) ** n
-    if len(x) == n and np.all(np.abs(_horner(coeffs[-1], coeffs[-2::-1], x))
-                              <= DEFAULT_TOL * scale):
+    if (np.abs(_horner(coeffs[-1], coeffs[-2::-1], x)) <= DEFAULT_TOL * scale).all():
         return x
     raise NonConvergence(f"companion eigenvalues do not meet tol={DEFAULT_TOL:g}")
 
@@ -274,11 +287,17 @@ def _cluster(points, floor):
     CLUSTER_TOL**(1/m) * max(floor, |center|) of each other, m being the
     combined size: multiple roots of multiplicity m are resolved by the
     eigenvalue solve only to a radius on that order. ``means`` holds
-    each cluster's ``np.mean``, taken again only when the cluster merges:
-    the float a mean of the same list always gives.
+    each cluster's ``np.mean`` as a Python complex, taken again only when
+    the cluster merges: the float a mean of the same list always gives.
+    A singleton's is ``(z + 0j) / 1``, np.mean's own sum from zero and
+    division by the count, in Python complex arithmetic: a sum rounds
+    part by part in both, and a division by 1 + 0j runs Smith's formula
+    with ratio 0 in both, so each gives numpy's float (the -0.0 of an
+    eigenvalue comes out as 0.0, an infinite part beside a finite one
+    makes that one NaN).
     """
     clusters = [[z] for z in points]
-    means = [np.mean(c) for c in clusters]
+    means = [(z + 0j) / 1 for z in points]
     merged = True
     while merged:
         merged = False
@@ -290,13 +309,13 @@ def _cluster(points, floor):
                 radius = CLUSTER_TOL ** (1.0 / m) * max(floor, abs(zi), abs(zj))
                 if abs(zi - zj) <= radius:
                     clusters[i] = ci + cj
-                    means[i] = np.mean(clusters[i])
+                    means[i] = complex(np.mean(clusters[i]))
                     del clusters[j], means[j]
                     merged = True
                     break
             if merged:
                 break
-    return [(complex(z), len(c)) for z, c in zip(means, clusters)]
+    return [(z, len(c)) for z, c in zip(means, clusters)]
 
 
 def roots(p: CPoly) -> tuple:
@@ -308,11 +327,26 @@ def roots(p: CPoly) -> tuple:
     distinct roots below 1 are not merged for being small. Raises
     NonConvergence if the eigenvalue solve fails or its roots miss the
     residual gate, and ValueError for a degree outside 1 to MAX_DEGREE.
+
+    The arithmetic of each step, each the float its numpy form gives:
+    - the eigenvalues: one LAPACK call through ``np.linalg.eigvals``,
+      on the companion matrix ``np.roots`` builds (``_approx_roots``);
+    - the residual gate: ``_horner`` on all eigenvalues at once, the
+      ufunc loop ``CPoly.__call__`` runs, whose products may fuse
+      multiply-add, and the array ``np.abs``;
+    - the clusters and the polish acceptance: Python complex and floats,
+      whose modulus is libm's hypot, as numpy's scalar modulus is;
+    - the Newton polish: q and q' through ``_scalar_horner``, whose
+      products are the same ufunc's, so every value is the float
+      ``CPoly.__call__`` gives, and each step q/q' a Python complex
+      division.
     """
     if not 1 <= p.degree <= MAX_DEGREE:
         raise ValueError(f"roots() requires degree 1 to {MAX_DEGREE}, got {p.degree}")
     with np.errstate(over="ignore", invalid="ignore"):
-        points = list(_approx_roots(p.coeffs))
+        # Python complex from here on: Python's abs and numpy's scalar
+        # modulus are both libm's hypot (the array np.abs is not)
+        points = _approx_roots(p.coeffs).tolist()
         floor = min(1.0, max(map(abs, points)))
         # horners[k] evaluates the k-th derivative of p, its coefficients d
         # built as CPoly.derivative() does, but kept past float range
@@ -346,11 +380,20 @@ def synthetic_division(coeffs, z0, count):
     z - z0, count times over, by Horner's synthetic division (Knuth,
     TAOCP vol. 2, 4.6.4). Returns the count remainders, which are the
     first count Taylor coefficients of p at z0 in ascending order, and
-    the last quotient, p // (z - z0)**count; a constant's quotient is
-    [0]. With count = 1 the remainder is p(z0)."""
+    the last quotient, p // (z - z0)**count, ascending; a constant's
+    quotient is [0j]. Both are lists of Python complex. With count = 1
+    the remainder is p(z0).
+
+    Each step ``acc * z0 + c`` is Python complex arithmetic, which
+    rounds as numpy's scalar complex product and sum do: neither fuses
+    multiply-add (the array ``np.multiply`` loop may; see ``_horner``),
+    and a sum rounds part by part. Python's complex product and sum
+    never raise or warn."""
+    coeffs = np.asarray(coeffs, dtype=complex).tolist()
+    z0 = complex(z0)
     remainders = []
     for _ in range(count):
-        quotient = np.zeros(max(len(coeffs) - 1, 1), dtype=complex)
+        quotient = [0j] * max(len(coeffs) - 1, 1)
         acc = coeffs[-1]
         for i in range(len(coeffs) - 2, -1, -1):
             quotient[i] = acc

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpoly import CPoly
-from .errors import AtPole, DegreeUnsupported, DomainViolation, FieldSingularOnCurve
+from .errors import (
+    AtPole,
+    DegreeUnsupported,
+    DomainViolation,
+    FieldSingularOnCurve,
+    NonConvergence,
+)
 from .odeint import IntegratorConfig, DEFAULT_CONFIG, integrate
 from .potential import PotentialRep, SystemKind, SystemSpec, eval_potential
 
@@ -221,7 +227,10 @@ def closed_form_flow(flow: ClosedFormFlow, z0: complex, T: complex) -> complex:
 
     Square roots and fractional powers are tracked for continuity along
     the straight path from 0 to T in N_TRACK increments. Raises
-    DomainViolation at blow-up times and excluded initial conditions.
+    DomainViolation at blow-up times and excluded initial conditions,
+    and NonConvergence, with no numpy warning, where a linear or
+    Bernoulli flow passes float range on the way, as e^T does for
+    Re T > 709.78.
     """
     z0 = complex(z0)
     T = complex(T)
@@ -229,7 +238,9 @@ def closed_form_flow(flow: ClosedFormFlow, z0: complex, T: complex) -> complex:
     if kind is FlowKind.CONSTANT:
         return T + z0
     if kind is FlowKind.LINEAR:
-        return z0 * np.exp(T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = z0 * np.exp(T)
+        return _in_float_range(z, "the linear flow z0 e^T")
     if kind is FlowKind.QUADRATIC:
         if z0 == 0:
             return 0j
@@ -251,15 +262,30 @@ def closed_form_flow(flow: ClosedFormFlow, z0: complex, T: complex) -> complex:
         raise DomainViolation("Bernoulli flow requires alpha != 0")
     if z0 == 0:
         return 0j  # equilibrium at the origin
-    w0 = z0 ** (1 - n)
+    try:
+        w0 = z0 ** (1 - n)
+    except (OverflowError, ZeroDivisionError):  # Python's complex power past float range
+        raise NonConvergence(f"z0^(1 - n) passes float range at z0 = {z0}") from None
     fixed = be / al
     ts = np.linspace(0.0, 1.0, N_TRACK + 1)
-    w_path = fixed + (w0 - fixed) * np.exp((n - 1) * al * ts * T)
-    if n == 2:
-        if w_path[-1] == 0:
-            raise DomainViolation("Bernoulli flow blow-up")
-        return 1.0 / w_path[-1]
-    return _tracked_power(w_path, 1 - n, z0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_path = fixed + (w0 - fixed) * np.exp((n - 1) * al * ts * T)
+        if not np.isfinite(w_path).all():
+            raise NonConvergence("the Bernoulli flow's w = z^(1 - n) passes float range")
+        if n == 2:
+            if w_path[-1] == 0:
+                raise DomainViolation("Bernoulli flow blow-up")
+            z = 1.0 / w_path[-1]
+        else:
+            z = _tracked_power(w_path, 1 - n, z0)
+    return _in_float_range(z, "the Bernoulli flow")
+
+
+def _in_float_range(z, what):
+    """z, or NonConvergence naming what when a part of z is not finite."""
+    if not cmath.isfinite(z):
+        raise NonConvergence(f"{what} passes float range: {z}")
+    return z
 
 
 def complex_time_invariants(spec: SystemSpec, rep: PotentialRep, z0: complex,

@@ -148,14 +148,19 @@ class PotentialRep:
 
 
 def _series_reciprocal(a, order):
-    """First `order` coefficients of 1/sum(a_k w^k); requires a[0] != 0."""
-    b = np.zeros(order, dtype=complex)
-    b[0] = 1.0 / a[0]
+    """First `order` coefficients of 1/sum(a_k w^k), as Python complex;
+    requires a[0] != 0. The products and sums are Python complex
+    arithmetic, which rounds as numpy's scalar complex product and sum
+    do; each division is numpy's scalar complex division, which rounds
+    otherwise than Python's ``/`` (numpy scales by the reciprocal of the
+    denominator, Python divides by it)."""
+    a0 = np.complex128(a[0])  # so that each / below is numpy's
+    b = [complex(1.0 / a0)]
     for k in range(1, order):
         s = 0j
         for i in range(1, min(k, len(a) - 1) + 1):
             s += a[i] * b[k - i]
-        b[k] = -s / a[0]
+        b.append(complex(-s / a0))
     return b
 
 
@@ -169,6 +174,13 @@ def partial_fraction_primitive(num: CPoly, den: CPoly) -> PotentialRep:
     and the two series are divided by inverting q's and multiplying.
     Raises NonConvergence when the roots do, or when a coefficient is
     not finite.
+
+    The Taylor coefficients and the reciprocal series run on Python
+    complex, where numpy's scalar product and sum round the same. The
+    series' divisions are numpy's scalar division, which rounds
+    otherwise than Python's, and their product is ``np.convolve``, whose
+    dot product adds each term to 0.0 and so drops a -0.0 part that a
+    Python product keeps.
     """
     if den.is_zero():
         raise ZeroPolynomial("denominator is identically zero")
@@ -176,23 +188,23 @@ def partial_fraction_primitive(num: CPoly, den: CPoly) -> PotentialRep:
         raise ValueError("partial fractions require deg num < deg den")
     logs = []
     rats = []
-    for z_j, m in cpoly.roots(den):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for z_j, m in cpoly.roots(den):
             q_taylor = cpoly.synthetic_division(den.coeffs, z_j, 2 * m)[0][m:]
             num_taylor = cpoly.synthetic_division(num.coeffs, z_j, m)[0]
             series = np.convolve(num_taylor, _series_reciprocal(q_taylor, m))[:m]
-        # series[k] multiplies 1/(z - z_j)**(m - k)
-        for k in range(m):
-            order = m - k
-            d = series[k]
-            if not cmath.isfinite(d):
-                raise NonConvergence(f"principal part at {z_j} passes float range")
-            if d == 0:
-                continue
-            if order == 1:
-                logs.append((complex(d), complex(z_j)))
-            else:
-                rats.append((complex(-d / (order - 1)), complex(z_j), order - 1))
+            # series[k] multiplies 1/(z - z_j)**(m - k)
+            for k in range(m):
+                order = m - k
+                d = series[k]
+                if not cmath.isfinite(d):
+                    raise NonConvergence(f"principal part at {z_j} passes float range")
+                if d == 0:
+                    continue
+                if order == 1:
+                    logs.append((complex(d), complex(z_j)))
+                else:
+                    rats.append((complex(-d / (order - 1)), complex(z_j), order - 1))
     return PotentialRep(CPoly([0.0]), tuple(logs), tuple(rats))
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 import signal
 import warnings
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exact
@@ -20,8 +21,19 @@ from holoflow.cpoly import (
     roots,
 )
 from holoflow import pwcycles
-from holoflow.errors import DegenerateLeadingCoefficient, IdenticallyZero, NonConvergence
-from holoflow.potential import anti_holomorphic, holomorphic
+from holoflow.errors import (
+    DegenerateLeadingCoefficient,
+    IdenticallyZero,
+    NonConvergence,
+    ZeroPolynomial,
+)
+from holoflow.potential import (
+    _series_reciprocal,
+    anti_holomorphic,
+    holomorphic,
+    partial_fraction_primitive,
+)
+from test_classify import GOLDEN as GOLDEN_CUBICS
 
 S33 = math.sqrt(33.0)
 
@@ -437,16 +449,248 @@ class TestRoots:
         assert any(m > 1 for out in got[150:] if isinstance(out, list) for _, _, m in out)
 
     def test_failed_residual_gate_raises(self, monkeypatch):
-        monkeypatch.setattr(np, "roots", lambda c: np.full(len(c) - 1, 7.0 + 3j))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(len(a), 7.0 + 3j))
         with pytest.raises(NonConvergence):
             roots(CPoly([2, -3, 0, 1]))
 
     def test_eigenvalue_failure_raises(self, monkeypatch):
-        def fail(c):
+        def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        monkeypatch.setattr(np, "roots", fail)
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
         with pytest.raises(NonConvergence):
             roots(CPoly([2, -3, 0, 1]))
+
+
+# --- the root layer in its numpy form, frozen: np.roots for the
+# eigenvalues, np.mean for every cluster, numpy scalars in the Taylor
+# coefficients and the reciprocal series. TestRootLayerSameFloats
+# compares the shipped code with it, float for float.
+
+def _frozen_approx_roots(coeffs):
+    n = len(coeffs) - 1
+    c = coeffs.real if not coeffs.imag.any() else coeffs
+    try:
+        x = np.roots(c[::-1]).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"companion eigenvalues failed: {exc}") from None
+    scale = float(np.abs(coeffs).max()) * np.maximum(1.0, np.abs(x)) ** n
+    if len(x) == n and np.all(np.abs(cpoly._horner(coeffs[-1], coeffs[-2::-1], x))
+                              <= cpoly.DEFAULT_TOL * scale):
+        return x
+    raise NonConvergence(f"companion eigenvalues do not meet tol={cpoly.DEFAULT_TOL:g}")
+
+
+def _frozen_cluster(points, floor):
+    clusters = [[z] for z in points]
+    means = [np.mean(c) for c in clusters]
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                ci, cj = clusters[i], clusters[j]
+                zi, zj = means[i], means[j]
+                m = len(ci) + len(cj)
+                radius = cpoly.CLUSTER_TOL ** (1.0 / m) * max(floor, abs(zi), abs(zj))
+                if abs(zi - zj) <= radius:
+                    clusters[i] = ci + cj
+                    means[i] = np.mean(clusters[i])
+                    del clusters[j], means[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    return [(complex(z), len(c)) for z, c in zip(means, clusters)]
+
+
+def _frozen_roots(p):
+    if not 1 <= p.degree <= cpoly.MAX_DEGREE:
+        raise ValueError(f"roots() requires degree 1 to {cpoly.MAX_DEGREE}, got {p.degree}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = list(_frozen_approx_roots(p.coeffs))
+        floor = min(1.0, max(map(abs, points)))
+        d, horners = p.coeffs, [cpoly._scalar_horner(p.scalar_view[0])]
+        refined = []
+        for z0, m in _frozen_cluster(points, floor):
+            while len(horners) <= m:
+                d = d[1:] * np.arange(1, len(d))
+                horners.append(cpoly._scalar_horner(tuple(d[::-1].tolist())))
+            q, dq = horners[m - 1], horners[m]
+            z = z0
+            for _ in range(3):
+                dv = dq(z)
+                if dv == 0:
+                    break
+                step = q(z) / dv
+                z = z - step
+                if abs(step) <= 1e-16 * (1.0 + abs(z)):
+                    break
+            if abs(z - z0) < cpoly.CLUSTER_TOL ** (1.0 / m) * max(floor, abs(z0)):
+                z0 = z
+            refined.append((z0, m))
+    refined.sort(key=lambda t: (t[0].real, t[0].imag))
+    return tuple(refined)
+
+
+def _frozen_synthetic_division(coeffs, z0, count):
+    remainders = []
+    for _ in range(count):
+        quotient = np.zeros(max(len(coeffs) - 1, 1), dtype=complex)
+        acc = coeffs[-1]
+        for i in range(len(coeffs) - 2, -1, -1):
+            quotient[i] = acc
+            acc = acc * z0 + coeffs[i]
+        remainders.append(acc)
+        coeffs = quotient
+    return remainders, coeffs
+
+
+def _frozen_series_reciprocal(a, order):
+    b = np.zeros(order, dtype=complex)
+    b[0] = 1.0 / a[0]
+    for k in range(1, order):
+        s = 0j
+        for i in range(1, min(k, len(a) - 1) + 1):
+            s += a[i] * b[k - i]
+        b[k] = -s / a[0]
+    return b
+
+
+def _frozen_partial_fraction_primitive(num, den):
+    if den.is_zero():
+        raise ZeroPolynomial("denominator is identically zero")
+    if num.degree >= den.degree:
+        raise ValueError("partial fractions require deg num < deg den")
+    logs = []
+    rats = []
+    for z_j, m in _frozen_roots(den):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            q_taylor = _frozen_synthetic_division(den.coeffs, z_j, 2 * m)[0][m:]
+            num_taylor = _frozen_synthetic_division(num.coeffs, z_j, m)[0]
+            series = np.convolve(num_taylor, _frozen_series_reciprocal(q_taylor, m))[:m]
+        for k in range(m):
+            order = m - k
+            d = series[k]
+            if not cmath.isfinite(d):
+                raise NonConvergence(f"principal part at {z_j} passes float range")
+            if d == 0:
+                continue
+            if order == 1:
+                logs.append((complex(d), complex(z_j)))
+            else:
+                rats.append((complex(-d / (order - 1)), complex(z_j), order - 1))
+    return tuple(logs), tuple(rats)
+
+
+def _hex_complex(values):
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+def _roots_key(find, p):
+    """find(p) as (float.hex, float.hex, multiplicity) triples, or the
+    type of the error it raises."""
+    try:
+        return [(z.real.hex(), z.imag.hex(), m) for z, m in find(p)]
+    except (NonConvergence, ValueError) as exc:
+        return type(exc)
+
+
+def _hex_terms(logs, rats):
+    return (_hex_complex(z for term in logs for z in term)
+            + _hex_complex(z for c, pole, _ in rats for z in (c, pole))
+            + [order for _, _, order in rats])
+
+
+_wide_float = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-300, 300)))
+_quarter_grid = st.builds(lambda a, b: complex(a / 4, b / 4),
+                          st.integers(-12, 12), st.integers(-12, 12))
+_layer_polys = st.one_of(
+    # degrees 1-12, complex and real coefficients
+    st.builds(CPoly, st.lists(st.builds(complex, _wide_float, _wide_float),
+                              min_size=2, max_size=13)),
+    st.builds(CPoly, st.lists(_wide_float, min_size=2, max_size=13)),
+    # products (z - r)^m, m <= 3, of up to four points of a quarter grid,
+    # times a lead
+    st.builds(lambda rs, lead: CPoly(lead * CPoly.from_roots(
+                  [r for r, m in rs for _ in range(m)]).coeffs),
+              st.lists(st.tuples(_quarter_grid, st.integers(1, 3)), min_size=1,
+                       max_size=4, unique_by=lambda t: t[0]),
+              st.sampled_from([1.0, -2.5, 1j, 0.3 - 0.7j, 1e-8, 1e8])),
+    # zero low-order coefficients: roots at 0 beside the eigenvalues,
+    # and beside eigenvalues close enough to 0 to join their cluster,
+    # where the order of the points decides the merges
+    st.builds(lambda k, cs: CPoly([0.0] * k + cs), st.integers(1, 5),
+              st.lists(st.one_of(_wide_float, st.builds(complex, _wide_float, _wide_float)),
+                       min_size=1, max_size=8)),
+    st.builds(lambda k, rs: CPoly([0.0] * k + list(CPoly.from_roots(rs + [1.0]).coeffs)),
+              st.integers(1, 3),
+              st.lists(st.builds(lambda s, e, u: s * 10.0 ** e * u, st.sampled_from([-1.0, 1.0]),
+                                 st.floats(-6.0, -2.0), st.sampled_from([1.0, 1j])),
+                       min_size=1, max_size=3)),
+)
+
+
+class TestRootLayerSameFloats:
+    """roots, synthetic_division and partial_fraction_primitive against
+    the frozen copies above, by float.hex or by the type of the error:
+    the eigenvalues through np.linalg.eigvals, the singleton means in
+    Python and the Taylor coefficients and series in Python complex all
+    round as the numpy steps they replace."""
+
+    @staticmethod
+    def _check(p, z):
+        assert _roots_key(roots, p) == _roots_key(_frozen_roots, p)
+        count = p.degree + 1
+        got, quotient = cpoly.synthetic_division(p.coeffs, z, count)
+        with np.errstate(all="ignore"):
+            want, frozen_quotient = _frozen_synthetic_division(p.coeffs, z, count)
+        assert _hex_complex(got + quotient) == _hex_complex(want + list(frozen_quotient))
+        try:
+            rep = partial_fraction_primitive(CPoly([1.0]), p)
+            got = _hex_terms(rep.log_terms, rep.rational_terms)
+        except (NonConvergence, ValueError, ZeroPolynomial) as exc:
+            got = type(exc)
+        try:
+            with np.errstate(all="ignore"):
+                want = _hex_terms(*_frozen_partial_fraction_primitive(CPoly([1.0]), p))
+        except (NonConvergence, ValueError, ZeroPolynomial) as exc:
+            want = type(exc)
+        assert got == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(p=_layer_polys, z=st.builds(complex, _wide_float, _wide_float))
+    @example(p=CPoly([0.0, 0.0, 0.0, 1e-320]), z=1.5 - 0.5j)
+    @example(p=CPoly([1e300, 1e300, 1.0]), z=0j)
+    # eigenvalues with -0.0 parts, which np.mean's sum from zero drops
+    @example(p=CPoly([1, 0, 1]), z=1j)
+    @example(p=CPoly([0, 4, 0, 1]), z=-0.0)
+    # a root at 0 that joins a cluster of eigenvalues after them
+    @example(p=CPoly([0.0, 2.684778212429625e-12, 2.6424945386452157e-08,
+                      -0.00013873701095945128, -0.9998612894166707, 1.0]), z=1.0)
+    def test_matches_the_frozen_layer(self, p, z):
+        self._check(p, z)
+
+    @pytest.mark.parametrize("label, a1, a0, regions", GOLDEN_CUBICS)
+    def test_golden_cubics(self, label, a1, a0, regions):
+        self._check(CPoly([complex(a0), complex(a1), 0.0, 1.0]), 0.5 + 0.25j)
+
+    def test_series_reciprocal(self):
+        # the reciprocal series alone, at orders past those a root of
+        # multiplicity <= 3 reaches
+        rng = np.random.default_rng(36)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            a = ((rng.normal(size=n) + 1j * rng.normal(size=n))
+                 * 10.0 ** rng.uniform(-100, 100, n))
+            order = int(rng.integers(1, 9))
+            # numpy scalars into the frozen loop, Python complex (as
+            # synthetic_division gives them) into the shipped one
+            with np.errstate(all="ignore"):
+                want = _frozen_series_reciprocal(list(a), order)
+                got = _series_reciprocal(a.tolist(), order)
+            assert _hex_complex(got) == _hex_complex(want)
 
 
 class TestDegreeLimit:
@@ -454,7 +698,7 @@ class TestDegreeLimit:
         def fail(*args):
             raise AssertionError("eigenvalues computed past the degree limit")
 
-        monkeypatch.setattr(np, "roots", fail)
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
         with pytest.raises(ValueError, match=f"degree 1 to {cpoly.MAX_DEGREE}, got 201"):
             roots(CPoly([1.0] + [0.0] * cpoly.MAX_DEGREE + [1.0]))
 

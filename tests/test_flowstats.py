@@ -1,11 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from holoflow import flowstats
 from holoflow.cli import main
-from holoflow.errors import AtPole, DegreeUnsupported, DomainViolation, FieldSingularOnCurve
+from holoflow.errors import (
+    AtPole,
+    DegreeUnsupported,
+    DomainViolation,
+    FieldSingularOnCurve,
+    NonConvergence,
+)
 from holoflow.flowstats import (
     Circle,
     ClosedFormFlow,
@@ -236,6 +243,22 @@ class TestClosedFormFlows:
         flow = ClosedFormFlow(FlowKind.QUADRATIC)
         with pytest.raises(DomainViolation):
             closed_form_flow(flow, 1.0, 1.0)
+
+    @pytest.mark.parametrize("flow, z0, T", [
+        # z0^(1 - n): z0^2 underflows to 0, and Python's complex power
+        # divides by it
+        (ClosedFormFlow(FlowKind.BERNOULLI, 3, 1e-300, 0), 1e-300, 0),
+        # e^1000 overflows
+        (ClosedFormFlow(FlowKind.LINEAR), 1, 1000),
+        # w = 1 - e^T / 2 overflows on the path (n = 2 and n = 3)
+        (ClosedFormFlow(FlowKind.BERNOULLI, 2), 2, 1000),
+        (ClosedFormFlow(FlowKind.BERNOULLI, 3), 2, 1000),
+    ])
+    def test_past_float_range_raises_without_warning(self, flow, z0, T):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match="passes float range"):
+                closed_form_flow(flow, z0, T)
 
     def test_reciprocal_branch_tracking(self):
         # follow z^2/2 = T + z0^2/2 along a path that crosses the
